@@ -11,7 +11,6 @@ from .clustering import (
 )
 from .hypergraph import (
     LabeledHypergraph,
-    WeightedGraph,
     connected_components,
     diameter,
     majority_subhypergraph,
@@ -78,7 +77,6 @@ __all__ = [
     "SymmetryPartition",
     "WalkConfig",
     "WalkStats",
-    "WeightedGraph",
     "binary_split",
     "build_hypergraph",
     "cheeger_sweep_cut",

@@ -2,18 +2,23 @@
 
 A hypergraph here is a set of named nodes plus labeled hyperedges (each a
 non-empty node set). It supports diameter computation, clique expansion to a
-weighted graph, majority-rule reconstruction of sub-hypergraphs from a node
-partition, and connected-component splitting.
+weighted graph (a symmetric ``scipy.sparse`` CSR array), majority-rule
+reconstruction of sub-hypergraphs from a node partition, and
+connected-component splitting. Graph searches run in ``scipy.sparse.csgraph``
+over the node adjacency B @ B.T of the node-by-edge incidence matrix B.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 Edge = tuple[int, tuple[int, ...]]  # (label id, member node ids)
+
+_DIAMETER_CHUNK = 256  # BFS sources per shortest_path call in ``diameter``
 
 
 @dataclass(frozen=True)
@@ -77,16 +82,6 @@ class LabeledHypergraph:
     def n_labels(self) -> int:
         return len(self.label_names)
 
-    def degree(self, v: int) -> int:
-        return len(self.incidence[v])
-
-    def neighbors(self, v: int) -> set[int]:
-        out: set[int] = set()
-        for eid in self.incidence[v]:
-            out.update(self.edges[eid][1])
-        out.discard(v)
-        return out
-
     def restrict(self, edge_ids: list[int], keep_nodes: set[int]) -> "LabeledHypergraph":
         """Sub-hypergraph of the given edges plus any isolated kept nodes.
 
@@ -114,147 +109,48 @@ class LabeledHypergraph:
         )
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Undirected weighted graph in CSR form, no self-loops, weights > 0.
-
-    ``ids`` maps local indices back to the node ids of the hypergraph the
-    graph was derived from (restriction keeps the original ids).
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-    ids: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, n: int, pair_weights: dict[tuple[int, int], float], ids=None) -> "WeightedGraph":
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for (i, j), w in pair_weights.items():
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if w <= 0:
-                raise ValueError("weights must be strictly positive")
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indices_l: list[int] = []
-        weights_l: list[float] = []
-        for i in range(n):
-            adj[i].sort()
-            indptr[i + 1] = indptr[i] + len(adj[i])
-            for j, w in adj[i]:
-                indices_l.append(j)
-                weights_l.append(w)
-        return cls(
-            n=n,
-            indptr=indptr,
-            indices=np.asarray(indices_l, dtype=np.int64),
-            weights=np.asarray(weights_l, dtype=np.float64),
-            ids=np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64),
-        )
-
-    @property
-    def degrees(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        np.add.at(out, np.repeat(np.arange(self.n), np.diff(self.indptr)), self.weights)
-        return out
-
-    def weight(self, i: int, j: int) -> float:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        row = self.indices[lo:hi]
-        k = np.searchsorted(row, j)
-        if k < len(row) and row[k] == j:
-            return float(self.weights[lo + k])
-        return 0.0
-
-    def adjacency_dict(self) -> dict[tuple[int, int], float]:
-        out: dict[tuple[int, int], float] = {}
-        for i in range(self.n):
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                j = int(self.indices[k])
-                if i < j:
-                    out[(i, j)] = float(self.weights[k])
-        return out
-
-    def subgraph(self, nodes: np.ndarray) -> "WeightedGraph":
-        """Induced subgraph on ``nodes`` (local indices), dropping cut edges."""
-        nodes = np.asarray(sorted(nodes), dtype=np.int64)
-        pos = -np.ones(self.n, dtype=np.int64)
-        pos[nodes] = np.arange(len(nodes))
-        pairs: dict[tuple[int, int], float] = {}
-        for local_i, i in enumerate(nodes):
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                j = int(self.indices[k])
-                if pos[j] >= 0 and i < j:
-                    pairs[(local_i, int(pos[j]))] = float(self.weights[k])
-        return WeightedGraph.from_pairs(len(nodes), pairs, ids=self.ids[nodes])
-
-    def components(self) -> list[np.ndarray]:
-        """Connected components as arrays of local indices, by smallest index."""
-        seen = np.zeros(self.n, dtype=bool)
-        comps: list[np.ndarray] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            queue = deque([start])
-            seen[start] = True
-            comp = [start]
-            while queue:
-                u = queue.popleft()
-                for k in range(self.indptr[u], self.indptr[u + 1]):
-                    v = int(self.indices[k])
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        queue.append(v)
-            comps.append(np.asarray(sorted(comp), dtype=np.int64))
-        return comps
+def _incidence(h: LabeledHypergraph) -> sparse.csr_array:
+    """Node-by-edge incidence matrix B, with B[v, e] = 1 when v is in edge e."""
+    sizes = [len(members) for _, members in h.edges]
+    rows = np.fromiter((v for _, members in h.edges for v in members), np.int64, sum(sizes))
+    cols = np.repeat(np.arange(h.n_edges), sizes)
+    return sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(h.n_nodes, h.n_edges))
 
 
 def diameter(h: LabeledHypergraph) -> int:
     """Longest shortest path (in edges traversed) over connected node pairs.
 
     Disconnected pairs are ignored; on a disconnected hypergraph this is the
-    maximum over its components.
+    maximum over its components. Breadth-first searches run over the node
+    adjacency B @ B.T, ``_DIAMETER_CHUNK`` sources at a time, so memory stays
+    O(chunk * n).
     """
     if h.n_nodes == 0:
         raise ValueError("diameter of an empty hypergraph")
-    adjacency = [sorted(h.neighbors(v)) for v in range(h.n_nodes)]
+    b = _incidence(h)
+    adj = b @ b.T
     best = 0
-    dist = np.empty(h.n_nodes, dtype=np.int64)
-    for start in range(h.n_nodes):
-        dist.fill(-1)
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        best = max(best, int(dist.max()))
+    for lo in range(0, h.n_nodes, _DIAMETER_CHUNK):
+        sources = np.arange(lo, min(lo + _DIAMETER_CHUNK, h.n_nodes))
+        dist = csgraph.shortest_path(adj, directed=False, unweighted=True, indices=sources)
+        best = max(best, int(dist[np.isfinite(dist)].max()))
     return best
 
 
-def to_weighted_graph(h: LabeledHypergraph) -> WeightedGraph:
+def to_weighted_graph(h: LabeledHypergraph) -> sparse.csr_array:
     """Clique expansion: each hyperedge of cardinality c >= 2 adds weight
-    1/(c-1) to every node pair inside it, accumulated across edges."""
+    1/(c-1) to every node pair inside it, accumulated across edges in edge
+    order. The result is a symmetric CSR array with sorted indices and no
+    self-loops."""
     if h.n_nodes == 0:
         raise ValueError("cannot expand an empty hypergraph")
-    pairs: dict[tuple[int, int], float] = {}
-    for _, members in h.edges:
-        c = len(members)
-        if c < 2:
-            continue
-        w = 1.0 / (c - 1)
-        ordered = sorted(members)
-        for a in range(c):
-            for b in range(a + 1, c):
-                key = (ordered[a], ordered[b])
-                pairs[key] = pairs.get(key, 0.0) + w
-    return WeightedGraph.from_pairs(h.n_nodes, pairs)
+    b = _incidence(h)
+    sizes = b.sum(axis=0)
+    w = np.divide(1.0, sizes - 1, out=np.zeros(h.n_edges), where=sizes > 1)
+    g = b @ sparse.diags_array(w) @ b.T
+    g = (g - sparse.diags_array(g.diagonal())).tocsr()
+    g.sort_indices()
+    return g
 
 
 def majority_subhypergraph(
@@ -292,25 +188,15 @@ def majority_subhypergraph(
 
 def connected_components(h: LabeledHypergraph) -> list[LabeledHypergraph]:
     """Maximal connected sub-hypergraphs, ordered by smallest node id."""
-    n = h.n_nodes
-    comp = -np.ones(n, dtype=np.int64)
-    n_comp = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        queue = deque([start])
-        comp[start] = n_comp
-        while queue:
-            u = queue.popleft()
-            for eid in h.incidence[u]:
-                for v in h.edges[eid][1]:
-                    if comp[v] < 0:
-                        comp[v] = n_comp
-                        queue.append(v)
-        n_comp += 1
-    out: list[LabeledHypergraph] = []
-    for ci in range(n_comp):
-        nodes = {int(v) for v in np.flatnonzero(comp == ci)}
-        eids = [eid for eid, (_, members) in enumerate(h.edges) if comp[members[0]] == ci]
-        out.append(h.restrict(eids, nodes))
-    return out
+    if h.n_nodes == 0:
+        return []
+    b = _incidence(h)
+    # labels are numbered in order of each component's smallest node id
+    n_comp, comp = csgraph.connected_components(b @ b.T, directed=False)
+    edge_comp = comp[[members[0] for _, members in h.edges]]
+    return [
+        h.restrict(
+            np.flatnonzero(edge_comp == ci).tolist(), set(np.flatnonzero(comp == ci).tolist())
+        )
+        for ci in range(n_comp)
+    ]

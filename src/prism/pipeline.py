@@ -13,7 +13,6 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -70,10 +69,6 @@ class RunConfig:
             "use_hcluster": self.use_hcluster,
             "min_category_mean": self.min_category_mean,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -285,7 +280,3 @@ def emit_report(report: ConceptReport, fmt: str = "json") -> str:
 
 def parse_report(text: str) -> ConceptReport:
     return ConceptReport.from_dict(json.loads(text))
-
-
-def write_report(report: ConceptReport, fmt: str, out: TextIO) -> None:
-    out.write(emit_report(report, fmt))

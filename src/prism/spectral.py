@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
-from .hypergraph import (
-    LabeledHypergraph,
-    WeightedGraph,
-    majority_subhypergraph,
-    to_weighted_graph,
-)
+from .hypergraph import LabeledHypergraph, majority_subhypergraph, to_weighted_graph
+
+EIG_TOLERANCE = 1e-8  # residual ||L_sym v - lambda v|| that ends power iteration
+EIG_MAX_ITERS = 10000
 
 
 class ConvergenceError(RuntimeError):
@@ -33,54 +33,43 @@ class DisconnectedGraphError(ValueError):
 class SpectralConfig:
     lambda2_max: float = 0.8
     n_min: int = 8
-    eig_tolerance: float = 1e-8
-    eig_max_iters: int = 10000
 
     def __post_init__(self):
         if not 0 < self.lambda2_max <= 2:
             raise ValueError("lambda2_max must be in (0, 2]")
         if self.n_min < 2:
             raise ValueError("n_min must be at least 2")
-        if self.eig_tolerance <= 0 or self.eig_max_iters < 1:
-            raise ValueError("bad eigensolver settings")
 
 
-def _laplacian_matvec(g: WeightedGraph, inv_sqrt_deg: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # L_sym x = x - D^{-1/2} W D^{-1/2} x
-    y = inv_sqrt_deg * x
-    wy = np.zeros_like(x)
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    np.add.at(wy, rows, g.weights * y[g.indices])
-    return x - inv_sqrt_deg * wy
-
-
-def second_eigenpair(g: WeightedGraph, cfg: SpectralConfig) -> tuple[float, np.ndarray]:
-    """Second-smallest eigenpair of the symmetric normalized Laplacian.
+def second_eigenpair(g: sparse.csr_array) -> tuple[float, np.ndarray]:
+    """Second-smallest eigenpair of the symmetric normalized Laplacian of the
+    weighted adjacency ``g``.
 
     Deflated power iteration on 2I - L_sym with the trivial eigenvector
     D^(1/2)*1 projected out. Converges when the residual
-    ||L_sym v - lambda v|| drops below ``eig_tolerance``; the returned
+    ||L_sym v - lambda v|| drops below ``EIG_TOLERANCE``; the returned
     eigenvector has its first non-negligible component positive.
     """
-    if g.n < 2:
+    n = g.shape[0]
+    if n < 2:
         raise ValueError("graph must have at least 2 nodes")
-    if len(g.components()) != 1:
+    if csgraph.connected_components(g, directed=False, return_labels=False) != 1:
         raise DisconnectedGraphError("second_eigenpair requires a connected graph")
-    deg = g.degrees
+    deg = g.sum(axis=1)
     inv_sqrt_deg = 1.0 / np.sqrt(deg)
     trivial = np.sqrt(deg)
     trivial /= np.linalg.norm(trivial)
 
     rng = np.random.Generator(np.random.Philox(0xC0FFEE))
-    x = rng.standard_normal(g.n)
+    x = rng.standard_normal(n)
     x -= trivial * (trivial @ x)
     x /= np.linalg.norm(x)
 
     lam = 0.0
-    for _ in range(cfg.eig_max_iters):
-        lx = _laplacian_matvec(g, inv_sqrt_deg, x)
+    for _ in range(EIG_MAX_ITERS):
+        lx = x - inv_sqrt_deg * (g @ (inv_sqrt_deg * x))  # L_sym x
         lam = float(x @ lx)
-        if np.linalg.norm(lx - lam * x) <= cfg.eig_tolerance:
+        if np.linalg.norm(lx - lam * x) <= EIG_TOLERANCE:
             break
         y = 2.0 * x - lx  # (2I - L_sym) x
         y -= trivial * (trivial @ y)
@@ -89,8 +78,8 @@ def second_eigenpair(g: WeightedGraph, cfg: SpectralConfig) -> tuple[float, np.n
             x = y / ny
     else:
         raise ConvergenceError(
-            f"eigensolver did not reach residual {cfg.eig_tolerance} "
-            f"in {cfg.eig_max_iters} iterations"
+            f"eigensolver did not reach residual {EIG_TOLERANCE} "
+            f"in {EIG_MAX_ITERS} iterations"
         )
     nz = np.flatnonzero(np.abs(x) > 1e-12)
     if len(nz) and x[nz[0]] < 0:
@@ -98,43 +87,34 @@ def second_eigenpair(g: WeightedGraph, cfg: SpectralConfig) -> tuple[float, np.n
     return lam, x
 
 
-def cheeger_sweep_cut(g: WeightedGraph, v2: np.ndarray) -> tuple[set[int], set[int], float]:
+def cheeger_sweep_cut(g: sparse.csr_array, v2: np.ndarray) -> tuple[set[int], set[int], float]:
     """Best prefix cut of the v2 ordering by conductance.
 
     Nodes are sorted by their eigenvector component (ties by index); among the
     n-1 prefix sets the one minimizing cut(S)/min(vol(S), vol(~S)) is
     returned, with ties going to the shortest prefix.
     """
-    n = g.n
+    n = g.shape[0]
     order = np.lexsort((np.arange(n), v2))
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    deg = g.degrees
+    deg = g.sum(axis=1)
     total_vol = float(deg.sum())
-
-    best_phi = np.inf
-    best_k = 1
-    cut = 0.0
-    vol = 0.0
-    in_s = np.zeros(n, dtype=bool)
-    for k in range(1, n):
-        u = order[k - 1]
-        in_s[u] = True
-        vol += deg[u]
-        for idx in range(g.indptr[u], g.indptr[u + 1]):
-            v = int(g.indices[idx])
-            w = float(g.weights[idx])
-            cut += -w if in_s[v] else w
-        phi = cut / min(vol, total_vol - vol)
-        if phi < best_phi:
-            best_phi = phi
-            best_k = k
+    vol = np.cumsum(deg[order])[:-1]  # vol(S_k) for the prefixes S_k, k = 1..n-1
+    # An edge lies inside S_k once its later-ranked end has rank < k. Each
+    # edge is stored in both directions, so the running sum is twice the
+    # inner weight and cut(S_k) = vol(S_k) - inner.
+    entries = g.tocoo()
+    later = np.maximum(rank[entries.row], rank[entries.col])
+    inner = np.cumsum(np.bincount(later, weights=entries.data, minlength=n))[:-1]
+    phi = (vol - inner) / np.minimum(vol, total_vol - vol)
+    best_k = int(np.argmin(phi)) + 1  # argmin keeps the first (shortest) minimum
     side = {int(v) for v in order[:best_k]}
     rest = {int(v) for v in order[best_k:]}
-    return side, rest, float(best_phi)
+    return side, rest, float(phi[best_k - 1])
 
 
-def get_clusters(g: WeightedGraph, cfg: SpectralConfig) -> list[set[int]]:
+def get_clusters(g: sparse.csr_array, cfg: SpectralConfig) -> list[set[int]]:
     """Recursive sweep-cut bipartition; returns leaf node sets.
 
     Disconnected subgraphs split into their components outright (a zero-cost
@@ -142,32 +122,34 @@ def get_clusters(g: WeightedGraph, cfg: SpectralConfig) -> list[set[int]]:
     the proposed cut leaves a side smaller than ``n_min``. Leaves are sorted
     by their smallest node id.
     """
-    if g.n == 0:
+    if g.shape[0] == 0:
         raise ValueError("graph must be non-empty")
 
     leaves: list[set[int]] = []
 
-    def recurse(sub: WeightedGraph) -> None:
-        if sub.n == 1:
-            leaves.append({int(sub.ids[0])})
+    def recurse(ids: np.ndarray) -> None:
+        # ids: sorted node ids of g; sub is the subgraph they induce
+        if len(ids) == 1:
+            leaves.append(set(ids.tolist()))
             return
-        comps = sub.components()
-        if len(comps) > 1:
-            for comp in comps:
-                recurse(sub.subgraph(comp))
+        sub = g[ids][:, ids]
+        n_comp, comp = csgraph.connected_components(sub, directed=False)
+        if n_comp > 1:
+            for ci in range(n_comp):
+                recurse(ids[comp == ci])
             return
-        lam2, v2 = second_eigenpair(sub, cfg)
+        lam2, v2 = second_eigenpair(sub)
         if lam2 > cfg.lambda2_max:
-            leaves.append({int(i) for i in sub.ids})
+            leaves.append(set(ids.tolist()))
             return
         side, rest, _ = cheeger_sweep_cut(sub, v2)
         if min(len(side), len(rest)) < cfg.n_min:
-            leaves.append({int(i) for i in sub.ids})
+            leaves.append(set(ids.tolist()))
             return
-        recurse(sub.subgraph(np.asarray(sorted(side))))
-        recurse(sub.subgraph(np.asarray(sorted(rest))))
+        recurse(ids[sorted(side)])
+        recurse(ids[sorted(rest)])
 
-    recurse(g)
+    recurse(np.arange(g.shape[0]))
     leaves.sort(key=min)
     return leaves
 

@@ -103,14 +103,6 @@ class WalkStats:
     def n_nodes(self) -> int:
         return len(self.tht)
 
-    def marginal_counts(self, target: int, length: int) -> dict[Signature, int]:
-        """Counts restricted to signatures of exactly the given length."""
-        return {
-            sig: c
-            for sig, c in self.signature_counts.get(target, {}).items()
-            if len(sig) == length
-        }
-
 
 def _transition_tables(
     h: LabeledHypergraph,

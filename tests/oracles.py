@@ -2,23 +2,79 @@
 
 These deliberately avoid the code paths they check: dense eigensolves for
 the power-iteration eigensolver, exhaustive enumeration for sweep cuts and
-2-means, mpmath special functions for the scipy-backed quantiles, and a
+2-means, plain breadth-first search and dict accumulation for the sparse
+graph layer, mpmath special functions for the scipy-backed quantiles, and a
 Monte-Carlo generalized chi-squared for the gamma approximation.
+
+Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
 
+from collections import deque
 from itertools import combinations
 
 import mpmath
 import numpy as np
+from scipy import sparse
 
 mpmath.mp.dps = 30
 
 
+def pair_weights(g):
+    """Upper-triangle ``{(i, j): w}`` of a symmetric sparse adjacency."""
+    upper = sparse.triu(g, k=1).tocoo()
+    return {(int(i), int(j)): float(w) for i, j, w in zip(upper.row, upper.col, upper.data)}
+
+
+def clique_expansion_pairs(h):
+    """Clique expansion accumulated in a dict: 1/(c-1) per pair of every
+    hyperedge of cardinality c >= 2."""
+    pairs = {}
+    for _, members in h.edges:
+        c = len(members)
+        for a, b in combinations(sorted(members), 2):
+            pairs[(a, b)] = pairs.get((a, b), 0.0) + 1.0 / (c - 1)
+    return pairs
+
+
+def _bfs(h, start):
+    """Hop distances from ``start``; unreachable nodes are absent."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for eid in h.incidence[u]:
+            for v in h.edges[eid][1]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+    return dist
+
+
+def bfs_diameter(h):
+    """Longest hop distance over connected node pairs, one BFS per node."""
+    return max(max(_bfs(h, v).values()) for v in range(h.n_nodes))
+
+
+def bfs_components(h):
+    """``(node names, edge count)`` per connected component, ordered by
+    smallest node id."""
+    out = []
+    seen = set()
+    for v in range(h.n_nodes):
+        if v in seen:
+            continue
+        comp = set(_bfs(h, v))
+        seen |= comp
+        n_edges = sum(1 for _, members in h.edges if members[0] in comp)
+        out.append(({h.node_names[u] for u in comp}, n_edges))
+    return out
+
+
 def dense_second_eigenpair(g):
     """Full symmetric eigensolve of the normalized Laplacian."""
-    n = g.n
+    n = g.shape[0]
     W = np.zeros((n, n))
-    for (i, j), w in g.adjacency_dict().items():
+    for (i, j), w in pair_weights(g).items():
         W[i, j] = W[j, i] = w
     d = W.sum(axis=1)
     dm = np.diag(1.0 / np.sqrt(d))
@@ -30,7 +86,7 @@ def dense_second_eigenpair(g):
 def conductance(g, side):
     """Cut weight over the smaller side's volume, from the raw adjacency."""
     side = set(side)
-    adj = g.adjacency_dict()
+    adj = pair_weights(g)
     deg = {}
     cut = 0.0
     for (i, j), w in adj.items():
@@ -45,7 +101,7 @@ def conductance(g, side):
 
 def best_bipartition_conductance(g):
     """Minimum conductance over every non-trivial bipartition."""
-    n = g.n
+    n = g.shape[0]
     best = np.inf
     for r in range(1, n // 2 + 1):
         for side in combinations(range(n), r):
@@ -55,8 +111,9 @@ def best_bipartition_conductance(g):
 
 def best_sweep_prefix_conductance(g, v2):
     """Minimum conductance over the n-1 prefixes of the v2 ordering."""
-    order = np.lexsort((np.arange(g.n), v2))
-    return min(conductance(g, order[:k]) for k in range(1, g.n))
+    n = g.shape[0]
+    order = np.lexsort((np.arange(n), v2))
+    return min(conductance(g, order[:k]) for k in range(1, n))
 
 
 def t_isf_mpmath(p, df):

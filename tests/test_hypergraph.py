@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datasets
+import oracles
 from prism.hypergraph import (
     LabeledHypergraph,
     connected_components,
@@ -13,6 +15,7 @@ from prism.hypergraph import (
     to_weighted_graph,
 )
 from prism.relational import build_hypergraph, parse_database
+from prism.spectral import cheeger_sweep_cut
 
 
 def make(edges, n_nodes, n_labels=1):
@@ -42,26 +45,32 @@ def test_diameter_department(physics):
     assert diameter(physics) == 4
 
 
+def test_diameter_long_chain_spans_search_chunks():
+    # 300 sources take two chunks of breadth-first searches
+    h = make([(0, (i, i + 1)) for i in range(299)], 300)
+    assert diameter(h) == 299
+
+
 def test_clique_expansion_pair():
     g = to_weighted_graph(make([(0, (0, 1))], 2))
-    assert g.adjacency_dict() == {(0, 1): 1.0}
+    assert oracles.pair_weights(g) == {(0, 1): 1.0}
 
 
 def test_clique_expansion_triangle_edge():
     g = to_weighted_graph(make([(0, (0, 1, 2))], 3))
-    assert g.adjacency_dict() == {(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}
+    assert oracles.pair_weights(g) == {(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}
 
 
 def test_clique_expansion_accumulates():
     g = to_weighted_graph(make([(0, (0, 1, 2)), (0, (0, 1))], 3))
-    adj = g.adjacency_dict()
+    adj = oracles.pair_weights(g)
     assert adj[(0, 1)] == pytest.approx(1.5)
     assert adj[(0, 2)] == adj[(1, 2)] == pytest.approx(0.5)
 
 
 def test_cardinality_one_edge_adds_no_pairs():
     g = to_weighted_graph(make([(0, (0,)), (0, (0, 1))], 2))
-    assert g.adjacency_dict() == {(0, 1): 1.0}
+    assert oracles.pair_weights(g) == {(0, 1): 1.0}
 
 
 @settings(max_examples=50, deadline=None)
@@ -75,11 +84,49 @@ def test_cardinality_one_edge_adds_no_pairs():
 def test_clique_expansion_weight_conservation(edge_sets):
     h = make([(0, tuple(e)) for e in edge_sets], 8)
     g = to_weighted_graph(h)
-    total = sum(g.adjacency_dict().values())
+    total = sum(oracles.pair_weights(g).values())
     expected = sum(
         math.comb(len(m), 2) / (len(m) - 1) for _, m in h.edges if len(m) >= 2
     )
     assert total == pytest.approx(expected)
+
+
+@st.composite
+def random_hypergraphs(draw):
+    """Up to 40 nodes, some isolated, with edges of cardinality 1 to 3."""
+    n = draw(st.integers(1, 40))
+    edges = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+            max_size=30,
+        )
+    )
+    return make([(0, tuple(e)) for e in edges], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_hypergraphs(), st.integers(0, 2**32 - 1))
+def test_sparse_graph_layer_matches_oracles(h, seed):
+    assert diameter(h) == oracles.bfs_diameter(h)
+    comps = connected_components(h)
+    assert [(set(c.node_names), c.n_edges) for c in comps] == oracles.bfs_components(h)
+    g = to_weighted_graph(h)
+    assert g.shape == (h.n_nodes, h.n_nodes)
+    assert (g != g.T).nnz == 0
+    assert g.diagonal().tolist() == [0.0] * h.n_nodes
+    got = oracles.pair_weights(g)
+    expected = oracles.clique_expansion_pairs(h)
+    assert got.keys() == expected.keys()
+    assert all(got[k] == pytest.approx(w) for k, w in expected.items())
+    # rounded values make ties in the ordering, which break by index
+    rng = np.random.default_rng(seed)
+    for comp in comps:
+        if comp.n_nodes < 2:
+            continue
+        cg = to_weighted_graph(comp)
+        v2 = np.round(rng.standard_normal(comp.n_nodes), 1)
+        _, _, phi = cheeger_sweep_cut(cg, v2)
+        assert phi == pytest.approx(oracles.best_sweep_prefix_conductance(cg, v2))
 
 
 def test_majority_strict():

@@ -3,7 +3,9 @@ import json
 import pytest
 
 import datasets
+from prism import pipeline
 from prism.cli import main
+from prism.hypergraph import LabeledHypergraph, diameter, majority_subhypergraph
 from prism.pipeline import (
     ConceptReport,
     RunConfig,
@@ -101,6 +103,29 @@ def test_get_communities_coverage(two_departments):
                 sub.nodes
             )
             assert len(set(seen)) == len(seen)
+
+
+def test_get_communities_stranded_source(monkeypatch):
+    # v4's only edge has its majority in part A, so the majority split leaves
+    # v4 isolated in part B's sub-hypergraph: its walks stay put on label -1
+    h = LabeledHypergraph.build(
+        tuple(f"v{i}" for i in range(7)),
+        ("l",),
+        [(0, (0, 1, 4)), (0, (0, 1)), (0, (1, 2)), (0, (2, 3)), (0, (3, 5)), (0, (5, 6))],
+    )
+    parts = [{0, 1, 2, 3}, {4, 5, 6}]
+    monkeypatch.setattr(pipeline, "hcluster", lambda comp, cfg: majority_subhypergraph(comp, parts))
+    report = get_communities(h, RunConfig(seed=4))
+    stranded = report.subhypergraphs[1]
+    assert stranded.nodes == ("v4", "v5", "v6")
+    assert stranded.n_edges == 1
+    src = stranded.sources[0]
+    assert src.source == "v4"
+    assert src.concepts == ()
+    assert src.unreached == ("v5", "v6")
+    # only the connected pair v5-v6 counts towards the diameter
+    sub = majority_subhypergraph(h, parts)[1]
+    assert stranded.diameter == diameter(sub) == 1
 
 
 def test_get_communities_thread_counts_agree(two_departments):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import datasets
 import oracles
-from prism.hypergraph import LabeledHypergraph, WeightedGraph, to_weighted_graph
+from prism.hypergraph import LabeledHypergraph, to_weighted_graph
 from prism.spectral import (
+    EIG_TOLERANCE,
     DisconnectedGraphError,
     SpectralConfig,
     cheeger_sweep_cut,
@@ -16,8 +18,16 @@ from prism.spectral import (
 CFG = SpectralConfig()
 
 
+def graph_from_pairs(n, pair_weights):
+    """Symmetric CSR adjacency with weight w on both (i, j) and (j, i)."""
+    W = np.zeros((n, n))
+    for (i, j), w in pair_weights.items():
+        W[i, j] = W[j, i] = w
+    return sparse.csr_array(W)
+
+
 def graph_from_edges(n, edges):
-    return WeightedGraph.from_pairs(n, {(i, j): w for i, j, w in edges})
+    return graph_from_pairs(n, {(i, j): w for i, j, w in edges})
 
 
 def complete_graph(n):
@@ -33,20 +43,20 @@ def barbell():
 
 
 def test_second_eigenpair_k3():
-    lam, v = second_eigenpair(complete_graph(3), CFG)
+    lam, v = second_eigenpair(complete_graph(3))
     assert lam == pytest.approx(1.5, abs=1e-6)
 
 
 def test_second_eigenpair_p2():
     g = graph_from_edges(2, [(0, 1, 1.0)])
-    lam, v = second_eigenpair(g, CFG)
+    lam, v = second_eigenpair(g)
     assert lam == pytest.approx(2.0, abs=1e-6)
     assert np.allclose(np.abs(v), [np.sqrt(0.5)] * 2, atol=1e-6)
 
 
 def test_second_eigenpair_barbell_matches_dense_solve():
     g = barbell()
-    lam, v = second_eigenpair(g, CFG)
+    lam, v = second_eigenpair(g)
     lam_exact, v_exact = oracles.dense_second_eigenpair(g)
     assert lam < 0.5
     assert lam == pytest.approx(lam_exact, abs=1e-6)
@@ -56,15 +66,15 @@ def test_second_eigenpair_barbell_matches_dense_solve():
 
 def test_second_eigenpair_residual_contract():
     g = barbell()
-    lam, v = second_eigenpair(g, CFG)
+    lam, v = second_eigenpair(g)
     lam_o, _ = oracles.dense_second_eigenpair(g)
     W = np.zeros((6, 6))
-    for (i, j), w in g.adjacency_dict().items():
+    for (i, j), w in oracles.pair_weights(g).items():
         W[i, j] = W[j, i] = w
     d = W.sum(axis=1)
     dm = np.diag(1 / np.sqrt(d))
     lsym = np.eye(6) - dm @ W @ dm
-    assert np.linalg.norm(lsym @ v - lam * v) <= CFG.eig_tolerance * 10
+    assert np.linalg.norm(lsym @ v - lam * v) <= EIG_TOLERANCE * 10
     # orthogonal to the trivial direction
     assert abs(np.sqrt(d) @ v) / np.linalg.norm(np.sqrt(d)) < 1e-6
 
@@ -72,12 +82,12 @@ def test_second_eigenpair_residual_contract():
 def test_second_eigenpair_rejects_disconnected():
     g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraphError):
-        second_eigenpair(g, CFG)
+        second_eigenpair(g)
 
 
 def test_sweep_cut_barbell():
     g = barbell()
-    _, v = second_eigenpair(g, CFG)
+    _, v = second_eigenpair(g)
     side, rest, phi = cheeger_sweep_cut(g, v)
     assert phi == pytest.approx(1 / 7)
     assert {frozenset(side), frozenset(rest)} == {
@@ -89,14 +99,14 @@ def test_sweep_cut_barbell():
 
 def test_sweep_cut_k4():
     g = complete_graph(4)
-    _, v = second_eigenpair(g, CFG)
+    _, v = second_eigenpair(g)
     side, rest, phi = cheeger_sweep_cut(g, v)
     assert phi == pytest.approx(2 / 3)
 
 
 def test_sweep_cut_p2_only_cut():
     g = graph_from_edges(2, [(0, 1, 1.0)])
-    _, v = second_eigenpair(g, CFG)
+    _, v = second_eigenpair(g)
     side, rest, phi = cheeger_sweep_cut(g, v)
     assert phi == pytest.approx(1.0)
     assert len(side) == len(rest) == 1
@@ -114,8 +124,8 @@ def test_sweep_cut_matches_brute_force_prefix_minimum():
         for _ in range(extra):
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
             edges[(i, j)] = float(rng.uniform(0.2, 2.0))
-        g = WeightedGraph.from_pairs(n, edges)
-        _, v = second_eigenpair(g, CFG)
+        g = graph_from_pairs(n, edges)
+        _, v = second_eigenpair(g)
         _, _, phi = cheeger_sweep_cut(g, v)
         assert phi == pytest.approx(oracles.best_sweep_prefix_conductance(g, v))
 
@@ -154,7 +164,7 @@ def test_get_clusters_partition_property():
         for i in range(1, n):
             j = int(rng.integers(0, i))
             edges[(j, i)] = 1.0
-        g = WeightedGraph.from_pairs(n, edges)
+        g = graph_from_pairs(n, edges)
         clusters = get_clusters(g, SpectralConfig(n_min=2, lambda2_max=0.5))
         seen = [v for c in clusters for v in c]
         assert sorted(seen) == list(range(n))
