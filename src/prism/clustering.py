@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import linalg
 
-from .stats import DEFAULT_MIN_CATEGORY_MEAN, path_symmetric, theta_sym
+from .stats import path_symmetric, theta_sym
 from .walks import WalkStats
 
 VARIANCE_FLOOR = 1e-12
@@ -84,7 +85,10 @@ def standardize_and_project(counts: np.ndarray, d: int = 2) -> np.ndarray:
         return out
     x = (live - live.mean(axis=0)) / live.std(axis=0)
     cov = (x.T @ x) / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    # same LAPACK routine (syevd) as np.linalg.eigh and the same bits; numpy's
+    # threaded OpenBLAS took ~15 ms per 32x32 call on a 2-core x86 machine,
+    # a fixed cost per prism_paths call, scipy's ~0.1 ms
+    eigvals, eigvecs = linalg.eigh(cov, driver="evd")
     order = np.argsort(eigvals)[::-1][: min(d, x.shape[1])]
     basis = eigvecs[:, order]
     # fix component signs so projections are reproducible
@@ -132,11 +136,7 @@ def binary_split(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prism_paths(
-    A: Sequence[int],
-    stats: WalkStats,
-    alpha: float,
-    proj_dim: int = 2,
-    min_category_mean: float = DEFAULT_MIN_CATEGORY_MEAN,
+    A: Sequence[int], stats: WalkStats, alpha: float, proj_dim: int = 2
 ) -> list[list[int]]:
     """Partition a node set into path-symmetric clusters.
 
@@ -152,9 +152,7 @@ def prism_paths(
     if len(members) <= 1:
         return [members]
     counts_by_member = {v: stats.signature_counts.get(v, {}) for v in members}
-    test = lambda group: path_symmetric(
-        counts_by_member, group, stats.N, stats.L, alpha, min_category_mean
-    )
+    test = lambda group: path_symmetric(counts_by_member, group, stats.N, stats.L, alpha)
     if test(members):
         return [members]
 
@@ -187,12 +185,7 @@ def prism_paths(
     return partition
 
 
-def symmetry_clusters(
-    stats: WalkStats,
-    alpha: float,
-    proj_dim: int = 2,
-    min_category_mean: float = DEFAULT_MIN_CATEGORY_MEAN,
-) -> SymmetryPartition:
+def symmetry_clusters(stats: WalkStats, alpha: float, proj_dim: int = 2) -> SymmetryPartition:
     """Full two-stage clustering for one source: distance sets, then their
     path-symmetric refinement."""
     groups = partition_distance_symmetric(stats, alpha)
@@ -202,7 +195,7 @@ def symmetry_clusters(
     concepts: list[tuple[int, ...]] = []
     parents: list[int] = []
     for parent, group in enumerate(groups):
-        for cluster in prism_paths(group, stats, alpha, proj_dim, min_category_mean):
+        for cluster in prism_paths(group, stats, alpha, proj_dim):
             concepts.append(tuple(cluster))
             parents.append(parent)
     unreached = tuple(

@@ -19,7 +19,7 @@ import numpy as np
 from .clustering import SymmetryPartition, symmetry_clusters
 from .hypergraph import LabeledHypergraph, connected_components, diameter
 from .spectral import SpectralConfig, hcluster
-from .stats import DEFAULT_MIN_CATEGORY_MEAN, path_symmetry_report
+from .stats import MIN_CATEGORY_MEAN, path_symmetry_report
 from .walks import WalkConfig, run_walks, topk_walk_count
 
 SCHEMA_VERSION = 1
@@ -37,7 +37,6 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
     use_hcluster: bool = True
-    min_category_mean: float = DEFAULT_MIN_CATEGORY_MEAN
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -50,6 +49,7 @@ class RunConfig:
             raise ValueError("L_cap must be positive or None")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        self.spectral()  # lambda2_max and n_min are echoed even without hcluster
 
     def spectral(self) -> SpectralConfig:
         return SpectralConfig(lambda2_max=self.lambda2_max, n_min=self.n_min)
@@ -67,7 +67,7 @@ class RunConfig:
             "L_cap": self.L_cap,
             "seed": self.seed,
             "use_hcluster": self.use_hcluster,
-            "min_category_mean": self.min_category_mean,
+            "min_category_mean": MIN_CATEGORY_MEAN,
         }
 
 
@@ -173,9 +173,7 @@ def _source_report(
     h: LabeledHypergraph, source: int, walk_cfg: WalkConfig, cfg: RunConfig
 ) -> SourceReport:
     stats = run_walks(h, source, walk_cfg)
-    part: SymmetryPartition = symmetry_clusters(
-        stats, cfg.alpha, cfg.proj_dim, cfg.min_category_mean
-    )
+    part: SymmetryPartition = symmetry_clusters(stats, cfg.alpha, cfg.proj_dim)
     entries = []
     for concept, parent in zip(part.concepts, part.concept_parents):
         margins = path_symmetry_report(
@@ -184,7 +182,6 @@ def _source_report(
             stats.N,
             stats.L,
             cfg.alpha,
-            cfg.min_category_mean,
         )
         entries.append(
             ConceptEntry(
@@ -265,7 +262,9 @@ def get_communities(
 def emit_report(report: ConceptReport, fmt: str = "json") -> str:
     """Deterministic serialization; ``fmt`` is ``json`` or ``tsv``."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), separators=(",", ":"), ensure_ascii=True)
+        return json.dumps(
+            report.to_dict(), separators=(",", ":"), ensure_ascii=True, allow_nan=False
+        )
     if fmt == "tsv":
         rows = ["sub_hypergraph\tsource\tconcept_members\tparent_tht"]
         for sub in report.subhypergraphs:

@@ -85,32 +85,30 @@ def parse_database(text: str) -> RelationalDatabase:
     arity conflicts (the arity of a predicate is fixed by its first
     occurrence).
     """
-    arities: dict[str, int] = {}
-    seen: set[GroundAtom] = set()
-    kept: list[GroundAtom] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
-        if not line:
-            continue
-        m = _ATOM_RE.match(line)
-        if not m:
-            raise DatabaseParseError(lineno, f"expected Pred(c1,...), got {line!r}")
-        predicate, arglist = m.group(1), m.group(2)
-        constants = tuple(a.strip() for a in arglist.split(","))
-        try:
-            atom = GroundAtom(predicate, constants)
-        except ValueError as exc:
-            raise DatabaseParseError(lineno, str(exc)) from exc
-        known = arities.setdefault(predicate, atom.arity)
-        if known != atom.arity:
-            raise DatabaseParseError(
-                lineno,
-                f"predicate {predicate} has arity {known}, got {atom.arity}",
-            )
-        if atom not in seen:
-            seen.add(atom)
-            kept.append(atom)
-    return RelationalDatabase(atoms=tuple(kept), predicate_arities=arities)
+    lineno = 0
+
+    def atoms() -> Iterable[GroundAtom]:
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("//", 1)[0].strip()
+            if not line:
+                continue
+            m = _ATOM_RE.match(line)
+            if not m:
+                raise DatabaseParseError(lineno, f"expected Pred(c1,...), got {line!r}")
+            constants = tuple(a.strip() for a in m.group(2).split(","))
+            try:
+                atom = GroundAtom(m.group(1), constants)
+            except ValueError as exc:
+                raise DatabaseParseError(lineno, str(exc)) from exc
+            yield atom
+
+    try:
+        return RelationalDatabase.from_atoms(atoms())
+    except DatabaseParseError:
+        raise
+    except ValueError as exc:  # arity conflict, found at the current line
+        raise DatabaseParseError(lineno, str(exc)) from exc
 
 
 def serialize_database(db: RelationalDatabase) -> str:

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 Signature = tuple[int, ...]
 
-DEFAULT_MIN_CATEGORY_MEAN = 5.0
+MIN_CATEGORY_MEAN = 5.0  # rarer categories fold into the null (ClusterCounts)
 
 
 def t_inverse_survival(p: float, df: int) -> float:
@@ -28,7 +28,7 @@ def t_inverse_survival(p: float, df: int) -> float:
         raise ValueError("p must be in (0, 1/2]")
     if df < 1:
         raise ValueError("df must be positive")
-    return float(sps.t.isf(p, df))
+    return float(-special.stdtrit(df, p))
 
 
 def theta_sym(alpha: float, L: int, N: int) -> float:
@@ -70,7 +70,7 @@ class ClusterCounts:
         marginals: Sequence[Mapping[Signature, int]],
         N: int,
         length: int,
-        min_category_mean: float = DEFAULT_MIN_CATEGORY_MEAN,
+        min_category_mean: float = MIN_CATEGORY_MEAN,
     ) -> "ClusterCounts":
         members = tuple(members)
         union: set[Signature] = set()
@@ -158,7 +158,9 @@ def gamma_critical_value(g: GammaApprox, alpha: float) -> float:
         raise ValueError("degenerate gamma approximation has no critical value")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    return float(sps.gamma.isf(alpha, a=g.shape, scale=1.0 / g.rate))
+    # multiplying by the scale, not dividing by the rate, matches
+    # scipy.stats.gamma.isf bit for bit
+    return float(special.gammainccinv(g.shape, alpha) * (1.0 / g.rate))
 
 
 def path_symmetry_report(
@@ -167,7 +169,6 @@ def path_symmetry_report(
     N: int,
     L: int,
     alpha: float,
-    min_category_mean: float = DEFAULT_MIN_CATEGORY_MEAN,
 ) -> list[dict]:
     """Per-length test outcomes, longest length first.
 
@@ -184,7 +185,7 @@ def path_symmetry_report(
             {s: c for s, c in counts_by_member[v].items() if len(s) == length and c > 0}
             for v in members
         ]
-        cc = ClusterCounts.from_marginals(members, marginals, N, length, min_category_mean)
+        cc = ClusterCounts.from_marginals(members, marginals, N, length)
         q = q_statistic(cc)
         g = gamma_approx_params(cc)
         if g.degenerate:
@@ -201,16 +202,11 @@ def path_symmetric(
     N: int,
     L: int,
     alpha: float,
-    min_category_mean: float = DEFAULT_MIN_CATEGORY_MEAN,
 ) -> bool:
     """True when the members' signature-count vectors are statistically
     indistinguishable at every exact length L, L-1, ..., 1. Singleton sets
     pass vacuously."""
-    if len(members) <= 1:
-        return True
     return all(
         entry["passed"]
-        for entry in path_symmetry_report(
-            counts_by_member, members, N, L, alpha, min_category_mean
-        )
+        for entry in path_symmetry_report(counts_by_member, members, N, L, alpha)
     )

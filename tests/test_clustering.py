@@ -125,6 +125,25 @@ def test_standardize_and_project_collinear_counts():
     assert pts[:, 0].var(ddof=1) == pytest.approx(float(w[-1]), rel=1e-6)
 
 
+def test_standardize_and_project_bits_equal_numpy_eigh():
+    # the projection feeds 2-means, so report bytes depend on its exact bits;
+    # they must equal the np.linalg.eigh (syevd) version it replaced
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n, m = int(rng.integers(3, 300)), int(rng.integers(2, 40))
+        counts = rng.poisson(rng.uniform(0.5, 50.0, size=m), size=(n, m)).astype(float)
+        live = counts[:, counts.var(axis=0) > 1e-12]
+        x = (live - live.mean(axis=0)) / live.std(axis=0)
+        w, v = np.linalg.eigh((x.T @ x) / (n - 1))
+        basis = v[:, np.argsort(w)[::-1][:2]]
+        for col in range(basis.shape[1]):
+            if basis[np.argmax(np.abs(basis[:, col])), col] < 0:
+                basis[:, col] = -basis[:, col]
+        want = np.zeros((n, 2))
+        want[:, : basis.shape[1]] = x @ basis
+        assert np.array_equal(standardize_and_project(counts, 2), want)
+
+
 def test_binary_split_recovers_blobs():
     rng = np.random.default_rng(2)
     a = rng.normal(0.0, 0.05, size=(6, 2))

@@ -39,6 +39,12 @@ def test_runconfig_validation():
         RunConfig(alpha=0.0)
     with pytest.raises(ValueError):
         RunConfig(threads=0)
+    # the spectral settings are echoed in the report, so they are checked
+    # even when hcluster does not run
+    with pytest.raises(ValueError):
+        RunConfig(lambda2_max=float("nan"), use_hcluster=False)
+    with pytest.raises(ValueError):
+        RunConfig(n_min=1, use_hcluster=False)
 
 
 def test_get_communities_empty_input():
@@ -147,6 +153,11 @@ def test_emit_empty_report_exact_bytes():
     assert emit_report(ConceptReport()) == '{"schema_version":1,"subhypergraphs":[]}'
 
 
+def test_emit_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        emit_report(ConceptReport(config={"lambda2_max": float("nan")}))
+
+
 def test_emit_round_trip(two_departments):
     report = get_communities(two_departments, RunConfig(seed=4))
     again = parse_report(emit_report(report, "json"))
@@ -231,6 +242,16 @@ def test_cli_usage_error_exit_code():
     assert main(["mine"]) == 1
     assert main(["bogus"]) == 1
     assert main(["mine", "--db", "x.db", "--epsilon", "2.0"]) == 1
+
+
+def test_cli_nan_setting_without_hcluster_is_usage_error(tmp_path, capsys):
+    db = tmp_path / "x.db"
+    db.write_text(datasets.classroom_db())
+    out = tmp_path / "report.json"
+    argv = ["mine", "--db", str(db), "--no-hcluster", "--lambda2-max", "nan"]
+    assert main(argv + ["--output", str(out)]) == 1
+    assert "lambda2_max" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_parse_error_exit_code(tmp_path):

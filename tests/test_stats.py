@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import prism
 from prism.stats import (
     ClusterCounts,
     GammaApprox,
@@ -43,6 +49,35 @@ def test_t_inverse_survival_matches_mpmath():
         assert t_inverse_survival(p, df) == pytest.approx(
             oracles.t_isf_mpmath(p, df), abs=1e-8
         )
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(prism.__file__).resolve().parents[1])
+    code = "import sys, prism; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.floats(1e-3, 1e4),
+    rate=st.floats(1e-4, 1e3),
+    alpha=st.floats(1e-6, 0.999),
+    p=st.floats(1e-6, 0.5),
+    df=st.integers(1, 10**6),
+)
+def test_quantiles_equal_scipy_stats_exactly(shape, rate, alpha, p, df):
+    # report critical values must keep the bytes of the scipy.stats quantiles
+    g = GammaApprox(mu=shape / rate, sigma2=shape / rate**2)
+    want = scipy.stats.gamma.isf(alpha, g.shape, scale=1.0 / g.rate)
+    assert gamma_critical_value(g, alpha) == want
+    assert t_inverse_survival(p, df) == scipy.stats.t.isf(p, df)
 
 
 def test_theta_sym_degenerate_length():
