@@ -88,7 +88,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     )
     timings: dict = {}
     report = get_communities(h, cfg, timings=timings)
-    for stage in ("hcluster", "walks", "mine"):
+    for stage in ("hcluster", "sources", "mine"):
         if stage in timings:
             print(f"{stage}: {timings[stage]:.3f}s", file=sys.stderr)
     payload = emit_report(report, args.format)

@@ -11,6 +11,7 @@ over the node adjacency B @ B.T of the node-by-edge incidence matrix B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -81,6 +82,15 @@ class LabeledHypergraph:
     @property
     def n_labels(self) -> int:
         return len(self.label_names)
+
+    @cached_property
+    def walk_tables(self):
+        """The random walk's transition tables (``walks.TransitionTables``),
+        built on first use and shared by every later walk on this
+        hypergraph."""
+        from .walks import transition_tables  # walks imports this module
+
+        return transition_tables(self)
 
     def restrict(self, edge_ids: list[int], keep_nodes: set[int]) -> "LabeledHypergraph":
         """Sub-hypergraph of the given edges plus any isolated kept nodes.

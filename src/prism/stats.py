@@ -77,10 +77,17 @@ class ClusterCounts:
         for m in marginals:
             union.update(sig for sig, c in m.items() if c > 0)
         cats = sorted(union)
+        col = {sig: j for j, sig in enumerate(cats)}
         raw = np.zeros((len(members), len(cats)))
+        flat_pos, values = [], []
         for i, m in enumerate(marginals):
-            for j, sig in enumerate(cats):
-                raw[i, j] = m.get(sig, 0)
+            row_start = i * len(cats)
+            for sig, c in m.items():
+                j = col.get(sig)
+                if j is not None:
+                    flat_pos.append(row_start + j)
+                    values.append(c)
+        np.put(raw, flat_pos, values)
         if len(cats):
             keep = raw.mean(axis=0) >= min_category_mean
             cats = [c for c, k in zip(cats, keep) if k]
@@ -180,11 +187,14 @@ def path_symmetry_report(
     out: list[dict] = []
     if len(members) <= 1:
         return out
+    # every member's positive counts, split by signature length in one pass
+    by_length: list[list[dict[Signature, int]]] = [[{} for _ in members] for _ in range(L + 1)]
+    for i, v in enumerate(members):
+        for s, c in counts_by_member[v].items():
+            if c > 0 and len(s) <= L:
+                by_length[len(s)][i][s] = c
     for length in range(L, 0, -1):
-        marginals = [
-            {s: c for s, c in counts_by_member[v].items() if len(s) == length and c > 0}
-            for v in members
-        ]
+        marginals = by_length[length]
         cc = ClusterCounts.from_marginals(members, marginals, N, length)
         q = q_statistic(cc)
         g = gamma_approx_params(cc)

@@ -5,12 +5,27 @@ member of that edge other than the current node (a cardinality-1 edge is a
 self-loop step). Per-target statistics record only the first hit within each
 walk: its step count and the label sequence traversed up to it. Targets a
 walk never hits contribute the full length L to the hitting-time average.
+
+The engine runs all N walks of a source at once:
+
+- Transition tables are flat CSR arrays (``TransitionTables``), built once
+  per sub-hypergraph and cached on it (``LabeledHypergraph.walk_tables``).
+- Each step draws one ``rng.random(N)`` from the source's Philox stream and
+  moves every walker by one batched bisection over its own row of
+  cumulative probabilities, the exact ``searchsorted(side="right")`` of a
+  per-row lookup.
+- First hits are a mask over the N x L visited states (not the source, not
+  seen earlier in the same walk), so memory is O(N L) with nothing sized
+  N x n; hit counts and hitting-time sums are ``bincount``s over it.
+- Signatures are counted with one ``lexsort`` of the first-hit events by
+  target, length and the labels up to the length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,13 +119,25 @@ class WalkStats:
         return len(self.tht)
 
 
-def _transition_tables(
-    h: LabeledHypergraph,
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Per-node categorical transition tables over (next node, label) pairs."""
-    nexts: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    cums: list[np.ndarray] = []
+class TransitionTables(NamedTuple):
+    """The walk process's categorical transition tables in CSR form.
+
+    Row v spans ``indptr[v]:indptr[v + 1]`` and lists v's (next node, label)
+    pairs in ascending order with their cumulative probabilities ``cum``;
+    the last entry of every row is exactly 1.0. A stranded node has the one
+    entry (v, -1): walks stay put without consuming a label.
+    """
+
+    indptr: np.ndarray
+    next: np.ndarray
+    label: np.ndarray
+    cum: np.ndarray
+
+
+def transition_tables(h: LabeledHypergraph) -> TransitionTables:
+    """Build the transition tables of ``h``. Callers read ``h.walk_tables``,
+    which builds them once per hypergraph."""
+    indptr, nexts, labels, cums = [0], [], [], []
     for v in range(h.n_nodes):
         eids = h.incidence[v]
         probs: dict[tuple[int, int], float] = {}
@@ -128,27 +155,72 @@ def _transition_tables(
                             key = (u, label)
                             probs[key] = probs.get(key, 0.0) + share
         if not probs:
-            # stranded node: walks stay put without consuming a label
             probs[(v, -1)] = 1.0
         keys = sorted(probs)
-        p = np.array([probs[k] for k in keys])
-        cum = np.cumsum(p)
+        cum = np.cumsum([probs[k] for k in keys])
         cum /= cum[-1]
         cum[-1] = 1.0
-        nexts.append(np.array([k[0] for k in keys], dtype=np.int64))
-        labels.append(np.array([k[1] for k in keys], dtype=np.int64))
-        cums.append(cum)
-    return nexts, labels, cums
+        nexts += [k[0] for k in keys]
+        labels += [k[1] for k in keys]
+        cums += cum.tolist()
+        indptr.append(len(nexts))
+    # the narrowest signed type for labels -1..n_labels-1 keeps the label
+    # buffer and the signature sort keys small
+    label_type = np.min_scalar_type(-max(h.n_labels, 1))
+    return TransitionTables(
+        np.array(indptr, dtype=np.int64),
+        np.array(nexts, dtype=np.int64),
+        np.array(labels, dtype=label_type),
+        np.array(cums, dtype=np.float64),
+    )
 
 
 def transition_matrix(h: LabeledHypergraph) -> np.ndarray:
     """Dense single-step transition matrix of the walk process."""
-    nexts, _, cums = _transition_tables(h)
+    t = h.walk_tables
+    starts = t.indptr[:-1]
+    probs = np.diff(t.cum, prepend=0.0)
+    probs[starts] = t.cum[starts]
     p = np.zeros((h.n_nodes, h.n_nodes))
-    for v in range(h.n_nodes):
-        probs = np.diff(cums[v], prepend=0.0)
-        np.add.at(p[v], nexts[v], probs)
+    np.add.at(p, (np.repeat(np.arange(h.n_nodes), np.diff(t.indptr)), t.next), probs)
     return p
+
+
+def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per walker, the index of the first entry of its row with cum > u,
+    i.e. the row start plus ``searchsorted(row's cum, u, side="right")``.
+
+    One batched bisection over every walker's row. It needs 0 <= u < 1:
+    then the entry exists (the row's last cum is 1.0), and a walker whose
+    range has closed sits on it, so rounds that other walkers still need
+    leave it in place.
+    """
+    lo = tables.indptr[rows]
+    hi = tables.indptr[rows + 1]
+    # a range of m entries closes in m.bit_length() rounds
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        right = tables.cum[mid] <= u
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
+
+
+def _first_visits(states: np.ndarray, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walk index and steps taken (1..L) at the first visit of every walk to
+    every node other than the source, in row-major order of the N x L
+    ``states``."""
+    # a stable sort of each walk's states puts every node's earliest step
+    # first among its repeats
+    order = np.argsort(states, axis=1, kind="stable")
+    ranked = np.take_along_axis(states, order, axis=1)
+    first = np.ones(states.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    fresh = np.empty(states.shape, dtype=bool)
+    np.put_along_axis(fresh, order, first, axis=1)
+    fresh &= states != source
+    walk, step = np.nonzero(fresh)
+    return walk, step + 1
 
 
 def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
@@ -164,54 +236,52 @@ def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
     N, L = cfg.N, cfg.L
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(source,))
     rng = np.random.Generator(np.random.Philox(seq))
-    nexts, labels, cums = _transition_tables(h)
+    tables = h.walk_tables
 
     states = np.empty((N, L), dtype=np.int64)
-    lab_buf = np.empty((N, L), dtype=np.int64)
+    labels = np.empty((N, L), dtype=tables.label.dtype)
     cur = np.full(N, source, dtype=np.int64)
     for t in range(L):
-        u = rng.random(N)
-        order = np.argsort(cur, kind="stable")
-        sorted_cur = cur[order]
-        starts = np.flatnonzero(np.diff(sorted_cur)) + 1
-        for grp in np.split(order, starts):
-            v = int(cur[grp[0]])
-            j = np.searchsorted(cums[v], u[grp], side="right")
-            j = np.minimum(j, len(cums[v]) - 1)
-            cur[grp] = nexts[v][j]
-            lab_buf[grp, t] = labels[v][j]
+        entry = table_lookup(tables, cur, rng.random(N))
+        cur = tables.next[entry]
+        labels[:, t] = tables.label[entry]
         states[:, t] = cur
 
-    first_time = np.zeros((N, n), dtype=np.int64)
-    rows = np.arange(N)
-    for t in range(L):
-        col = states[:, t]
-        fresh = first_time[rows, col] == 0
-        first_time[rows[fresh], col[fresh]] = t + 1
+    walk, length = _first_visits(states, source)
+    target = states[walk, length - 1]
 
-    tht = np.zeros(n)
+    # sums of integer step counts stay exact in float64
+    hits = np.bincount(target, minlength=n)
+    missed = N - hits
+    total = np.bincount(target, weights=length, minlength=n) + missed * L
+    sumsq = np.bincount(target, weights=length * length, minlength=n) + missed * L * L
+    tht = total / N
     tht_sd = np.zeros(n)
-    hits = np.zeros(n, dtype=np.int64)
-    signature_counts: dict[int, dict[Signature, int]] = {}
-    for target in range(n):
-        if target == source:
-            continue
-        ft = first_time[:, target]
-        hit_rows = np.flatnonzero(ft)
-        hits[target] = len(hit_rows)
-        total = float(ft[hit_rows].sum() + (N - len(hit_rows)) * L)
-        tht[target] = total / N
-        sumsq = float((ft[hit_rows] ** 2).sum() + (N - len(hit_rows)) * L * L)
-        if N > 1:
-            var = max(0.0, (sumsq - total * total / N) / (N - 1))
-            tht_sd[target] = math.sqrt(var)
-        counts: dict[Signature, int] = {}
-        for t in np.unique(ft[hit_rows]):
-            sel = hit_rows[ft[hit_rows] == t]
-            uniq, cnt = np.unique(lab_buf[sel, :t], axis=0, return_counts=True)
-            for row, c in zip(uniq, cnt):
-                counts[tuple(int(x) for x in row)] = int(c)
-        signature_counts[target] = counts
+    if N > 1:
+        tht_sd = np.sqrt(np.maximum(0.0, (sumsq - total * total / N) / (N - 1)))
+    tht[source] = tht_sd[source] = 0.0
+
+    # signatures: one sort of the events by target, length and the labels up
+    # to the length; each run of equal keys is one signature's count
+    keys = [np.where(length > col, labels[walk, col], -1) for col in range(L - 1, -1, -1)]
+    keys += [length, target]
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(order))
+    heads = order[starts]
+    signature_counts: dict[int, dict[Signature, int]] = {v: {} for v in range(n) if v != source}
+    for v, t, row, c in zip(
+        target[heads].tolist(),
+        length[heads].tolist(),
+        labels[walk[heads]].tolist(),
+        counts.tolist(),
+    ):
+        signature_counts[v][tuple(row[:t])] = c
     return WalkStats(
         source=source,
         N=N,

@@ -3,18 +3,22 @@
 These deliberately avoid the code paths they check: dense eigensolves for
 the power-iteration eigensolver, exhaustive enumeration for sweep cuts and
 2-means, plain breadth-first search and dict accumulation for the sparse
-graph layer, mpmath special functions for the scipy-backed quantiles, and a
-Monte-Carlo generalized chi-squared for the gamma approximation.
+graph layer, mpmath special functions for the scipy-backed quantiles, a
+Monte-Carlo generalized chi-squared for the gamma approximation, and a
+per-node, per-target walk sampler for the vectorized walk engine.
 
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
 
+import math
 from collections import deque
 from itertools import combinations
 
 import mpmath
 import numpy as np
 from scipy import sparse
+
+from prism.walks import WalkStats
 
 mpmath.mp.dps = 30
 
@@ -197,3 +201,107 @@ def best_two_partition_sse(points):
         if sse < best[0] - 1e-12:
             best = (sse, (frozenset(side), frozenset(rest)))
     return best
+
+
+def reference_tables(h):
+    """Per-node categorical transition tables over (next node, label) pairs."""
+    nexts: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
+    cums: list[np.ndarray] = []
+    for v in range(h.n_nodes):
+        eids = h.incidence[v]
+        probs: dict[tuple[int, int], float] = {}
+        if eids:
+            per_edge = 1.0 / len(eids)
+            for eid in eids:
+                label, members = h.edges[eid]
+                if len(members) == 1:
+                    key = (v, label)
+                    probs[key] = probs.get(key, 0.0) + per_edge
+                else:
+                    share = per_edge / (len(members) - 1)
+                    for u in members:
+                        if u != v:
+                            key = (u, label)
+                            probs[key] = probs.get(key, 0.0) + share
+        if not probs:
+            # stranded node: walks stay put without consuming a label
+            probs[(v, -1)] = 1.0
+        keys = sorted(probs)
+        p = np.array([probs[k] for k in keys])
+        cum = np.cumsum(p)
+        cum /= cum[-1]
+        cum[-1] = 1.0
+        nexts.append(np.array([k[0] for k in keys], dtype=np.int64))
+        labels.append(np.array([k[1] for k in keys], dtype=np.int64))
+        cums.append(cum)
+    return nexts, labels, cums
+
+
+def reference_walks(h, source, cfg):
+    """``run_walks`` with a Python loop over the distinct current nodes of
+    every step, a dense N x n first-hit array and one ``np.unique`` per
+    target and length. Same random stream, so results must be equal."""
+    n = h.n_nodes
+    if not 0 <= source < n:
+        raise ValueError("source not in hypergraph")
+    N, L = cfg.N, cfg.L
+    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(source,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    nexts, labels, cums = reference_tables(h)
+
+    states = np.empty((N, L), dtype=np.int64)
+    lab_buf = np.empty((N, L), dtype=np.int64)
+    cur = np.full(N, source, dtype=np.int64)
+    for t in range(L):
+        u = rng.random(N)
+        order = np.argsort(cur, kind="stable")
+        sorted_cur = cur[order]
+        starts = np.flatnonzero(np.diff(sorted_cur)) + 1
+        for grp in np.split(order, starts):
+            v = int(cur[grp[0]])
+            j = np.searchsorted(cums[v], u[grp], side="right")
+            j = np.minimum(j, len(cums[v]) - 1)
+            cur[grp] = nexts[v][j]
+            lab_buf[grp, t] = labels[v][j]
+        states[:, t] = cur
+
+    first_time = np.zeros((N, n), dtype=np.int64)
+    rows = np.arange(N)
+    for t in range(L):
+        col = states[:, t]
+        fresh = first_time[rows, col] == 0
+        first_time[rows[fresh], col[fresh]] = t + 1
+
+    tht = np.zeros(n)
+    tht_sd = np.zeros(n)
+    hits = np.zeros(n, dtype=np.int64)
+    signature_counts = {}
+    for target in range(n):
+        if target == source:
+            continue
+        ft = first_time[:, target]
+        hit_rows = np.flatnonzero(ft)
+        hits[target] = len(hit_rows)
+        total = float(ft[hit_rows].sum() + (N - len(hit_rows)) * L)
+        tht[target] = total / N
+        sumsq = float((ft[hit_rows] ** 2).sum() + (N - len(hit_rows)) * L * L)
+        if N > 1:
+            var = max(0.0, (sumsq - total * total / N) / (N - 1))
+            tht_sd[target] = math.sqrt(var)
+        counts = {}
+        for t in np.unique(ft[hit_rows]):
+            sel = hit_rows[ft[hit_rows] == t]
+            uniq, cnt = np.unique(lab_buf[sel, :t], axis=0, return_counts=True)
+            for row, c in zip(uniq, cnt):
+                counts[tuple(int(x) for x in row)] = int(c)
+        signature_counts[target] = counts
+    return WalkStats(
+        source=source,
+        N=N,
+        L=L,
+        tht=tht,
+        tht_sd=tht_sd,
+        hits=hits,
+        signature_counts=signature_counts,
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -187,8 +188,8 @@ def test_emit_tsv_shape(classroom):
 def test_timings_are_recorded_out_of_band(classroom):
     timings = {}
     get_communities(classroom, RunConfig(seed=0), timings=timings)
-    assert set(timings) >= {"hcluster", "walks", "mine"}
-    assert timings["walks"] <= timings["mine"] + 1e-9
+    assert set(timings) >= {"hcluster", "sources", "mine"}
+    assert timings["sources"] <= timings["mine"] + 1e-9
 
 
 def test_concept_margins_reflect_passing_tests(classroom):
@@ -263,3 +264,21 @@ def test_cli_parse_error_exit_code(tmp_path):
 
 def test_cli_missing_file_is_usage_error(tmp_path):
     assert main(["stats", "--db", str(tmp_path / "missing.db")]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ([], "2d1bb1f0e94a8e7afff393e6977cd3d8002ad6d7d32bb0fc5e2eb5bfb4d55721"),
+        (["--no-hcluster"], "f9d6f0459d3a2eefaa90fe8418814ed512992ffccbe7580ccffbb6a717d22b44"),
+    ],
+    ids=["hcluster", "no-hcluster"],
+)
+def test_cli_mine_report_bytes_are_pinned(tmp_path, flags, digest):
+    # speed-ups must not move a single report byte; a change that means to
+    # alter the report re-pins these and says so
+    db = tmp_path / "two.db"
+    db.write_text(datasets.two_departments_db(), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["mine", "--db", str(db), "--seed", "123", "--output", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

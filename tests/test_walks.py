@@ -1,10 +1,17 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import datasets
-from prism.hypergraph import diameter
+import oracles
+from prism import walks
+from prism.hypergraph import LabeledHypergraph, diameter
+from prism.pipeline import RunConfig, get_communities
 from prism.walks import (
     EULER_GAMMA,
     WalkConfig,
@@ -223,3 +230,106 @@ def test_classroom_source_p1_students_symmetric(classroom):
     theta = theta_sym(0.01, st.L, st.N)
     ths = [st.tht[v] for v in students]
     assert max(ths) - min(ths) <= theta
+
+
+@st.composite
+def walk_inputs(draw):
+    """Up to 12 nodes, some stranded, 1 to 3 labels, edges of cardinality 1
+    to 3, and a source, L and N for one run."""
+    n = draw(st.integers(1, 12))
+    n_labels = draw(st.integers(1, 3))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_labels - 1),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+            ),
+            max_size=20,
+        )
+    )
+    h = LabeledHypergraph.build(
+        [f"v{i}" for i in range(n)],
+        [f"l{i}" for i in range(n_labels)],
+        [(label, tuple(members)) for label, members in edges],
+    )
+    cfg = WalkConfig(
+        epsilon=0.1,
+        L=draw(st.integers(1, 6)),
+        N=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return h, draw(st.integers(0, n - 1)), cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_inputs())
+def test_run_walks_equals_reference_walks(inputs):
+    h, source, cfg = inputs
+    tables = h.walk_tables
+    for v, (nexts, labels, cums) in enumerate(zip(*oracles.reference_tables(h))):
+        row = slice(tables.indptr[v], tables.indptr[v + 1])
+        assert np.array_equal(tables.next[row], nexts)
+        assert np.array_equal(tables.label[row], labels)
+        assert np.array_equal(tables.cum[row], cums)
+    got = run_walks(h, source, cfg)
+    want = oracles.reference_walks(h, source, cfg)
+    assert np.array_equal(got.tht, want.tht)
+    assert np.array_equal(got.tht_sd, want.tht_sd)
+    assert np.array_equal(got.hits, want.hits)
+    assert got.signature_counts == want.signature_counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_inputs(), st.integers(0, 2**32 - 1))
+def test_table_lookup_is_searchsorted_right(inputs, seed):
+    # random draws almost never land on a boundary, so put some on, just
+    # below and just above every cumulative probability under 1
+    h = inputs[0]
+    t = h.walk_tables
+    edges = t.cum[t.cum < 1.0]
+    u = np.concatenate(
+        [[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+         np.random.default_rng(seed).random(20)]
+    )
+    u = u[u < 1.0]
+    rows = np.repeat(np.arange(h.n_nodes), len(u))
+    u = np.tile(u, h.n_nodes)
+    want = [
+        t.indptr[r] + np.searchsorted(t.cum[t.indptr[r] : t.indptr[r + 1]], x, side="right")
+        for r, x in zip(rows, u)
+    ]
+    assert np.array_equal(walks.table_lookup(t, rows, u), want)
+
+
+def test_run_walks_memory_has_no_walks_by_nodes_array():
+    # a dense N x n int64 first-hit array would take 2000 * 10000 * 8 B = 160 MB
+    n = 10_000
+    rng = random.Random(0)
+    edges = [(i % 2, (i, (i + 1) % n)) for i in range(n)]
+    edges += [(1, (rng.randrange(n), rng.randrange(n), rng.randrange(n))) for _ in range(n // 2)]
+    h = LabeledHypergraph.build([f"v{i}" for i in range(n)], ["a", "b"], edges)
+    cfg = WalkConfig(epsilon=0.1, L=3, N=2000, seed=1)
+    tracemalloc.start()
+    try:
+        st_ = run_walks(h, 0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st_.hits.sum() > 0
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_transition_tables_built_once_per_subhypergraph(two_departments, monkeypatch, threads):
+    built = []
+    build = walks.transition_tables
+
+    def spy(h):
+        built.append(h)
+        return build(h)
+
+    monkeypatch.setattr(walks, "transition_tables", spy)
+    report = get_communities(two_departments, RunConfig(seed=0, threads=threads))
+    assert len(report.subhypergraphs) > 1
+    assert len(built) == len(report.subhypergraphs)
+    assert len({id(h) for h in built}) == len(built)
