@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg
 
-from .stats import path_symmetric, theta_sym
+from .stats import CountMatrix, path_test_entries, theta_sym
+from .stats import path_symmetric  # noqa: F401  kept bound for bench/child.py's TRACED
 from .walks import WalkStats
 
 VARIANCE_FLOOR = 1e-12
@@ -35,12 +36,14 @@ class DistanceSet:
 class SymmetryPartition:
     """Distance-symmetric sets and their path-symmetric refinement for one
     source node. ``concept_parents[i]`` is the distance set concept i came
-    from. ``unreached`` holds nodes no walk ever hit."""
+    from and ``margins[i]`` the per-length entries of the test that accepted
+    it (``()`` for a singleton). ``unreached`` holds nodes no walk ever hit."""
 
     source: int
     distance_sets: tuple[DistanceSet, ...]
     concepts: tuple[tuple[int, ...], ...]
     concept_parents: tuple[int, ...]
+    margins: tuple[tuple[dict, ...], ...]
     unreached: tuple[int, ...]
 
 
@@ -137,51 +140,53 @@ def binary_split(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def prism_paths(
     A: Sequence[int], stats: WalkStats, alpha: float, proj_dim: int = 2
-) -> list[list[int]]:
-    """Partition a node set into path-symmetric clusters.
+) -> list[tuple[list[int], tuple[dict, ...]]]:
+    """Partition a node set into path-symmetric clusters, each returned with
+    the per-length entries of the test that accepted it (``()`` for a
+    singleton).
 
     The whole set is returned untouched when it already passes the test at
     every exact length. Otherwise the nodes' signature counts are projected
     once and repeatedly bisected; each side is kept when it passes (or is a
-    singleton) and re-queued when it fails. Output clusters are sorted by
-    smallest member id.
+    singleton) and re-queued when it fails. Every group is tested once, on
+    rows of one count matrix, and its test stops at the first failing length.
+    Output clusters are sorted by smallest member id.
     """
     members = sorted(A)
     if stats.source in members:
         raise ValueError("source node cannot be clustered against itself")
     if len(members) <= 1:
-        return [members]
-    counts_by_member = {v: stats.signature_counts.get(v, {}) for v in members}
-    test = lambda group: path_symmetric(counts_by_member, group, stats.N, stats.L, alpha)
-    if test(members):
-        return [members]
-
-    sigs = sorted(
-        {sig for v in members for sig, c in counts_by_member[v].items() if c > 0},
-        key=lambda s: (len(s), s),
+        return [(members, ())]
+    cm = CountMatrix.from_counts(
+        {v: stats.signature_counts.get(v, {}) for v in members}, members
     )
-    col = {sig: j for j, sig in enumerate(sigs)}
-    matrix = np.zeros((len(members), len(sigs)))
-    for i, v in enumerate(members):
-        for sig, c in counts_by_member[v].items():
-            if c > 0:
-                matrix[i, col[sig]] = c
-    points = standardize_and_project(matrix, proj_dim)
-    index_of = {v: i for i, v in enumerate(members)}
 
-    partition: list[list[int]] = []
-    worklist: deque[list[int]] = deque([members])
+    def accepted(rows: np.ndarray) -> tuple[dict, ...] | None:
+        entries = []
+        for entry in path_test_entries(cm.take(rows), stats.N, stats.L, alpha):
+            if not entry["passed"]:
+                return None
+            entries.append(entry)
+        return tuple(entries)
+
+    everyone = np.arange(len(members))
+    margins = accepted(everyone)
+    if margins is not None:
+        return [(members, margins)]
+
+    points = standardize_and_project(cm.counts, proj_dim)
+    partition: list[tuple[list[int], tuple[dict, ...]]] = []
+    worklist: deque[np.ndarray] = deque([everyone])
     while worklist:
-        group = worklist.popleft()
-        rows = np.array([index_of[v] for v in group])
-        left, right = binary_split(points[rows])
-        for side_rows in (left, right):
-            side = sorted(group[i] for i in side_rows)
-            if len(side) == 1 or test(side):
-                partition.append(side)
+        rows = worklist.popleft()
+        for side in binary_split(points[rows]):
+            side_rows = rows[side]  # ascending, as members are
+            margins = accepted(side_rows)  # () for a singleton
+            if margins is None:
+                worklist.append(side_rows)
             else:
-                worklist.append(side)
-    partition.sort(key=min)
+                partition.append(([members[i] for i in side_rows], margins))
+    partition.sort(key=lambda cluster: cluster[0][0])
     return partition
 
 
@@ -194,10 +199,12 @@ def symmetry_clusters(stats: WalkStats, alpha: float, proj_dim: int = 2) -> Symm
     )
     concepts: list[tuple[int, ...]] = []
     parents: list[int] = []
+    margins: list[tuple[dict, ...]] = []
     for parent, group in enumerate(groups):
-        for cluster in prism_paths(group, stats, alpha, proj_dim):
+        for cluster, entries in prism_paths(group, stats, alpha, proj_dim):
             concepts.append(tuple(cluster))
             parents.append(parent)
+            margins.append(entries)
     unreached = tuple(
         v
         for v in range(stats.n_nodes)
@@ -208,5 +215,6 @@ def symmetry_clusters(stats: WalkStats, alpha: float, proj_dim: int = 2) -> Symm
         distance_sets=distance_sets,
         concepts=tuple(concepts),
         concept_parents=tuple(parents),
+        margins=tuple(margins),
         unreached=unreached,
     )

@@ -19,7 +19,8 @@ import numpy as np
 from .clustering import SymmetryPartition, symmetry_clusters
 from .hypergraph import LabeledHypergraph, connected_components, diameter
 from .spectral import SpectralConfig, hcluster
-from .stats import MIN_CATEGORY_MEAN, path_symmetry_report
+from .stats import MIN_CATEGORY_MEAN
+from .stats import path_symmetry_report  # noqa: F401  kept bound for bench/child.py's TRACED
 from .walks import WalkConfig, run_walks, topk_walk_count
 
 SCHEMA_VERSION = 1
@@ -174,22 +175,14 @@ def _source_report(
 ) -> SourceReport:
     stats = run_walks(h, source, walk_cfg)
     part: SymmetryPartition = symmetry_clusters(stats, cfg.alpha, cfg.proj_dim)
-    entries = []
-    for concept, parent in zip(part.concepts, part.concept_parents):
-        margins = path_symmetry_report(
-            {v: stats.signature_counts.get(v, {}) for v in concept},
-            concept,
-            stats.N,
-            stats.L,
-            cfg.alpha,
+    entries = [
+        ConceptEntry(
+            members=tuple(h.node_names[v] for v in concept),
+            parent_tht=part.distance_sets[parent].tht,
+            margins=margins,
         )
-        entries.append(
-            ConceptEntry(
-                members=tuple(h.node_names[v] for v in concept),
-                parent_tht=part.distance_sets[parent].tht,
-                margins=tuple(margins),
-            )
-        )
+        for concept, parent, margins in zip(part.concepts, part.concept_parents, part.margins)
+    ]
     return SourceReport(
         source=h.node_names[source],
         concepts=tuple(entries),

@@ -6,13 +6,21 @@ variance bound. Path symmetry tests whether a set of nodes shares one
 path-signature distribution per exact length, using a Q statistic whose null
 distribution (a generalized chi-squared) is approximated by a
 moment-matched gamma so no eigendecomposition is needed.
+
+The path test reads a ``CountMatrix``, the member x signature counts with
+columns sorted by (length, signature), built once per node set; a subset is
+tested on a row slice of it. ``path_test_entries`` computes one length at a
+time, longest first, so a caller that stops at the first failing length
+skips the shorter ones; ``path_symmetry_report`` takes every entry and
+``path_symmetric`` stops at the first failure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import special
@@ -49,6 +57,48 @@ def distance_symmetric(h_j: float, h_k: float, theta: float) -> bool:
 
 
 @dataclass(frozen=True)
+class CountMatrix:
+    """Members' positive signature counts: one row per member, in the given
+    order, and one column per signature, sorted by (length, signature).
+    ``col_len[j]`` is the length of column j's signature."""
+
+    members: tuple[int, ...]
+    signatures: tuple[Signature, ...]
+    counts: np.ndarray  # float64, shape (len(members), len(signatures))
+    col_len: np.ndarray
+
+    @classmethod
+    def from_counts(
+        cls, counts_by_member: Mapping[int, Mapping[Signature, int]], members: Sequence[int]
+    ) -> "CountMatrix":
+        members = tuple(members)
+        sigs = sorted(
+            {s for v in members for s, c in counts_by_member[v].items() if c > 0},
+            key=lambda s: (len(s), s),
+        )
+        col = {s: j for j, s in enumerate(sigs)}
+        flat_pos, values = [], []
+        for i, v in enumerate(members):
+            for s, c in counts_by_member[v].items():
+                if c > 0:
+                    flat_pos.append(i * len(sigs) + col[s])
+                    values.append(c)
+        counts = np.zeros((len(members), len(sigs)))
+        np.put(counts, flat_pos, values)
+        col_len = np.array([len(s) for s in sigs], dtype=np.intp)
+        return cls(members=members, signatures=tuple(sigs), counts=counts, col_len=col_len)
+
+    def take(self, rows: np.ndarray) -> "CountMatrix":
+        """The rows' members over the same columns."""
+        return CountMatrix(
+            members=tuple(self.members[i] for i in rows),
+            signatures=self.signatures,
+            counts=self.counts[rows],
+            col_len=self.col_len,
+        )
+
+
+@dataclass(frozen=True)
 class ClusterCounts:
     """Per-member counts over signature categories, plus the null category.
 
@@ -64,48 +114,36 @@ class ClusterCounts:
     length: int
 
     @classmethod
-    def from_marginals(
+    def fold(
         cls,
         members: Sequence[int],
-        marginals: Sequence[Mapping[Signature, int]],
+        signatures: Sequence[Signature],
+        block: np.ndarray,
         N: int,
         length: int,
         min_category_mean: float = MIN_CATEGORY_MEAN,
     ) -> "ClusterCounts":
-        members = tuple(members)
-        union: set[Signature] = set()
-        for m in marginals:
-            union.update(sig for sig, c in m.items() if c > 0)
-        cats = sorted(union)
-        col = {sig: j for j, sig in enumerate(cats)}
-        raw = np.zeros((len(members), len(cats)))
-        flat_pos, values = [], []
-        for i, m in enumerate(marginals):
-            row_start = i * len(cats)
-            for sig, c in m.items():
-                j = col.get(sig)
-                if j is not None:
-                    flat_pos.append(row_start + j)
-                    values.append(c)
-        np.put(raw, flat_pos, values)
-        if len(cats):
-            keep = raw.mean(axis=0) >= min_category_mean
-            cats = [c for c, k in zip(cats, keep) if k]
-            raw = raw[:, keep]
+        """Counts over the signatures (columns of ``block``), with those of
+        mean below ``min_category_mean`` folded into the null column; with a
+        positive floor, that drops every signature no member hit."""
+        # integer counts sum exactly in any order, so reducing a strided
+        # slice gives the bits of a freshly filled C-ordered copy
+        keep = block.mean(axis=0) >= min_category_mean
+        raw = block[:, keep]
         counts = np.empty((len(members), raw.shape[1] + 1))
         counts[:, 1:] = raw
         counts[:, 0] = N - raw.sum(axis=1)
         if (counts[:, 0] < 0).any():
             raise ValueError("per-member counts exceed the number of walks")
         return cls(
-            members=members,
-            categories=tuple(cats),
+            members=tuple(members),
+            categories=tuple(s for s, k in zip(signatures, keep) if k),
             counts=counts,
             N=N,
             length=length,
         )
 
-    @property
+    @cached_property
     def means(self) -> np.ndarray:
         return self.counts.mean(axis=0)
 
@@ -170,6 +208,30 @@ def gamma_critical_value(g: GammaApprox, alpha: float) -> float:
     return float(special.gammainccinv(g.shape, alpha) * (1.0 / g.rate))
 
 
+def path_test_entries(cm: CountMatrix, N: int, L: int, alpha: float) -> Iterator[dict]:
+    """Per-length test outcomes for the members of ``cm``, longest length
+    first, each computed only when the caller asks for it.
+
+    Each entry holds the tested length, the Q statistic and the critical
+    value (None when the null distribution is degenerate, in which case Q is
+    necessarily 0 and the test passes). A singleton yields nothing.
+    """
+    if len(cm.members) <= 1:
+        return
+    for length in range(L, 0, -1):
+        lo, hi = np.searchsorted(cm.col_len, (length, length + 1))
+        cc = ClusterCounts.fold(
+            cm.members, cm.signatures[lo:hi], cm.counts[:, lo:hi], N, length
+        )
+        q = q_statistic(cc)
+        g = gamma_approx_params(cc)
+        if g.degenerate:
+            yield {"length": length, "q": q, "critical": None, "passed": q <= 1e-9}
+        else:
+            crit = gamma_critical_value(g, alpha)
+            yield {"length": length, "q": q, "critical": crit, "passed": q <= crit}
+
+
 def path_symmetry_report(
     counts_by_member: Mapping[int, Mapping[Signature, int]],
     members: Sequence[int],
@@ -177,33 +239,10 @@ def path_symmetry_report(
     L: int,
     alpha: float,
 ) -> list[dict]:
-    """Per-length test outcomes, longest length first.
-
-    Each entry holds the tested length, the Q statistic and the critical
-    value (None when the null distribution is degenerate, in which case Q is
-    necessarily 0 and the test passes).
-    """
-    members = sorted(members)
-    out: list[dict] = []
-    if len(members) <= 1:
-        return out
-    # every member's positive counts, split by signature length in one pass
-    by_length: list[list[dict[Signature, int]]] = [[{} for _ in members] for _ in range(L + 1)]
-    for i, v in enumerate(members):
-        for s, c in counts_by_member[v].items():
-            if c > 0 and len(s) <= L:
-                by_length[len(s)][i][s] = c
-    for length in range(L, 0, -1):
-        marginals = by_length[length]
-        cc = ClusterCounts.from_marginals(members, marginals, N, length)
-        q = q_statistic(cc)
-        g = gamma_approx_params(cc)
-        if g.degenerate:
-            out.append({"length": length, "q": q, "critical": None, "passed": q <= 1e-9})
-        else:
-            crit = gamma_critical_value(g, alpha)
-            out.append({"length": length, "q": q, "critical": crit, "passed": q <= crit})
-    return out
+    """Every per-length test outcome (``path_test_entries``) of the members,
+    longest length first."""
+    cm = CountMatrix.from_counts(counts_by_member, sorted(members))
+    return list(path_test_entries(cm, N, L, alpha))
 
 
 def path_symmetric(
@@ -214,9 +253,7 @@ def path_symmetric(
     alpha: float,
 ) -> bool:
     """True when the members' signature-count vectors are statistically
-    indistinguishable at every exact length L, L-1, ..., 1. Singleton sets
-    pass vacuously."""
-    return all(
-        entry["passed"]
-        for entry in path_symmetry_report(counts_by_member, members, N, L, alpha)
-    )
+    indistinguishable at every exact length L, L-1, ..., 1; stops at the
+    first failing length. Singleton sets pass vacuously."""
+    cm = CountMatrix.from_counts(counts_by_member, sorted(members))
+    return all(entry["passed"] for entry in path_test_entries(cm, N, L, alpha))

@@ -5,7 +5,8 @@ the power-iteration eigensolver, exhaustive enumeration for sweep cuts and
 2-means, plain breadth-first search and dict accumulation for the sparse
 graph layer, mpmath special functions for the scipy-backed quantiles, a
 Monte-Carlo generalized chi-squared for the gamma approximation, and a
-per-node, per-target walk sampler for the vectorized walk engine.
+per-node, per-target walk sampler for the vectorized walk engine, and a
+per-test dict-built count matrix for the path-symmetry test.
 
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
@@ -18,6 +19,13 @@ import mpmath
 import numpy as np
 from scipy import sparse
 
+from prism.stats import (
+    MIN_CATEGORY_MEAN,
+    ClusterCounts,
+    gamma_approx_params,
+    gamma_critical_value,
+    q_statistic,
+)
 from prism.walks import WalkStats
 
 mpmath.mp.dps = 30
@@ -305,3 +313,66 @@ def reference_walks(h, source, cfg):
         hits=hits,
         signature_counts=signature_counts,
     )
+
+
+def reference_cluster_counts(members, marginals, N, length, min_category_mean=MIN_CATEGORY_MEAN):
+    """``ClusterCounts`` filled from one signature dict per member: categories
+    are the signatures some member hit, in lexicographic order."""
+    members = tuple(members)
+    union = set()
+    for m in marginals:
+        union.update(sig for sig, c in m.items() if c > 0)
+    cats = sorted(union)
+    col = {sig: j for j, sig in enumerate(cats)}
+    raw = np.zeros((len(members), len(cats)))
+    flat_pos, values = [], []
+    for i, m in enumerate(marginals):
+        row_start = i * len(cats)
+        for sig, c in m.items():
+            j = col.get(sig)
+            if j is not None:
+                flat_pos.append(row_start + j)
+                values.append(c)
+    np.put(raw, flat_pos, values)
+    if len(cats):
+        keep = raw.mean(axis=0) >= min_category_mean
+        cats = [c for c, k in zip(cats, keep) if k]
+        raw = raw[:, keep]
+    counts = np.empty((len(members), raw.shape[1] + 1))
+    counts[:, 1:] = raw
+    counts[:, 0] = N - raw.sum(axis=1)
+    if (counts[:, 0] < 0).any():
+        raise ValueError("per-member counts exceed the number of walks")
+    return ClusterCounts(
+        members=members,
+        categories=tuple(cats),
+        counts=counts,
+        N=N,
+        length=length,
+    )
+
+
+def reference_path_symmetry_report(counts_by_member, members, N, L, alpha):
+    """``path_symmetry_report`` with every length tested and a fresh count
+    matrix built from the members' dicts for each one."""
+    members = sorted(members)
+    out = []
+    if len(members) <= 1:
+        return out
+    # every member's positive counts, split by signature length in one pass
+    by_length = [[{} for _ in members] for _ in range(L + 1)]
+    for i, v in enumerate(members):
+        for s, c in counts_by_member[v].items():
+            if c > 0 and len(s) <= L:
+                by_length[len(s)][i][s] = c
+    for length in range(L, 0, -1):
+        marginals = by_length[length]
+        cc = reference_cluster_counts(members, marginals, N, length)
+        q = q_statistic(cc)
+        g = gamma_approx_params(cc)
+        if g.degenerate:
+            out.append({"length": length, "q": q, "critical": None, "passed": q <= 1e-9})
+        else:
+            crit = gamma_critical_value(g, alpha)
+            out.append({"length": length, "q": q, "critical": crit, "passed": q <= crit})
+    return out

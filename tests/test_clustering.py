@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from prism import clustering
 from prism.clustering import (
     binary_split,
     partition_distance_symmetric,
@@ -9,7 +12,7 @@ from prism.clustering import (
     standardize_and_project,
     symmetry_clusters,
 )
-from prism.stats import theta_sym
+from prism.stats import path_symmetry_report, theta_sym
 from prism.walks import WalkConfig, WalkStats, run_walks
 
 
@@ -47,6 +50,11 @@ def synthetic_count_stats(count_rows, N=2000, L=1, source=None):
         hits=np.full(size, N, dtype=np.int64),
         signature_counts=sig_counts,
     )
+
+
+def clusters(paths):
+    """The clusters of a ``prism_paths`` result, without their margins."""
+    return [cluster for cluster, _ in paths]
 
 
 def test_distance_partition_gap_sweep():
@@ -173,7 +181,7 @@ def test_binary_split_duplicate_points_deterministic():
 
 def test_prism_paths_singleton_passes_through():
     st = synthetic_count_stats([[100, 50]])
-    assert prism_paths([0], st, alpha=0.01) == [[0]]
+    assert clusters(prism_paths([0], st, alpha=0.01)) == [[0]]
 
 
 def test_prism_paths_returns_partition():
@@ -189,7 +197,7 @@ def test_prism_paths_returns_partition():
         full = np.append(p, 1 - p.sum())
         rows.append(rng.multinomial(2000, full)[:-1])
     st = synthetic_count_stats(rows)
-    part = prism_paths(list(range(12)), st, alpha=0.01)
+    part = clusters(prism_paths(list(range(12)), st, alpha=0.01))
     flat = sorted(v for g in part for v in g)
     assert flat == list(range(12))
     # three latent profiles should be recovered exactly
@@ -201,7 +209,7 @@ def test_prism_paths_returns_partition():
 def test_prism_paths_identical_rows_stay_together():
     rows = [[200, 100, 50]] * 6
     st = synthetic_count_stats(rows)
-    assert prism_paths(list(range(6)), st, alpha=0.5) == [list(range(6))]
+    assert clusters(prism_paths(list(range(6)), st, alpha=0.5)) == [list(range(6))]
 
 
 def test_prism_paths_rejects_source_in_set():
@@ -214,7 +222,7 @@ def test_prism_paths_physics_refinement(physics):
     b1 = physics.node_names.index("B1")
     st = run_walks(physics, b1, WalkConfig(epsilon=0.1, L=4, N=1505, seed=2))
     ids = [physics.node_names.index(p) for p in ("P1", "P2", "P3")]
-    part = prism_paths(ids, st, alpha=0.01)
+    part = clusters(prism_paths(ids, st, alpha=0.01))
     named = sorted(sorted(physics.node_names[v] for v in g) for g in part)
     assert named == [["P1", "P2"], ["P3"]]
 
@@ -226,7 +234,7 @@ def test_prism_paths_alpha_sweep(physics):
     by_alpha = {
         alpha: sorted(
             sorted(physics.node_names[v] for v in g)
-            for g in prism_paths(ids, st, alpha)
+            for g in clusters(prism_paths(ids, st, alpha))
         )
         for alpha in (1e-9, 0.01, 0.9999)
     }
@@ -240,10 +248,81 @@ def test_prism_paths_cluster_count_monotone_in_alpha(physics):
     st = run_walks(physics, b1, WalkConfig(epsilon=0.1, L=4, N=1505, seed=2))
     reached = [v for v in range(physics.n_nodes) if v != b1]
     counts = [
-        len(prism_paths(reached, st, alpha))
+        len(clusters(prism_paths(reached, st, alpha)))
         for alpha in (1e-12, 1e-6, 0.01, 0.2, 0.9999)
     ]
     assert counts == sorted(counts)
+
+
+@st.composite
+def path_counts(draw):
+    """Members' signature dicts: some empty, some signatures longer than L,
+    counts that put category means on MIN_CATEGORY_MEAN, sometimes every
+    member alike, sometimes one member."""
+    L = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    signature = st.lists(st.integers(0, 1), min_size=1, max_size=L + 1).map(tuple)
+    count = st.sampled_from([0, 1, 4, 5, 5, 6, 10, 30])
+    rows = draw(st.lists(st.dictionaries(signature, count, max_size=6), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rows = [rows[0]] * m
+    return L, rows
+
+
+def recording(entries, calls):
+    """``entries`` that logs each call's members with the entries drawn."""
+
+    def spy(cm, *args):
+        drawn = []
+        calls.append((cm.members, drawn))
+        for entry in entries(cm, *args):
+            drawn.append(entry)
+            yield entry
+
+    return spy
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    path_counts(),
+    st.integers(200, 600),
+    st.sampled_from([0.01, 0.3, 0.9]),
+)
+# the mean of (0,) is exactly MIN_CATEGORY_MEAN
+@example((1, [{(0,): 4, (1,): 30}, {(0,): 6, (1,): 2}]), 300, 0.3)
+def test_path_tests_equal_reference_report(case, N, alpha):
+    L, rows = case
+    m = len(rows)
+    cbm = dict(enumerate(rows))
+    members = list(range(m))
+    assert path_symmetry_report(cbm, members, N, L, alpha) == (
+        oracles.reference_path_symmetry_report(cbm, members, N, L, alpha)
+    )
+
+    walk_stats = WalkStats(
+        source=m,
+        N=N,
+        L=L,
+        tht=np.ones(m + 1),
+        tht_sd=np.zeros(m + 1),
+        hits=np.full(m + 1, N, dtype=np.int64),
+        signature_counts=cbm,
+    )
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            clustering, "path_test_entries", recording(clustering.path_test_entries, calls)
+        )
+        paths = prism_paths(members, walk_stats, alpha)
+    # a failing group's test ends at its first failing length
+    for group, drawn in calls:
+        want = oracles.reference_path_symmetry_report(cbm, group, N, L, alpha)
+        failing = [i for i, entry in enumerate(want) if not entry["passed"]]
+        assert drawn == want[: failing[0] + 1 if failing else len(want)]
+    # a cluster keeps every entry of the test that accepted it
+    assert sorted(v for cluster, _ in paths for v in cluster) == members
+    for cluster, margins in paths:
+        assert list(margins) == oracles.reference_path_symmetry_report(cbm, cluster, N, L, alpha)
 
 
 def test_symmetry_clusters_end_to_end(physics):

@@ -1,10 +1,13 @@
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 import datasets
-from prism import pipeline
+import oracles
+from prism import clustering, pipeline
 from prism.cli import main
 from prism.hypergraph import LabeledHypergraph, diameter, majority_subhypergraph
 from prism.pipeline import (
@@ -205,6 +208,53 @@ def test_concept_margins_reflect_passing_tests(classroom):
             assert entry["passed"]
             if entry["critical"] is not None:
                 assert entry["q"] <= entry["critical"]
+
+
+def test_each_group_is_tested_once(two_departments, monkeypatch):
+    walked = []
+    tested = []
+    run_walks, entries = pipeline.run_walks, clustering.path_test_entries
+
+    def walks_spy(h, source, cfg):
+        stats = run_walks(h, source, cfg)
+        walked.append((h, stats))
+        return stats
+
+    def entries_spy(cm, *args):
+        h, stats = walked[-1]
+        tested.append((id(h), stats.source, cm.members))
+        return entries(cm, *args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran a path test of its own")
+
+    monkeypatch.setattr(pipeline, "run_walks", walks_spy)
+    monkeypatch.setattr(clustering, "path_test_entries", entries_spy)
+    monkeypatch.setattr(pipeline, "path_symmetry_report", refuse)
+    report = get_communities(two_departments, RunConfig(seed=0))
+    assert tested
+    assert len(set(tested)) == len(tested)
+    sources = [src for sub in report.subhypergraphs for src in sub.sources]
+    assert len(sources) == len(walked)
+    for src, (h, stats) in zip(sources, walked):
+        assert src.source == h.node_names[stats.source]
+        for concept in src.concepts:
+            ids = [h.node_names.index(name) for name in concept.members]
+            counts = {v: stats.signature_counts.get(v, {}) for v in ids}
+            assert list(concept.margins) == oracles.reference_path_symmetry_report(
+                counts, ids, stats.N, stats.L, 0.01
+            )
+
+
+def test_bench_traced_attributes_resolve():
+    # bench/child.py wraps these module attributes by name under --trace 1
+    path = Path(__file__).resolve().parent.parent / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for module, attrs in child.TRACED.items():
+        for attr in attrs:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
 def test_cli_stats(tmp_path, capsys):

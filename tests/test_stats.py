@@ -14,6 +14,7 @@ import oracles
 import prism
 from prism.stats import (
     ClusterCounts,
+    CountMatrix,
     GammaApprox,
     distance_symmetric,
     gamma_approx_params,
@@ -27,8 +28,8 @@ from prism.stats import (
 
 
 def cluster(per_member, N, length=1, min_mean=5.0):
-    members = list(range(len(per_member)))
-    return ClusterCounts.from_marginals(members, per_member, N, length, min_mean)
+    cm = CountMatrix.from_counts(dict(enumerate(per_member)), range(len(per_member)))
+    return ClusterCounts.fold(cm.members, cm.signatures, cm.counts, N, length, min_mean)
 
 
 def test_t_inverse_survival_cauchy_closed_form():
