@@ -43,7 +43,6 @@ from .spectral import (
 from .stats import (
     ClusterCounts,
     GammaApprox,
-    distance_symmetric,
     gamma_approx_params,
     gamma_critical_value,
     path_symmetric,
@@ -82,7 +81,6 @@ __all__ = [
     "cheeger_sweep_cut",
     "connected_components",
     "diameter",
-    "distance_symmetric",
     "emit_report",
     "exact_tht",
     "gamma_approx_params",

@@ -49,7 +49,6 @@ def _build_parser() -> _Parser:
     mine.add_argument("--n-min", type=int, default=8, help="minimum spectral cluster size")
     mine.add_argument("--top-k", type=int, default=3, help="most-probable paths held to the uncertainty target")
     mine.add_argument("--max-length", type=int, default=5, help="walk-length cap (0 disables the cap)")
-    mine.add_argument("--proj-dim", type=int, default=2, help="projection dimension before 2-means")
     mine.add_argument("--no-hcluster", action="store_true", help="skip hierarchical pre-clustering")
 
     stats = sub.add_parser("stats", help="print hypergraph summary for a database")
@@ -64,13 +63,10 @@ def _load_hypergraph(path: str):
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
     cfg = RunConfig(
         epsilon=args.epsilon,
         alpha=args.alpha,
         k_top=args.top_k,
-        proj_dim=args.proj_dim,
         lambda2_max=args.lambda2_max,
         n_min=args.n_min,
         L_cap=None if args.max_length == 0 else args.max_length,
@@ -107,9 +103,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"edges: {h.n_edges}")
     print(f"labels: {h.n_labels} ({', '.join(h.label_names)})")
     for i, comp in enumerate(connected_components(h)):
-        d = diameter(comp) if comp.n_nodes else 0
         print(
-            f"component {i}: nodes={comp.n_nodes} edges={comp.n_edges} diameter={d}"
+            f"component {i}: nodes={comp.n_nodes} edges={comp.n_edges} "
+            f"diameter={diameter(comp)}"
         )
     return EXIT_OK
 

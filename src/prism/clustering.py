@@ -21,6 +21,7 @@ from .stats import path_symmetric  # noqa: F401  kept bound for bench/child.py's
 from .walks import WalkStats
 
 VARIANCE_FLOOR = 1e-12
+PROJ_DIM = 2  # principal components kept before each 2-means bisection
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,13 @@ def partition_distance_symmetric(stats: WalkStats, alpha: float) -> list[list[in
     return [sorted(g) for g in groups]
 
 
-def standardize_and_project(counts: np.ndarray, d: int = 2) -> np.ndarray:
-    """Standardize count columns and project onto the top-d principal
-    components.
+def standardize_and_project(counts: np.ndarray) -> np.ndarray:
+    """Standardize count columns and project onto the top ``PROJ_DIM``
+    principal components.
 
     Constant columns (variance below a small floor) are dropped before
-    standardization; if fewer than d informative directions remain, the
-    output is padded with zero columns.
+    standardization; if fewer than ``PROJ_DIM`` informative directions
+    remain, the output is padded with zero columns.
     """
     counts = np.asarray(counts, dtype=np.float64)
     n = counts.shape[0]
@@ -83,7 +84,7 @@ def standardize_and_project(counts: np.ndarray, d: int = 2) -> np.ndarray:
         raise ValueError("need at least 2 rows to project")
     var = counts.var(axis=0)
     live = counts[:, var > VARIANCE_FLOOR]
-    out = np.zeros((n, d))
+    out = np.zeros((n, PROJ_DIM))
     if live.shape[1] == 0:
         return out
     x = (live - live.mean(axis=0)) / live.std(axis=0)
@@ -92,7 +93,7 @@ def standardize_and_project(counts: np.ndarray, d: int = 2) -> np.ndarray:
     # threaded OpenBLAS took ~15 ms per 32x32 call on a 2-core x86 machine,
     # a fixed cost per prism_paths call, scipy's ~0.1 ms
     eigvals, eigvecs = linalg.eigh(cov, driver="evd")
-    order = np.argsort(eigvals)[::-1][: min(d, x.shape[1])]
+    order = np.argsort(eigvals)[::-1][:PROJ_DIM]
     basis = eigvecs[:, order]
     # fix component signs so projections are reproducible
     for col in range(basis.shape[1]):
@@ -139,7 +140,7 @@ def binary_split(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prism_paths(
-    A: Sequence[int], stats: WalkStats, alpha: float, proj_dim: int = 2
+    A: Sequence[int], stats: WalkStats, alpha: float
 ) -> list[tuple[list[int], tuple[dict, ...]]]:
     """Partition a node set into path-symmetric clusters, each returned with
     the per-length entries of the test that accepted it (``()`` for a
@@ -174,7 +175,7 @@ def prism_paths(
     if margins is not None:
         return [(members, margins)]
 
-    points = standardize_and_project(cm.counts, proj_dim)
+    points = standardize_and_project(cm.counts)
     partition: list[tuple[list[int], tuple[dict, ...]]] = []
     worklist: deque[np.ndarray] = deque([everyone])
     while worklist:
@@ -190,7 +191,7 @@ def prism_paths(
     return partition
 
 
-def symmetry_clusters(stats: WalkStats, alpha: float, proj_dim: int = 2) -> SymmetryPartition:
+def symmetry_clusters(stats: WalkStats, alpha: float) -> SymmetryPartition:
     """Full two-stage clustering for one source: distance sets, then their
     path-symmetric refinement."""
     groups = partition_distance_symmetric(stats, alpha)
@@ -201,7 +202,7 @@ def symmetry_clusters(stats: WalkStats, alpha: float, proj_dim: int = 2) -> Symm
     parents: list[int] = []
     margins: list[tuple[dict, ...]] = []
     for parent, group in enumerate(groups):
-        for cluster, entries in prism_paths(group, stats, alpha, proj_dim):
+        for cluster, entries in prism_paths(group, stats, alpha):
             concepts.append(tuple(cluster))
             parents.append(parent)
             margins.append(entries)

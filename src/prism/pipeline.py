@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import SymmetryPartition, symmetry_clusters
+from .clustering import PROJ_DIM, SymmetryPartition, symmetry_clusters
 from .hypergraph import LabeledHypergraph, connected_components, diameter
 from .spectral import SpectralConfig, hcluster
 from .stats import MIN_CATEGORY_MEAN
@@ -31,7 +31,6 @@ class RunConfig:
     epsilon: float = 0.1
     alpha: float = 0.01
     k_top: int = 3
-    proj_dim: int = 2
     lambda2_max: float = 0.8
     n_min: int = 8
     L_cap: int | None = 5
@@ -44,8 +43,8 @@ class RunConfig:
             raise ValueError("epsilon must be in (0, 1)")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        if self.k_top < 1 or self.proj_dim < 1 or self.threads < 1:
-            raise ValueError("k_top, proj_dim and threads must be positive")
+        if self.k_top < 1 or self.threads < 1:
+            raise ValueError("k_top and threads must be positive")
         if self.L_cap is not None and self.L_cap < 1:
             raise ValueError("L_cap must be positive or None")
         if not 0 <= self.seed < 2**64:
@@ -57,12 +56,13 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         # threads is an execution detail with no effect on results, so it is
-        # kept out of the echo and reports stay byte-identical across pools
+        # kept out of the echo and reports stay byte-identical across pools;
+        # proj_dim and min_category_mean are fixed constants, not settings
         return {
             "epsilon": self.epsilon,
             "alpha": self.alpha,
             "k_top": self.k_top,
-            "proj_dim": self.proj_dim,
+            "proj_dim": PROJ_DIM,
             "lambda2_max": self.lambda2_max,
             "n_min": self.n_min,
             "L_cap": self.L_cap,
@@ -103,39 +103,6 @@ class ConceptReport:
     subhypergraphs: tuple[SubhypergraphReport, ...] = ()
     config: dict | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {"schema_version": SCHEMA_VERSION}
-        if self.config is not None:
-            out["config"] = dict(self.config)
-        out["subhypergraphs"] = [
-            {
-                "id": sub.id,
-                "nodes": list(sub.nodes),
-                "n_edges": sub.n_edges,
-                "labels": list(sub.labels),
-                "diameter": sub.diameter,
-                "walk_length": sub.walk_length,
-                "walk_count": sub.walk_count,
-                "sources": [
-                    {
-                        "source": src.source,
-                        "concepts": [
-                            {
-                                "members": list(c.members),
-                                "parent_tht": c.parent_tht,
-                                "margins": list(c.margins),
-                            }
-                            for c in src.concepts
-                        ],
-                        "unreached": list(src.unreached),
-                    }
-                    for src in sub.sources
-                ],
-            }
-            for sub in self.subhypergraphs
-        ]
-        return out
-
     @classmethod
     def from_dict(cls, d: dict) -> "ConceptReport":
         if d.get("schema_version") != SCHEMA_VERSION:
@@ -174,7 +141,7 @@ def _source_report(
     h: LabeledHypergraph, source: int, walk_cfg: WalkConfig, cfg: RunConfig
 ) -> SourceReport:
     stats = run_walks(h, source, walk_cfg)
-    part: SymmetryPartition = symmetry_clusters(stats, cfg.alpha, cfg.proj_dim)
+    part: SymmetryPartition = symmetry_clusters(stats, cfg.alpha)
     entries = [
         ConceptEntry(
             members=tuple(h.node_names[v] for v in concept),
@@ -224,7 +191,7 @@ def get_communities(
                 1, np.uint64
             )[0]
         )
-        walk_cfg = WalkConfig(epsilon=cfg.epsilon, L=L, N=N, k_top=cfg.k_top, seed=sub_seed)
+        walk_cfg = WalkConfig(L=L, N=N, seed=sub_seed)
         sources = list(range(sub.n_nodes))
         t_sources = time.perf_counter()
         if cfg.threads > 1 and len(sources) > 1:
@@ -256,10 +223,18 @@ def get_communities(
 
 
 def emit_report(report: ConceptReport, fmt: str = "json") -> str:
-    """Deterministic serialization; ``fmt`` is ``json`` or ``tsv``."""
+    """Deterministic serialization; ``fmt`` is ``json`` or ``tsv``.
+
+    JSON writes each report dataclass as an object whose keys are its
+    fields, in declaration order, and leaves out an absent config.
+    """
     if fmt == "json":
+        out: dict = {"schema_version": SCHEMA_VERSION}
+        if report.config is not None:
+            out["config"] = report.config
+        out["subhypergraphs"] = report.subhypergraphs
         return json.dumps(
-            report.to_dict(), separators=(",", ":"), ensure_ascii=True, allow_nan=False
+            out, default=vars, separators=(",", ":"), ensure_ascii=True, allow_nan=False
         )
     if fmt == "tsv":
         rows = ["sub_hypergraph\tsource\tconcept_members\tparent_tht"]

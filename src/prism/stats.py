@@ -49,13 +49,6 @@ def theta_sym(alpha: float, L: int, N: int) -> float:
     return (L - 1) / math.sqrt(2 * N) * t_inverse_survival(alpha / 2, N - 1)
 
 
-def distance_symmetric(h_j: float, h_k: float, theta: float) -> bool:
-    """True when the two hitting-time estimates differ by at most theta."""
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    return abs(h_j - h_k) <= theta
-
-
 @dataclass(frozen=True)
 class CountMatrix:
     """Members' positive signature counts: one row per member, in the given
@@ -102,9 +95,9 @@ class CountMatrix:
 class ClusterCounts:
     """Per-member counts over signature categories, plus the null category.
 
-    Column 0 is the null category c0 = N - sum of the others; categories with
-    cluster-mean count below ``min_category_mean`` were folded into it when
-    the instance was built.
+    Column 0 is the null category c0 = N - sum of the others; ``fold``
+    builds it from the categories whose cluster-mean count is below
+    ``MIN_CATEGORY_MEAN``.
     """
 
     members: tuple[int, ...]
@@ -121,14 +114,13 @@ class ClusterCounts:
         block: np.ndarray,
         N: int,
         length: int,
-        min_category_mean: float = MIN_CATEGORY_MEAN,
     ) -> "ClusterCounts":
         """Counts over the signatures (columns of ``block``), with those of
-        mean below ``min_category_mean`` folded into the null column; with a
-        positive floor, that drops every signature no member hit."""
+        mean below ``MIN_CATEGORY_MEAN`` folded into the null column, which
+        drops every signature no member hit."""
         # integer counts sum exactly in any order, so reducing a strided
         # slice gives the bits of a freshly filled C-ordered copy
-        keep = block.mean(axis=0) >= min_category_mean
+        keep = block.mean(axis=0) >= MIN_CATEGORY_MEAN
         raw = block[:, keep]
         counts = np.empty((len(members), raw.shape[1] + 1))
         counts[:, 1:] = raw

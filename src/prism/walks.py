@@ -80,17 +80,13 @@ def topk_walk_count(epsilon: float, e: int, L: int, k: int = 3) -> int:
 
 @dataclass(frozen=True)
 class WalkConfig:
-    epsilon: float
     L: int
     N: int
-    k_top: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        if self.L < 1 or self.N < 1 or self.k_top < 1:
-            raise ValueError("L, N and k_top must be positive")
+        if self.L < 1 or self.N < 1:
+            raise ValueError("L and N must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -167,7 +167,7 @@ def test_criterion_5_epsilon_uncertainty_bound():
                 errs = np.zeros(h.n_nodes)
                 for rep in range(50):
                     st = run_walks(
-                        h, source, WalkConfig(epsilon=eps, L=L, N=N, seed=rep)
+                        h, source, WalkConfig(L=L, N=N, seed=rep)
                     )
                     errs += np.abs(st.tht - exact)
                 errs /= 50

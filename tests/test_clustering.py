@@ -92,7 +92,7 @@ def test_distance_partition_keeps_hit_nodes_at_max_tht():
 
 def test_distance_partition_physics_reference_sets(physics):
     b1 = physics.node_names.index("B1")
-    st = run_walks(physics, b1, WalkConfig(epsilon=0.1, L=4, N=3000, seed=0))
+    st = run_walks(physics, b1, WalkConfig(L=4, N=3000, seed=0))
     groups = partition_distance_symmetric(st, 0.01)
     named = [sorted(physics.node_names[v] for v in g) for g in groups]
     assert named == [
@@ -105,7 +105,7 @@ def test_distance_partition_physics_reference_sets(physics):
 
 def test_standardize_and_project_two_points_preserve_distance():
     counts = np.array([[10.0, 4.0, 7.0], [16.0, 4.0, 1.0]])
-    pts = standardize_and_project(counts, 2)
+    pts = standardize_and_project(counts)
     # constant column dropped; remaining standardized rows are +-1 per column
     expected = np.linalg.norm([2.0, 2.0])
     assert np.linalg.norm(pts[0] - pts[1]) == pytest.approx(expected)
@@ -114,7 +114,7 @@ def test_standardize_and_project_two_points_preserve_distance():
 
 def test_standardize_and_project_identical_counts_origin():
     counts = np.tile([5.0, 9.0], (4, 1))
-    pts = standardize_and_project(counts, 2)
+    pts = standardize_and_project(counts)
     assert np.allclose(pts, 0.0)
 
 
@@ -122,7 +122,7 @@ def test_standardize_and_project_collinear_counts():
     base = np.array([1.0, -2.0, 0.5, 3.0])
     t = np.array([[0.0], [1.0], [2.0], [3.0]])
     counts = 10 + t * base  # rank-1 standardized structure
-    pts = standardize_and_project(counts, 2)
+    pts = standardize_and_project(counts)
     total_var = pts.var(axis=0).sum()
     assert pts[:, 0].var() / total_var >= 0.999
     assert np.allclose(pts[:, 1], 0.0, atol=1e-6)
@@ -149,7 +149,7 @@ def test_standardize_and_project_bits_equal_numpy_eigh():
                 basis[:, col] = -basis[:, col]
         want = np.zeros((n, 2))
         want[:, : basis.shape[1]] = x @ basis
-        assert np.array_equal(standardize_and_project(counts, 2), want)
+        assert np.array_equal(standardize_and_project(counts), want)
 
 
 def test_binary_split_recovers_blobs():
@@ -220,7 +220,7 @@ def test_prism_paths_rejects_source_in_set():
 
 def test_prism_paths_physics_refinement(physics):
     b1 = physics.node_names.index("B1")
-    st = run_walks(physics, b1, WalkConfig(epsilon=0.1, L=4, N=1505, seed=2))
+    st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
     ids = [physics.node_names.index(p) for p in ("P1", "P2", "P3")]
     part = clusters(prism_paths(ids, st, alpha=0.01))
     named = sorted(sorted(physics.node_names[v] for v in g) for g in part)
@@ -229,7 +229,7 @@ def test_prism_paths_physics_refinement(physics):
 
 def test_prism_paths_alpha_sweep(physics):
     b1 = physics.node_names.index("B1")
-    st = run_walks(physics, b1, WalkConfig(epsilon=0.1, L=4, N=1505, seed=2))
+    st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
     ids = [physics.node_names.index(p) for p in ("P1", "P2", "P3")]
     by_alpha = {
         alpha: sorted(
@@ -245,7 +245,7 @@ def test_prism_paths_alpha_sweep(physics):
 
 def test_prism_paths_cluster_count_monotone_in_alpha(physics):
     b1 = physics.node_names.index("B1")
-    st = run_walks(physics, b1, WalkConfig(epsilon=0.1, L=4, N=1505, seed=2))
+    st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
     reached = [v for v in range(physics.n_nodes) if v != b1]
     counts = [
         len(clusters(prism_paths(reached, st, alpha)))
@@ -327,7 +327,7 @@ def test_path_tests_equal_reference_report(case, N, alpha):
 
 def test_symmetry_clusters_end_to_end(physics):
     b1 = physics.node_names.index("B1")
-    st = run_walks(physics, b1, WalkConfig(epsilon=0.1, L=4, N=1505, seed=2))
+    st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
     part = symmetry_clusters(st, alpha=0.01)
     named = sorted(sorted(physics.node_names[v] for v in c) for c in part.concepts)
     assert named == [
@@ -345,7 +345,7 @@ def test_symmetry_clusters_end_to_end(physics):
 
 def test_symmetry_clusters_deterministic(physics):
     b1 = physics.node_names.index("B1")
-    st = run_walks(physics, b1, WalkConfig(epsilon=0.1, L=4, N=1505, seed=2))
+    st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
     a = symmetry_clusters(st, alpha=0.01)
     b = symmetry_clusters(st, alpha=0.01)
     assert a == b

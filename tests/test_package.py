@@ -1,0 +1,41 @@
+import ast
+from pathlib import Path
+
+import prism
+
+SRC = Path(prism.__file__).resolve().parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; an import line marked
+    ``# noqa: F401`` is kept on purpose, and ``__all__`` counts as a read."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_exports_resolve_and_imports_are_used():
+    # stands in for a linter: exports are listed once and resolve, and no
+    # module imports a name it never uses
+    assert len(prism.__all__) == len(set(prism.__all__))
+    missing = [name for name in prism.__all__ if not hasattr(prism, name)]
+    assert missing == []
+    unused = [hit for path in sorted(SRC.glob("*.py")) for hit in _unused_imports(path)]
+    assert unused == []

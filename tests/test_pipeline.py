@@ -11,8 +11,11 @@ from prism import clustering, pipeline
 from prism.cli import main
 from prism.hypergraph import LabeledHypergraph, diameter, majority_subhypergraph
 from prism.pipeline import (
+    ConceptEntry,
     ConceptReport,
     RunConfig,
+    SourceReport,
+    SubhypergraphReport,
     emit_report,
     get_communities,
     parse_report,
@@ -33,7 +36,6 @@ def test_runconfig_defaults():
     assert cfg.epsilon == 0.1
     assert cfg.alpha == 0.01
     assert cfg.k_top == 3
-    assert cfg.proj_dim == 2
 
 
 def test_runconfig_validation():
@@ -155,6 +157,33 @@ def test_no_hcluster_flag_keeps_one_subhypergraph(two_departments):
 
 def test_emit_empty_report_exact_bytes():
     assert emit_report(ConceptReport()) == '{"schema_version":1,"subhypergraphs":[]}'
+    # every object's keys in schema order: a reordered dataclass field or
+    # config echo shows up here as a readable diff
+    entry = {"length": 2, "q": 0.25, "critical": 3.5, "passed": True}
+    concept = ConceptEntry(members=("b", "c"), parent_tht=1.5, margins=(entry,))
+    source = SourceReport(source="a", concepts=(concept,), unreached=("d",))
+    sub = SubhypergraphReport(
+        id=0,
+        nodes=("a", "b", "c", "d"),
+        n_edges=3,
+        labels=("R", "S"),
+        diameter=2,
+        walk_length=2,
+        walk_count=40,
+        sources=(source,),
+    )
+    report = ConceptReport(subhypergraphs=(sub,), config=RunConfig(seed=3).to_dict())
+    assert emit_report(report) == (
+        '{"schema_version":1,'
+        '"config":{"epsilon":0.1,"alpha":0.01,"k_top":3,"proj_dim":2,'
+        '"lambda2_max":0.8,"n_min":8,"L_cap":5,"seed":3,"use_hcluster":true,'
+        '"min_category_mean":5.0},'
+        '"subhypergraphs":[{"id":0,"nodes":["a","b","c","d"],"n_edges":3,'
+        '"labels":["R","S"],"diameter":2,"walk_length":2,"walk_count":40,'
+        '"sources":[{"source":"a","concepts":[{"members":["b","c"],'
+        '"parent_tht":1.5,"margins":[{"length":2,"q":0.25,"critical":3.5,'
+        '"passed":true}]}],"unreached":["d"]}]}]}'
+    )
 
 
 def test_emit_refuses_non_finite_numbers():
@@ -302,6 +331,15 @@ def test_cli_nan_setting_without_hcluster_is_usage_error(tmp_path, capsys):
     argv = ["mine", "--db", str(db), "--no-hcluster", "--lambda2-max", "nan"]
     assert main(argv + ["--output", str(out)]) == 1
     assert "lambda2_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_negative_seed_is_usage_error(tmp_path, capsys):
+    db = tmp_path / "x.db"
+    db.write_text(datasets.classroom_db())
+    out = tmp_path / "report.json"
+    assert main(["mine", "--db", str(db), "--seed", "-1", "--output", str(out)]) == 1
+    assert "seed" in capsys.readouterr().err
     assert not out.exists()
 
 

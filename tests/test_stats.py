@@ -16,7 +16,6 @@ from prism.stats import (
     ClusterCounts,
     CountMatrix,
     GammaApprox,
-    distance_symmetric,
     gamma_approx_params,
     gamma_critical_value,
     path_symmetric,
@@ -27,9 +26,9 @@ from prism.stats import (
 )
 
 
-def cluster(per_member, N, length=1, min_mean=5.0):
+def cluster(per_member, N, length=1):
     cm = CountMatrix.from_counts(dict(enumerate(per_member)), range(len(per_member)))
-    return ClusterCounts.fold(cm.members, cm.signatures, cm.counts, N, length, min_mean)
+    return ClusterCounts.fold(cm.members, cm.signatures, cm.counts, N, length)
 
 
 def test_t_inverse_survival_cauchy_closed_form():
@@ -92,12 +91,6 @@ def test_theta_sym_reference_value():
 def test_theta_sym_decreases_in_n():
     values = [theta_sym(0.01, 5, n) for n in (10, 100, 1000, 10000)]
     assert values == sorted(values, reverse=True)
-
-
-def test_distance_symmetric_basic():
-    assert distance_symmetric(2.0, 2.0, 0.0)
-    assert not distance_symmetric(1.0, 1.5, 0.23)
-    assert distance_symmetric(1.0, 1.2, 0.2)
 
 
 def test_q_statistic_identical_members_is_zero():
@@ -236,7 +229,7 @@ def test_path_symmetric_classroom_students(classroom):
     from prism.walks import WalkConfig, run_walks
 
     p1 = classroom.node_names.index("P1")
-    st = run_walks(classroom, p1, WalkConfig(epsilon=0.1, L=2, N=910, seed=0))
+    st = run_walks(classroom, p1, WalkConfig(L=2, N=910, seed=0))
     students = [classroom.node_names.index(p) for p in ("P3", "P4", "P5", "P6")]
     counts = {v: st.signature_counts[v] for v in students}
     assert path_symmetric(counts, students, st.N, st.L, alpha=0.01)
@@ -246,7 +239,7 @@ def test_path_symmetric_department_sets(physics):
     from prism.walks import WalkConfig, run_walks
 
     b1 = physics.node_names.index("B1")
-    st = run_walks(physics, b1, WalkConfig(epsilon=0.1, L=4, N=1505, seed=2))
+    st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
     trio = [physics.node_names.index(p) for p in ("P1", "P2", "P3")]
     pair = trio[:2]
     counts = {v: st.signature_counts[v] for v in trio}
@@ -271,8 +264,9 @@ def test_q_invariance_under_member_permutation():
     )
 )
 def test_q_non_negative_and_zero_iff_identical(rows):
-    per = [{(0,): r[0], (1,): r[1]} for r in rows]
-    cc = cluster(per, N=500, min_mean=0.0)
+    # every category kept, however rare: built directly, not folded
+    counts = np.array([[500 - sum(r), *r] for r in rows], dtype=float)
+    cc = ClusterCounts(tuple(range(len(rows))), ((0,), (1,)), counts, N=500, length=1)
     q = q_statistic(cc)
     assert q >= 0.0
     identical = all(r == rows[0] for r in rows)

@@ -83,16 +83,14 @@ def test_topk_includes_tht_bound():
 
 def test_walk_config_validation():
     with pytest.raises(ValueError):
-        WalkConfig(epsilon=0.0, L=1, N=1)
+        WalkConfig(L=0, N=1)
     with pytest.raises(ValueError):
-        WalkConfig(epsilon=0.1, L=0, N=1)
-    with pytest.raises(ValueError):
-        WalkConfig(epsilon=0.1, L=1, N=1, seed=2**64)
+        WalkConfig(L=1, N=1, seed=2**64)
 
 
 def test_run_walks_forced_transition():
     h = datasets.graph(datasets.single_edge_db())
-    st = run_walks(h, 0, WalkConfig(epsilon=0.1, L=1, N=64, seed=1))
+    st = run_walks(h, 0, WalkConfig(L=1, N=64, seed=1))
     assert st.tht[1] == 1.0
     assert st.hits[1] == 64
     assert st.signature_counts[1] == {(0,): 64}
@@ -105,7 +103,7 @@ def test_run_walks_star_matches_exact_oracle():
     h = datasets.graph(datasets.star_db(5))
     hub = h.node_names.index("hub")
     exact = exact_tht(h, hub, 1)
-    st = run_walks(h, hub, WalkConfig(epsilon=0.1, L=1, N=4000, seed=3))
+    st = run_walks(h, hub, WalkConfig(L=1, N=4000, seed=3))
     for v in range(h.n_nodes):
         if v == hub:
             continue
@@ -118,7 +116,7 @@ def test_run_walks_star_l2_within_3_sigma():
     hub = h.node_names.index("hub")
     L, N = 2, 6000
     exact = exact_tht(h, hub, L)
-    st = run_walks(h, hub, WalkConfig(epsilon=0.1, L=L, N=N, seed=9))
+    st = run_walks(h, hub, WalkConfig(L=L, N=N, seed=9))
     for v in range(h.n_nodes):
         if v == hub:
             continue
@@ -128,7 +126,7 @@ def test_run_walks_star_l2_within_3_sigma():
 
 def test_run_walks_determinism():
     h = datasets.graph(datasets.classroom_db())
-    cfg = WalkConfig(epsilon=0.1, L=2, N=500, seed=42)
+    cfg = WalkConfig(L=2, N=500, seed=42)
     a = run_walks(h, 0, cfg)
     b = run_walks(h, 0, cfg)
     assert np.array_equal(a.tht, b.tht)
@@ -138,14 +136,14 @@ def test_run_walks_determinism():
 
 def test_run_walks_seed_changes_stream():
     h = datasets.graph(datasets.classroom_db())
-    a = run_walks(h, 0, WalkConfig(epsilon=0.1, L=2, N=500, seed=1))
-    b = run_walks(h, 0, WalkConfig(epsilon=0.1, L=2, N=500, seed=2))
+    a = run_walks(h, 0, WalkConfig(L=2, N=500, seed=1))
+    b = run_walks(h, 0, WalkConfig(L=2, N=500, seed=2))
     assert not np.array_equal(a.tht, b.tht)
 
 
 def test_run_walks_count_conservation():
     h = datasets.graph(datasets.physics_db())
-    st = run_walks(h, 0, WalkConfig(epsilon=0.1, L=4, N=800, seed=5))
+    st = run_walks(h, 0, WalkConfig(L=4, N=800, seed=5))
     for target in range(h.n_nodes):
         if target == st.source:
             continue
@@ -155,7 +153,7 @@ def test_run_walks_count_conservation():
 
 def test_run_walks_tht_bounds():
     h = datasets.graph(datasets.physics_db())
-    st = run_walks(h, 2, WalkConfig(epsilon=0.1, L=4, N=500, seed=8))
+    st = run_walks(h, 2, WalkConfig(L=4, N=500, seed=8))
     for target in range(h.n_nodes):
         if target == st.source:
             continue
@@ -170,7 +168,7 @@ def test_run_walks_monte_carlo_rate():
     def mean_abs_err(N, seeds):
         errs = []
         for seed in seeds:
-            st = run_walks(h, 0, WalkConfig(epsilon=0.1, L=L, N=N, seed=seed))
+            st = run_walks(h, 0, WalkConfig(L=L, N=N, seed=seed))
             errs.append(np.abs(st.tht[1:] - exact[1:]).mean())
         return float(np.mean(errs))
 
@@ -225,7 +223,7 @@ def test_classroom_source_p1_students_symmetric(classroom):
 
     p1 = classroom.node_names.index("P1")
     N = topk_walk_count(0.1, 2, diameter(classroom), 3)
-    st = run_walks(classroom, p1, WalkConfig(epsilon=0.1, L=2, N=N, seed=0))
+    st = run_walks(classroom, p1, WalkConfig(L=2, N=N, seed=0))
     students = [classroom.node_names.index(p) for p in ("P3", "P4", "P5", "P6")]
     theta = theta_sym(0.01, st.L, st.N)
     ths = [st.tht[v] for v in students]
@@ -253,7 +251,6 @@ def walk_inputs(draw):
         [(label, tuple(members)) for label, members in edges],
     )
     cfg = WalkConfig(
-        epsilon=0.1,
         L=draw(st.integers(1, 6)),
         N=draw(st.integers(1, 300)),
         seed=draw(st.integers(0, 2**64 - 1)),
@@ -308,7 +305,7 @@ def test_run_walks_memory_has_no_walks_by_nodes_array():
     edges = [(i % 2, (i, (i + 1) % n)) for i in range(n)]
     edges += [(1, (rng.randrange(n), rng.randrange(n), rng.randrange(n))) for _ in range(n // 2)]
     h = LabeledHypergraph.build([f"v{i}" for i in range(n)], ["a", "b"], edges)
-    cfg = WalkConfig(epsilon=0.1, L=3, N=2000, seed=1)
+    cfg = WalkConfig(L=3, N=2000, seed=1)
     tracemalloc.start()
     try:
         st_ = run_walks(h, 0, cfg)
