@@ -1,16 +1,17 @@
 """Labeled hypergraph structure and graph-level operations.
 
 A hypergraph here is a set of named nodes plus labeled hyperedges (each a
-non-empty node set). It supports diameter computation, clique expansion to a
-weighted graph (a symmetric ``scipy.sparse`` CSR array), majority-rule
-reconstruction of sub-hypergraphs from a node partition, and
-connected-component splitting. Graph searches run in ``scipy.sparse.csgraph``
-over the node adjacency B @ B.T of the node-by-edge incidence matrix B.
+non-empty node set), indexed by one node-by-edge incidence matrix B (a
+``scipy.sparse`` CSR array built on first use). Diameter, connected
+components and the clique expansion to a weighted graph run on B and the
+node adjacency B @ B.T in ``scipy.sparse``/``csgraph``. A node partition is
+a label array, one part number per node, the form ``csgraph`` returns;
+``majority_subhypergraph`` is the one split of a hypergraph by a partition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +35,6 @@ class LabeledHypergraph:
     node_names: tuple[str, ...]
     label_names: tuple[str, ...]
     edges: tuple[Edge, ...]
-    incidence: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @classmethod
     def build(
@@ -49,7 +49,6 @@ class LabeledHypergraph:
         if len(set(node_names)) != n:
             raise ValueError("duplicate node names")
         normalized: list[Edge] = []
-        incidence: list[list[int]] = [[] for _ in range(n)]
         for eid, (label, members) in enumerate(edges):
             if not 0 <= label < len(label_names):
                 raise ValueError(f"edge {eid}: unknown label id {label}")
@@ -60,16 +59,8 @@ class LabeledHypergraph:
                 seen.setdefault(v)
             if not seen:
                 raise ValueError(f"edge {eid}: empty hyperedge")
-            dedup = tuple(seen)
-            normalized.append((label, dedup))
-            for v in dedup:
-                incidence[v].append(eid)
-        return cls(
-            node_names=node_names,
-            label_names=label_names,
-            edges=tuple(normalized),
-            incidence=tuple(tuple(ids) for ids in incidence),
-        )
+            normalized.append((label, tuple(seen)))
+        return cls(node_names=node_names, label_names=label_names, edges=tuple(normalized))
 
     @property
     def n_nodes(self) -> int:
@@ -84,6 +75,17 @@ class LabeledHypergraph:
         return len(self.label_names)
 
     @cached_property
+    def incidence(self) -> sparse.csr_array:
+        """Node-by-edge incidence matrix B, with B[v, e] = 1 when v is in
+        edge e; row v lists v's edges in ascending id order."""
+        sizes = [len(members) for _, members in self.edges]
+        rows = np.fromiter((v for _, members in self.edges for v in members), np.int64, sum(sizes))
+        cols = np.repeat(np.arange(self.n_edges), sizes)
+        return sparse.csr_array(
+            (np.ones(len(rows)), (rows, cols)), shape=(self.n_nodes, self.n_edges)
+        )
+
+    @cached_property
     def walk_tables(self):
         """The random walk's transition tables (``walks.TransitionTables``),
         built on first use and shared by every later walk on this
@@ -92,39 +94,22 @@ class LabeledHypergraph:
 
         return transition_tables(self)
 
-    def restrict(self, edge_ids: list[int], keep_nodes: set[int]) -> "LabeledHypergraph":
+    def restrict(self, edge_ids: list[int], keep_nodes: list[int]) -> "LabeledHypergraph":
         """Sub-hypergraph of the given edges plus any isolated kept nodes.
 
         Node and label names are preserved; ids are re-indexed in ascending
         parent-id order so results are canonical.
         """
-        nodes = set(keep_nodes)
-        labels_used: set[int] = set()
-        for eid in edge_ids:
-            label, members = self.edges[eid]
-            nodes.update(members)
-            labels_used.add(label)
-        node_ids = sorted(nodes)
+        edges = [self.edges[eid] for eid in edge_ids]
+        node_ids = sorted(set(keep_nodes).union(*(members for _, members in edges)))
+        label_ids = sorted({label for label, _ in edges})
         node_map = {v: i for i, v in enumerate(node_ids)}
-        label_ids = sorted(labels_used)
         label_map = {l: i for i, l in enumerate(label_ids)}
-        new_edges: list[Edge] = [
-            (label_map[self.edges[eid][0]], tuple(node_map[v] for v in self.edges[eid][1]))
-            for eid in edge_ids
-        ]
         return LabeledHypergraph.build(
             tuple(self.node_names[v] for v in node_ids),
             tuple(self.label_names[l] for l in label_ids),
-            new_edges,
+            [(label_map[l], tuple(node_map[v] for v in members)) for l, members in edges],
         )
-
-
-def _incidence(h: LabeledHypergraph) -> sparse.csr_array:
-    """Node-by-edge incidence matrix B, with B[v, e] = 1 when v is in edge e."""
-    sizes = [len(members) for _, members in h.edges]
-    rows = np.fromiter((v for _, members in h.edges for v in members), np.int64, sum(sizes))
-    cols = np.repeat(np.arange(h.n_edges), sizes)
-    return sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(h.n_nodes, h.n_edges))
 
 
 def diameter(h: LabeledHypergraph) -> int:
@@ -137,8 +122,7 @@ def diameter(h: LabeledHypergraph) -> int:
     """
     if h.n_nodes == 0:
         raise ValueError("diameter of an empty hypergraph")
-    b = _incidence(h)
-    adj = b @ b.T
+    adj = h.incidence @ h.incidence.T
     best = 0
     for lo in range(0, h.n_nodes, _DIAMETER_CHUNK):
         sources = np.arange(lo, min(lo + _DIAMETER_CHUNK, h.n_nodes))
@@ -154,7 +138,7 @@ def to_weighted_graph(h: LabeledHypergraph) -> sparse.csr_array:
     self-loops."""
     if h.n_nodes == 0:
         raise ValueError("cannot expand an empty hypergraph")
-    b = _incidence(h)
+    b = h.incidence
     sizes = b.sum(axis=0)
     w = np.divide(1.0, sizes - 1, out=np.zeros(h.n_edges), where=sizes > 1)
     g = b @ sparse.diags_array(w) @ b.T
@@ -163,50 +147,44 @@ def to_weighted_graph(h: LabeledHypergraph) -> sparse.csr_array:
     return g
 
 
-def majority_subhypergraph(
-    h: LabeledHypergraph, part: list[set[int]] | list[list[int]]
-) -> list[LabeledHypergraph]:
-    """Split into one sub-hypergraph per part, assigning each edge to the part
-    holding a strict majority of its members.
+def majority_subhypergraph(h: LabeledHypergraph, labels: np.ndarray) -> list[LabeledHypergraph]:
+    """Split into one sub-hypergraph per part of the node partition
+    ``labels`` (part numbers 0..k-1, one per node, none skipped), assigning
+    each edge to the part holding a strict majority of its members.
 
     Edges with no strict-majority part go to the part containing their lowest
-    node id, so every edge survives in exactly one output. Each output keeps
-    its part's nodes plus any out-of-part endpoints of its assigned edges.
+    node id, so every edge survives in exactly one output. Output i keeps
+    part i's nodes plus any out-of-part endpoints of its assigned edges.
     """
-    parts = [set(p) for p in part]
-    covered: set[int] = set()
-    total = 0
-    for p in parts:
-        total += len(p)
-        covered |= p
-    if total != h.n_nodes or covered != set(range(h.n_nodes)):
-        raise ValueError("part is not a partition of the hypergraph's nodes")
-    owner = np.empty(h.n_nodes, dtype=np.int64)
-    for pi, p in enumerate(parts):
-        for v in p:
-            owner[v] = pi
-    assigned: list[list[int]] = [[] for _ in parts]
-    for eid, (_, members) in enumerate(h.edges):
-        counts = np.bincount(owner[list(members)], minlength=len(parts))
-        top = int(counts.argmax())
-        if counts[top] * 2 > len(members):
-            assigned[top].append(eid)
-        else:
-            assigned[int(owner[min(members)])].append(eid)
-    return [h.restrict(eids, p) for eids, p in zip(assigned, parts)]
+    labels = np.asarray(labels)
+    if labels.shape != (h.n_nodes,) or labels.dtype.kind not in "iu" or (labels < 0).any():
+        raise ValueError("labels must hold one non-negative integer part number per node")
+    labels = labels.astype(np.int64)
+    part_sizes = np.bincount(labels)
+    if not part_sizes.all():
+        raise ValueError("labels skip a part number")
+    if h.n_nodes == 0:
+        return []
+    # members per distinct (edge, part) pair, linear in the incidence (never
+    # edges x parts); an edge without a strict majority follows its lowest node
+    k = len(part_sizes)
+    edge = h.incidence.indices.astype(np.int64)
+    node = np.repeat(np.arange(h.n_nodes), np.diff(h.incidence.indptr))
+    pairs, counts = np.unique(edge * k + labels[node], return_counts=True)
+    lowest = np.full(h.n_edges, h.n_nodes)
+    np.minimum.at(lowest, edge, node)
+    edge_part = labels[lowest]
+    majority = pairs[2 * counts > np.bincount(edge, minlength=h.n_edges)[pairs // k]]
+    edge_part[majority // k] = majority % k
+    nodes = np.split(np.argsort(labels, kind="stable"), np.cumsum(part_sizes)[:-1])
+    edge_sizes = np.bincount(edge_part, minlength=k)
+    edges = np.split(np.argsort(edge_part, kind="stable"), np.cumsum(edge_sizes)[:-1])
+    return [h.restrict(e.tolist(), v.tolist()) for e, v in zip(edges, nodes)]
 
 
 def connected_components(h: LabeledHypergraph) -> list[LabeledHypergraph]:
-    """Maximal connected sub-hypergraphs, ordered by smallest node id."""
-    if h.n_nodes == 0:
-        return []
-    b = _incidence(h)
-    # labels are numbered in order of each component's smallest node id
-    n_comp, comp = csgraph.connected_components(b @ b.T, directed=False)
-    edge_comp = comp[[members[0] for _, members in h.edges]]
-    return [
-        h.restrict(
-            np.flatnonzero(edge_comp == ci).tolist(), set(np.flatnonzero(comp == ci).tolist())
-        )
-        for ci in range(n_comp)
-    ]
+    """Maximal connected sub-hypergraphs, ordered by smallest node id. Every
+    edge lies inside one component, so the majority rule keeps it there."""
+    # csgraph numbers components in order of their smallest node id
+    _, labels = csgraph.connected_components(h.incidence @ h.incidence.T, directed=False)
+    return majority_subhypergraph(h, labels)

@@ -9,8 +9,10 @@ report bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,9 +23,10 @@ from .hypergraph import LabeledHypergraph, connected_components, diameter
 from .spectral import SpectralConfig, hcluster
 from .stats import MIN_CATEGORY_MEAN
 from .stats import path_symmetry_report  # noqa: F401  kept bound for bench/child.py's TRACED
-from .walks import WalkConfig, run_walks, topk_walk_count
+from .walks import WalkConfig, run_walks, topk_walk_count, walk_peak_bytes
 
 SCHEMA_VERSION = 1
+WALK_MEMORY_BUDGET = 2 * 2**30  # bytes of walk buffers a run may hold at once
 
 
 @dataclass(frozen=True)
@@ -103,39 +106,6 @@ class ConceptReport:
     subhypergraphs: tuple[SubhypergraphReport, ...] = ()
     config: dict | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConceptReport":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-        subs = tuple(
-            SubhypergraphReport(
-                id=s["id"],
-                nodes=tuple(s["nodes"]),
-                n_edges=s["n_edges"],
-                labels=tuple(s["labels"]),
-                diameter=s["diameter"],
-                walk_length=s["walk_length"],
-                walk_count=s["walk_count"],
-                sources=tuple(
-                    SourceReport(
-                        source=src["source"],
-                        concepts=tuple(
-                            ConceptEntry(
-                                members=tuple(c["members"]),
-                                parent_tht=c["parent_tht"],
-                                margins=tuple(c["margins"]),
-                            )
-                            for c in src["concepts"]
-                        ),
-                        unreached=tuple(src["unreached"]),
-                    )
-                    for src in s["sources"]
-                ),
-            )
-            for s in d["subhypergraphs"]
-        )
-        return cls(subhypergraphs=subs, config=d.get("config"))
-
 
 def _source_report(
     h: LabeledHypergraph, source: int, walk_cfg: WalkConfig, cfg: RunConfig
@@ -161,7 +131,9 @@ def get_communities(
     h: LabeledHypergraph, cfg: RunConfig, timings: dict | None = None
 ) -> ConceptReport:
     """Mine path-symmetric concepts for every source node of every
-    sub-hypergraph; deterministic for a fixed config, any thread count."""
+    sub-hypergraph; deterministic for a fixed config, any thread count.
+    Raises ValueError, before any walk starts, when a piece's walks would
+    need more than ``WALK_MEMORY_BUDGET`` bytes."""
     if timings is None:
         timings = {}
     if h.n_nodes == 0:
@@ -177,8 +149,7 @@ def get_communities(
     timings["hcluster"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    subs: list[SubhypergraphReport] = []
-    source_time = 0.0
+    plans: list[tuple[int, WalkConfig]] = []
     for k, sub in enumerate(pieces):
         diam = diameter(sub)
         L = max(1, diam)
@@ -186,12 +157,24 @@ def get_communities(
             L = min(L, cfg.L_cap)
         n_labels = max(1, sub.n_labels)
         N = topk_walk_count(cfg.epsilon, n_labels, L, cfg.k_top)
+        workers = min(cfg.threads, sub.n_nodes)
+        need = workers * walk_peak_bytes(sub.n_nodes, n_labels, N, L)
+        if need > WALK_MEMORY_BUDGET:
+            raise ValueError(
+                f"epsilon {cfg.epsilon} needs {N} walks of length {L} per source on piece {k} "
+                f"({sub.n_nodes} nodes, {workers} at once): about {need / 2**30:.1f} GiB, over "
+                f"the {WALK_MEMORY_BUDGET / 2**30:.0f} GiB walk memory budget"
+            )
         sub_seed = int(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)).generate_state(
                 1, np.uint64
             )[0]
         )
-        walk_cfg = WalkConfig(L=L, N=N, seed=sub_seed)
+        plans.append((diam, WalkConfig(L=L, N=N, seed=sub_seed)))
+
+    subs: list[SubhypergraphReport] = []
+    source_time = 0.0
+    for k, (sub, (diam, walk_cfg)) in enumerate(zip(pieces, plans)):
         sources = list(range(sub.n_nodes))
         t_sources = time.perf_counter()
         if cfg.threads > 1 and len(sources) > 1:
@@ -211,8 +194,8 @@ def get_communities(
                 n_edges=sub.n_edges,
                 labels=sub.label_names,
                 diameter=diam,
-                walk_length=L,
-                walk_count=N,
+                walk_length=walk_cfg.L,
+                walk_count=walk_cfg.N,
                 sources=tuple(reports),
             )
         )
@@ -248,5 +231,28 @@ def emit_report(report: ConceptReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _from_json(tp, value):
+    """Rebuild a value of annotated type ``tp`` from its JSON form, the
+    inverse of ``emit_report``'s ``default=vars``: a report dataclass from
+    an object with its fields as keys, a ``tuple[X, ...]`` from a list. Only
+    a field whose default is None may be absent."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return tp(
+            **{
+                f.name: _from_json(
+                    hints[f.name], value.get(f.name) if f.default is None else value[f.name]
+                )
+                for f in dataclasses.fields(tp)
+            }
+        )
+    if typing.get_origin(tp) is tuple:
+        return tuple(_from_json(typing.get_args(tp)[0], item) for item in value)
+    return value
+
+
 def parse_report(text: str) -> ConceptReport:
-    return ConceptReport.from_dict(json.loads(text))
+    d = json.loads(text)
+    if d.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
+    return _from_json(ConceptReport, d)

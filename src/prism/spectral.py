@@ -3,8 +3,8 @@
 Recursive sweep cuts on the second eigenvector of the symmetric normalized
 Laplacian; recursion stops when the subgraph is already well connected
 (lambda2 above a threshold) or a proposed cut would create a side smaller
-than ``n_min``. Sub-hypergraphs are rebuilt by majority rule so no node or
-edge is lost.
+than ``n_min``. Leaves come out as a label array, from which
+``majority_subhypergraph`` rebuilds sub-hypergraphs so no node or edge is lost.
 """
 
 from __future__ import annotations
@@ -87,12 +87,13 @@ def second_eigenpair(g: sparse.csr_array) -> tuple[float, np.ndarray]:
     return lam, x
 
 
-def cheeger_sweep_cut(g: sparse.csr_array, v2: np.ndarray) -> tuple[set[int], set[int], float]:
+def cheeger_sweep_cut(g: sparse.csr_array, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Best prefix cut of the v2 ordering by conductance.
 
     Nodes are sorted by their eigenvector component (ties by index); among the
     n-1 prefix sets the one minimizing cut(S)/min(vol(S), vol(~S)) is
-    returned, with ties going to the shortest prefix.
+    returned as two sorted node id arrays (the prefix, then the rest) and its
+    conductance, with ties going to the shortest prefix.
     """
     n = g.shape[0]
     order = np.lexsort((np.arange(n), v2))
@@ -109,28 +110,26 @@ def cheeger_sweep_cut(g: sparse.csr_array, v2: np.ndarray) -> tuple[set[int], se
     inner = np.cumsum(np.bincount(later, weights=entries.data, minlength=n))[:-1]
     phi = (vol - inner) / np.minimum(vol, total_vol - vol)
     best_k = int(np.argmin(phi)) + 1  # argmin keeps the first (shortest) minimum
-    side = {int(v) for v in order[:best_k]}
-    rest = {int(v) for v in order[best_k:]}
-    return side, rest, float(phi[best_k - 1])
+    return np.sort(order[:best_k]), np.sort(order[best_k:]), float(phi[best_k - 1])
 
 
-def get_clusters(g: sparse.csr_array, cfg: SpectralConfig) -> list[set[int]]:
-    """Recursive sweep-cut bipartition; returns leaf node sets.
+def get_clusters(g: sparse.csr_array, cfg: SpectralConfig) -> np.ndarray:
+    """Recursive sweep-cut bipartition; returns the leaf label of every node.
 
     Disconnected subgraphs split into their components outright (a zero-cost
     cut). Otherwise recursion stops when lambda2 exceeds ``lambda2_max`` or
-    the proposed cut leaves a side smaller than ``n_min``. Leaves are sorted
-    by their smallest node id.
+    the proposed cut leaves a side smaller than ``n_min``. Leaves are
+    numbered in order of their smallest node id.
     """
     if g.shape[0] == 0:
         raise ValueError("graph must be non-empty")
 
-    leaves: list[set[int]] = []
+    leaves: list[np.ndarray] = []
 
     def recurse(ids: np.ndarray) -> None:
         # ids: sorted node ids of g; sub is the subgraph they induce
         if len(ids) == 1:
-            leaves.append(set(ids.tolist()))
+            leaves.append(ids)
             return
         sub = g[ids][:, ids]
         n_comp, comp = csgraph.connected_components(sub, directed=False)
@@ -140,29 +139,28 @@ def get_clusters(g: sparse.csr_array, cfg: SpectralConfig) -> list[set[int]]:
             return
         lam2, v2 = second_eigenpair(sub)
         if lam2 > cfg.lambda2_max:
-            leaves.append(set(ids.tolist()))
+            leaves.append(ids)
             return
         side, rest, _ = cheeger_sweep_cut(sub, v2)
         if min(len(side), len(rest)) < cfg.n_min:
-            leaves.append(set(ids.tolist()))
+            leaves.append(ids)
             return
-        recurse(ids[sorted(side)])
-        recurse(ids[sorted(rest)])
+        recurse(ids[side])
+        recurse(ids[rest])
 
     recurse(np.arange(g.shape[0]))
-    leaves.sort(key=min)
-    return leaves
+    labels = np.empty(g.shape[0], dtype=np.int64)
+    for i, leaf in enumerate(sorted(leaves, key=lambda ids: ids[0])):
+        labels[leaf] = i
+    return labels
 
 
 def hcluster(h: LabeledHypergraph, cfg: SpectralConfig) -> list[LabeledHypergraph]:
     """Cut the hypergraph along sparse cuts of its clique expansion.
 
-    The node partition from ``get_clusters`` is turned back into
+    The leaf labels from ``get_clusters`` are turned back into
     sub-hypergraphs by majority rule, conserving every node and edge.
     """
     if h.n_nodes == 0:
         raise ValueError("hypergraph must be non-empty")
-    parts = get_clusters(to_weighted_graph(h), cfg)
-    if len(parts) == 1:
-        return [h]
-    return majority_subhypergraph(h, parts)
+    return majority_subhypergraph(h, get_clusters(to_weighted_graph(h), cfg))

@@ -78,6 +78,19 @@ def topk_walk_count(epsilon: float, e: int, L: int, k: int = 3) -> int:
     return n
 
 
+def walk_peak_bytes(n: int, n_labels: int, N: int, L: int) -> int:
+    """Upper estimate of the peak allocation of one ``run_walks`` call, with
+    N walks of length L on n nodes and ``n_labels`` labels, calibrated
+    against tracemalloc (about 58 B per walk step on the benchmark
+    databases): 64 B per walk step for the N x L buffers and first-hit
+    events, 384 B per distinct (target, signature) pair, of which there are
+    at most one per step and p_star per target, 640 B per node for the
+    per-target statistics and transition tables, and 64 KiB fixed."""
+    steps = N * L
+    signatures = min(steps, n * p_star(n_labels, L))
+    return 64 * steps + 384 * signatures + 640 * n + 2**16
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     L: int
@@ -133,9 +146,12 @@ class TransitionTables(NamedTuple):
 def transition_tables(h: LabeledHypergraph) -> TransitionTables:
     """Build the transition tables of ``h``. Callers read ``h.walk_tables``,
     which builds them once per hypergraph."""
+    # row v of the incidence lists v's edges in ascending id order, the order
+    # its probabilities accumulate in
+    incidence = h.incidence
     indptr, nexts, labels, cums = [0], [], [], []
     for v in range(h.n_nodes):
-        eids = h.incidence[v]
+        eids = incidence.indices[incidence.indptr[v] : incidence.indptr[v + 1]].tolist()
         probs: dict[tuple[int, int], float] = {}
         if eids:
             per_edge = 1.0 / len(eids)

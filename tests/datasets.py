@@ -5,6 +5,8 @@ two binary predicates. Text builders return `.db` file contents; `*_graph`
 helpers return the parsed hypergraph.
 """
 
+import re
+
 from prism.relational import build_hypergraph, parse_database
 
 
@@ -80,6 +82,16 @@ def history_db() -> str:
 def two_departments_db() -> str:
     """Physics and history joined by the single spurious atom Reads(P8,B4)."""
     return physics_db() + history_db() + "Reads(P8,B4)\n"
+
+
+def two_components_db() -> str:
+    """``two_departments_db`` interleaved line by line with a copy whose
+    constants are prefixed Z: 40 nodes in two components whose node ids
+    alternate, so spectral pieces come out component by component, not in
+    global order of smallest node id."""
+    lines = two_departments_db().splitlines()
+    copy = [re.sub(r"([(,])", r"\1Z", line) for line in lines]
+    return "".join(f"{a}\n{b}\n" for a, b in zip(lines, copy))
 
 
 def department_variant_db() -> str:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: dense eigensolves for
 the power-iteration eigensolver, exhaustive enumeration for sweep cuts and
-2-means, plain breadth-first search and dict accumulation for the sparse
-graph layer, mpmath special functions for the scipy-backed quantiles, a
+2-means, plain breadth-first search over per-node edge lists and dict
+accumulation for the sparse graph layer, a per-edge loop over node sets for
+the majority split, mpmath special functions for the scipy-backed quantiles, a
 Monte-Carlo generalized chi-squared for the gamma approximation, and a
 per-node, per-target walk sampler for the vectorized walk engine, and a
 per-test dict-built count matrix for the path-symmetry test.
@@ -48,13 +49,22 @@ def clique_expansion_pairs(h):
     return pairs
 
 
-def _bfs(h, start):
+def node_edges(h):
+    """Per node, the ids of the edges holding it, in ascending order."""
+    out = [[] for _ in range(h.n_nodes)]
+    for eid, (_, members) in enumerate(h.edges):
+        for v in members:
+            out[v].append(eid)
+    return out
+
+
+def _bfs(h, incident, start):
     """Hop distances from ``start``; unreachable nodes are absent."""
     dist = {start: 0}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for eid in h.incidence[u]:
+        for eid in incident[u]:
             for v in h.edges[eid][1]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
@@ -64,21 +74,58 @@ def _bfs(h, start):
 
 def bfs_diameter(h):
     """Longest hop distance over connected node pairs, one BFS per node."""
-    return max(max(_bfs(h, v).values()) for v in range(h.n_nodes))
+    incident = node_edges(h)
+    return max(max(_bfs(h, incident, v).values()) for v in range(h.n_nodes))
 
 
 def bfs_components(h):
     """``(node names, edge count)`` per connected component, ordered by
     smallest node id."""
+    incident = node_edges(h)
     out = []
     seen = set()
     for v in range(h.n_nodes):
         if v in seen:
             continue
-        comp = set(_bfs(h, v))
+        comp = set(_bfs(h, incident, v))
         seen |= comp
         n_edges = sum(1 for _, members in h.edges if members[0] in comp)
         out.append(({h.node_names[u] for u in comp}, n_edges))
+    return out
+
+
+def reference_majority_split(h, parts):
+    """Majority split over a list of node sets, one edge at a time: each
+    edge goes to the part holding a strict majority of its members, else to
+    the part of its lowest node id. Returns ``(node names, label names,
+    edges)`` per part, with edges as (label name, member names) in edge
+    order and nodes and labels in ascending parent id order."""
+    owner = {v: i for i, part in enumerate(parts) for v in part}
+    assigned = [[] for _ in parts]
+    for eid, (_, members) in enumerate(h.edges):
+        counts = [0] * len(parts)
+        for v in members:
+            counts[owner[v]] += 1
+        top = max(range(len(parts)), key=lambda i: counts[i])
+        if 2 * counts[top] > len(members):
+            assigned[top].append(eid)
+        else:
+            assigned[owner[min(members)]].append(eid)
+    out = []
+    for part, eids in zip(parts, assigned):
+        nodes = set(part).union(*(h.edges[e][1] for e in eids))
+        labels = {h.edges[e][0] for e in eids}
+        edges = [
+            (h.label_names[h.edges[e][0]], tuple(h.node_names[v] for v in h.edges[e][1]))
+            for e in eids
+        ]
+        out.append(
+            (
+                tuple(h.node_names[v] for v in sorted(nodes)),
+                tuple(h.label_names[l] for l in sorted(labels)),
+                edges,
+            )
+        )
     return out
 
 
@@ -216,8 +263,7 @@ def reference_tables(h):
     nexts: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     cums: list[np.ndarray] = []
-    for v in range(h.n_nodes):
-        eids = h.incidence[v]
+    for v, eids in enumerate(node_edges(h)):
         probs: dict[tuple[int, int], float] = {}
         if eids:
             per_edge = 1.0 / len(eids)

@@ -131,7 +131,7 @@ def test_sparse_graph_layer_matches_oracles(h, seed):
 
 def test_majority_strict():
     h = make([(0, (0, 1, 2))], 3)
-    subs = majority_subhypergraph(h, [{0, 1}, {2}])
+    subs = majority_subhypergraph(h, np.array([0, 0, 1]))
     assert subs[0].n_edges == 1
     assert subs[1].n_edges == 0
     assert set(subs[0].node_names) == {"v0", "v1", "v2"}
@@ -140,33 +140,42 @@ def test_majority_strict():
 
 def test_majority_tie_break_lowest_node_id():
     h = make([(0, (0, 1))], 2)
-    subs = majority_subhypergraph(h, [{0}, {1}])
+    subs = majority_subhypergraph(h, np.array([0, 1]))
     assert [s.n_edges for s in subs] == [1, 0]
+    subs = majority_subhypergraph(h, np.array([1, 0]))
+    assert [s.n_edges for s in subs] == [0, 1]
 
 
 def test_majority_identity():
     h = make([(0, (0, 1)), (0, (1, 2))], 3)
-    subs = majority_subhypergraph(h, [{0, 1, 2}])
+    subs = majority_subhypergraph(h, np.zeros(3, dtype=np.int64))
     assert len(subs) == 1
     assert subs[0].n_edges == h.n_edges
 
 
 def test_majority_rejects_non_partition():
     h = make([(0, (0, 1))], 2)
-    with pytest.raises(ValueError):
-        majority_subhypergraph(h, [{0}])
-    with pytest.raises(ValueError):
-        majority_subhypergraph(h, [{0, 1}, {1}])
+    bad = {
+        "short": [0],
+        "long": [0, 1, 1],
+        "negative": [0, -1],
+        "skipped": [0, 2],
+        "no part 0": [1, 1],
+        "not integers": [0.0, 1.0],
+    }
+    for labels in bad.values():
+        with pytest.raises(ValueError):
+            majority_subhypergraph(h, np.array(labels))
+
+
+def department_labels(h):
+    """Physics (with its books B1, B2) as part 0, history as part 1."""
+    physics = {f"P{i}" for i in range(1, 9)} | {"B1", "B2"}
+    return np.array([0 if name in physics else 1 for name in h.node_names])
 
 
 def test_majority_preserves_spurious_edge_once(two_departments):
-    physics = {f"P{i}" for i in range(1, 9)} | {"B1", "B2"}
-    history = {n for n in two_departments.node_names if n not in physics}
-    parts = [
-        {two_departments.node_names.index(n) for n in physics},
-        {two_departments.node_names.index(n) for n in history},
-    ]
-    subs = majority_subhypergraph(two_departments, parts)
+    subs = majority_subhypergraph(two_departments, department_labels(two_departments))
     assert sum(s.n_edges for s in subs) == two_departments.n_edges
     spurious = [
         s
@@ -188,12 +197,45 @@ def test_majority_preserves_spurious_edge_once(two_departments):
 )
 def test_majority_is_lossless(edge_sets, owner):
     h = make([(0, tuple(e)) for e in edge_sets], 8)
-    parts = [set() for _ in range(3)]
-    for v, p in enumerate(owner):
-        parts[p].add(v)
-    parts = [p for p in parts if p]
-    subs = majority_subhypergraph(h, parts)
+    labels = np.unique(owner, return_inverse=True)[1]
+    subs = majority_subhypergraph(h, labels)
     assert sum(s.n_edges for s in subs) == h.n_edges
+
+
+@st.composite
+def partitioned_hypergraphs(draw):
+    """Up to 30 nodes, some isolated, edges of cardinality 1 to 4 over 3
+    labels (size-2 and size-4 edges can tie), and up to one part per node,
+    each part non-empty."""
+    n = draw(st.integers(1, 30))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
+            ),
+            max_size=30,
+        )
+    )
+    owner = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    h = make([(label, tuple(m)) for label, m in edges], n, n_labels=3)
+    return h, np.unique(owner, return_inverse=True)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitioned_hypergraphs())
+def test_majority_split_equals_reference(case):
+    h, labels = case
+    parts = [set(np.flatnonzero(labels == i).tolist()) for i in range(labels.max() + 1)]
+    got = [
+        (
+            s.node_names,
+            s.label_names,
+            [(s.label_names[l], tuple(s.node_names[v] for v in m)) for l, m in s.edges],
+        )
+        for s in majority_subhypergraph(h, labels)
+    ]
+    assert got == oracles.reference_majority_split(h, parts)
 
 
 def test_components_connected(physics):
@@ -215,14 +257,7 @@ def test_components_empty():
 
 
 def test_subhypergraph_diameter_never_exceeds_parent(two_departments):
-    physics = {f"P{i}" for i in range(1, 9)} | {"B1", "B2"}
-    parts = majority_subhypergraph(
-        two_departments,
-        [
-            {two_departments.node_names.index(n) for n in names}
-            for names in (physics, set(two_departments.node_names) - physics)
-        ],
-    )
+    parts = majority_subhypergraph(two_departments, department_labels(two_departments))
     full = diameter(two_departments)
     for sub in parts:
         assert diameter(sub) <= full

@@ -1,7 +1,9 @@
+import argparse
 import ast
 from pathlib import Path
 
 import prism
+from prism.cli import _build_parser
 
 SRC = Path(prism.__file__).resolve().parent
 
@@ -39,3 +41,19 @@ def test_exports_resolve_and_imports_are_used():
     assert missing == []
     unused = [hit for path in sorted(SRC.glob("*.py")) for hit in _unused_imports(path)]
     assert unused == []
+
+
+def test_readme_names_every_cli_option():
+    # the README lists the flags by hand
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for command in commands.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert "--epsilon" in options
+    assert sorted(o for o in options if o not in readme) == []

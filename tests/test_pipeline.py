@@ -3,6 +3,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import datasets
@@ -125,7 +126,7 @@ def test_get_communities_stranded_source(monkeypatch):
         ("l",),
         [(0, (0, 1, 4)), (0, (0, 1)), (0, (1, 2)), (0, (2, 3)), (0, (3, 5)), (0, (5, 6))],
     )
-    parts = [{0, 1, 2, 3}, {4, 5, 6}]
+    parts = np.array([0, 0, 0, 0, 1, 1, 1])
     monkeypatch.setattr(pipeline, "hcluster", lambda comp, cfg: majority_subhypergraph(comp, parts))
     report = get_communities(h, RunConfig(seed=4))
     stranded = report.subhypergraphs[1]
@@ -196,6 +197,18 @@ def test_emit_round_trip(two_departments):
     again = parse_report(emit_report(report, "json"))
     assert again == report
     assert emit_report(again, "json") == emit_report(report, "json")
+
+
+def test_parse_report_requires_every_field_but_config(two_departments):
+    report = get_communities(two_departments, RunConfig(seed=4))
+    payload = json.loads(emit_report(report, "json"))
+    del payload["config"]
+    assert parse_report(json.dumps(payload)).config is None
+    del payload["subhypergraphs"][0]["sources"][0]["concepts"][0]["parent_tht"]
+    with pytest.raises(KeyError):
+        parse_report(json.dumps(payload))
+    with pytest.raises(ValueError):
+        parse_report('{"schema_version":2,"subhypergraphs":[]}')
 
 
 def test_emit_same_seed_byte_identical(two_departments):
@@ -343,6 +356,27 @@ def test_cli_negative_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "epsilon, budget", [("0.1", 1), ("0.001", None)], ids=["low-budget", "epsilon-0.001"]
+)
+def test_cli_refuses_walks_over_memory_budget(tmp_path, capsys, monkeypatch, epsilon, budget):
+    # at epsilon 0.001 each piece of the toy database needs about 15M walks
+    # of length 4 per source, several GiB, against the real budget; the spy
+    # keeps a run that is not refused from allocating any of it
+    def refuse(*args, **kwargs):
+        raise AssertionError("walks started")
+
+    monkeypatch.setattr(pipeline, "run_walks", refuse)
+    if budget is not None:
+        monkeypatch.setattr(pipeline, "WALK_MEMORY_BUDGET", budget)
+    db = tmp_path / "two.db"
+    db.write_text(datasets.two_departments_db())
+    out = tmp_path / "report.json"
+    assert main(["mine", "--db", str(db), "--epsilon", epsilon, "--output", str(out)]) == 1
+    assert f"epsilon {epsilon}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     db = tmp_path / "bad.db"
     db.write_text("not an atom at all(")
@@ -355,18 +389,36 @@ def test_cli_missing_file_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, digest",
+    "db_text, flags, digest",
     [
-        ([], "2d1bb1f0e94a8e7afff393e6977cd3d8002ad6d7d32bb0fc5e2eb5bfb4d55721"),
-        (["--no-hcluster"], "f9d6f0459d3a2eefaa90fe8418814ed512992ffccbe7580ccffbb6a717d22b44"),
+        (
+            datasets.two_departments_db(),
+            [],
+            "2d1bb1f0e94a8e7afff393e6977cd3d8002ad6d7d32bb0fc5e2eb5bfb4d55721",
+        ),
+        (
+            datasets.two_departments_db(),
+            ["--no-hcluster"],
+            "f9d6f0459d3a2eefaa90fe8418814ed512992ffccbe7580ccffbb6a717d22b44",
+        ),
+        (
+            datasets.two_components_db(),
+            [],
+            "8dac7f925a91bfbd5e706ea09157086767e3b98756cc1cf3e0361d9c35464abf",
+        ),
+        (
+            datasets.two_components_db(),
+            ["--no-hcluster"],
+            "e99eed750faca3afa6fe5efe114cb47c5fb2ede592f01425b838c08a0470018f",
+        ),
     ],
-    ids=["hcluster", "no-hcluster"],
+    ids=["hcluster", "no-hcluster", "two-components-hcluster", "two-components-no-hcluster"],
 )
-def test_cli_mine_report_bytes_are_pinned(tmp_path, flags, digest):
+def test_cli_mine_report_bytes_are_pinned(tmp_path, db_text, flags, digest):
     # speed-ups must not move a single report byte; a change that means to
     # alter the report re-pins these and says so
     db = tmp_path / "two.db"
-    db.write_text(datasets.two_departments_db(), encoding="utf-8")
+    db.write_text(db_text, encoding="utf-8")
     out = tmp_path / "report.json"
     assert main(["mine", "--db", str(db), "--seed", "123", "--output", str(out), *flags]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

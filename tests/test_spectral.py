@@ -90,10 +90,7 @@ def test_sweep_cut_barbell():
     _, v = second_eigenpair(g)
     side, rest, phi = cheeger_sweep_cut(g, v)
     assert phi == pytest.approx(1 / 7)
-    assert {frozenset(side), frozenset(rest)} == {
-        frozenset({0, 1, 2}),
-        frozenset({3, 4, 5}),
-    }
+    assert sorted([side.tolist(), rest.tolist()]) == [[0, 1, 2], [3, 4, 5]]
     assert phi == pytest.approx(oracles.best_bipartition_conductance(g))
 
 
@@ -132,7 +129,7 @@ def test_sweep_cut_matches_brute_force_prefix_minimum():
 
 def test_get_clusters_stops_on_lambda2():
     g = complete_graph(5)  # lambda2 = 1.25 > 0.8
-    assert get_clusters(g, CFG) == [set(range(5))]
+    assert get_clusters(g, CFG).tolist() == [0] * 5
 
 
 def test_get_clusters_respects_n_min():
@@ -142,18 +139,17 @@ def test_get_clusters_respects_n_min():
     edges += [(4, 5, 1.0)]
     g = graph_from_edges(10, edges)
     cfg = SpectralConfig(n_min=6)
-    assert get_clusters(g, cfg) == [set(range(10))]
+    assert get_clusters(g, cfg).tolist() == [0] * 10
     cfg_loose = SpectralConfig(n_min=5)
-    assert get_clusters(g, cfg_loose) == [set(range(5)), set(range(5, 10))]
+    assert get_clusters(g, cfg_loose).tolist() == [0] * 5 + [1] * 5
 
 
 def test_get_clusters_two_departments(two_departments):
     g = to_weighted_graph(two_departments)
-    clusters = get_clusters(g, CFG)
-    assert len(clusters) == 2
-    dept = lambda names: {two_departments.node_names.index(n) for n in names}
-    phys = dept({f"P{i}" for i in range(1, 9)} | {"B1", "B2"})
-    assert phys in clusters
+    labels = get_clusters(g, CFG)
+    physics = {f"P{i}" for i in range(1, 9)} | {"B1", "B2"}
+    # node 0 is P4, so physics is leaf 0
+    assert labels.tolist() == [int(n not in physics) for n in two_departments.node_names]
 
 
 def test_get_clusters_partition_property():
@@ -165,9 +161,12 @@ def test_get_clusters_partition_property():
             j = int(rng.integers(0, i))
             edges[(j, i)] = 1.0
         g = graph_from_pairs(n, edges)
-        clusters = get_clusters(g, SpectralConfig(n_min=2, lambda2_max=0.5))
-        seen = [v for c in clusters for v in c]
-        assert sorted(seen) == list(range(n))
+        labels = get_clusters(g, SpectralConfig(n_min=2, lambda2_max=0.5))
+        assert labels.shape == (n,)
+        # leaves 0..k-1, numbered in order of their smallest node id
+        leaves, first = np.unique(labels, return_index=True)
+        assert leaves.tolist() == list(range(len(leaves)))
+        assert first.tolist() == sorted(first.tolist())
 
 
 def test_get_clusters_monotone_in_lambda2_max():
@@ -177,7 +176,7 @@ def test_get_clusters_monotone_in_lambda2_max():
     counts = []
     for lam_max in (0.2, 0.5, 0.8, 1.2, 2.0):
         cfg = SpectralConfig(lambda2_max=lam_max, n_min=2)
-        counts.append(len(get_clusters(g, cfg)))
+        counts.append(int(get_clusters(g, cfg).max()) + 1)
     assert counts == sorted(counts)
     assert counts[0] >= 1 and counts[-1] >= counts[0]
 

@@ -21,6 +21,7 @@ from prism.walks import (
     run_walks,
     topk_walk_count,
     transition_matrix,
+    walk_peak_bytes,
 )
 
 
@@ -314,6 +315,35 @@ def test_run_walks_memory_has_no_walks_by_nodes_array():
         tracemalloc.stop()
     assert st_.hits.sum() > 0
     assert peak < 16 * 2**20
+    # the pipeline's memory budget check must not undercount this case
+    assert peak <= walk_peak_bytes(n, h.n_labels, cfg.N, cfg.L)
+
+
+@pytest.mark.parametrize(
+    "n, n_labels, extra, N, L",
+    [
+        (20, 3, 10, 40_000, 5),  # few nodes, many walks
+        (50, 300, 200, 20_000, 5),  # many labels: nearly every signature distinct
+    ],
+    ids=["walks", "labels"],
+)
+def test_walk_peak_estimate_bounds_tracemalloc_peak(n, n_labels, extra, N, L):
+    # a ring, which keeps it connected, plus random edges of cardinality 3;
+    # as in the 10k-node case above, the tables are built inside the
+    # measured call, as on a sub-hypergraph's first source
+    rng = random.Random(n)
+    edges = [(rng.randrange(n_labels), (i, (i + 1) % n)) for i in range(n)]
+    edges += [(rng.randrange(n_labels), tuple(rng.sample(range(n), 3))) for _ in range(extra)]
+    h = LabeledHypergraph.build(
+        [f"v{i}" for i in range(n)], [f"l{i}" for i in range(n_labels)], edges
+    )
+    tracemalloc.start()
+    try:
+        run_walks(h, 0, WalkConfig(L=L, N=N, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= walk_peak_bytes(n, n_labels, N, L)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
