@@ -158,9 +158,7 @@ def prism_paths(
         raise ValueError("source node cannot be clustered against itself")
     if len(members) <= 1:
         return [(members, ())]
-    cm = CountMatrix.from_counts(
-        {v: stats.signature_counts.get(v, {}) for v in members}, members
-    )
+    cm = CountMatrix.from_table(stats.signatures, members)
 
     def accepted(rows: np.ndarray) -> tuple[dict, ...] | None:
         entries = []

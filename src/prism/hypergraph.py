@@ -98,17 +98,19 @@ class LabeledHypergraph:
         """Sub-hypergraph of the given edges plus any isolated kept nodes.
 
         Node and label names are preserved; ids are re-indexed in ascending
-        parent-id order so results are canonical.
+        parent-id order so results are canonical. The parent's edges are
+        already checked and deduplicated, and re-indexing is one-to-one, so
+        the piece skips ``build``.
         """
         edges = [self.edges[eid] for eid in edge_ids]
         node_ids = sorted(set(keep_nodes).union(*(members for _, members in edges)))
         label_ids = sorted({label for label, _ in edges})
         node_map = {v: i for i, v in enumerate(node_ids)}
         label_map = {l: i for i, l in enumerate(label_ids)}
-        return LabeledHypergraph.build(
-            tuple(self.node_names[v] for v in node_ids),
-            tuple(self.label_names[l] for l in label_ids),
-            [(label_map[l], tuple(node_map[v] for v in members)) for l, members in edges],
+        return LabeledHypergraph(
+            node_names=tuple(self.node_names[v] for v in node_ids),
+            label_names=tuple(self.label_names[l] for l in label_ids),
+            edges=tuple((label_map[l], tuple(map(node_map.get, members))) for l, members in edges),
         )
 
 

@@ -7,11 +7,14 @@ path-signature distribution per exact length, using a Q statistic whose null
 distribution (a generalized chi-squared) is approximated by a
 moment-matched gamma so no eigendecomposition is needed.
 
-The path test reads a ``CountMatrix``, the member x signature counts with
-columns sorted by (length, signature), built once per node set; a subset is
-tested on a row slice of it. ``path_test_entries`` computes one length at a
-time, longest first, so a caller that stops at the first failing length
-skips the shorter ones; ``path_symmetry_report`` takes every entry and
+Signature counts arrive as a ``SignatureTable`` of sorted int64 (target,
+signature) keys, from the walk engine or from dicts. The path test reads a
+``CountMatrix``, the member x signature counts with columns sorted by
+(length, signature), built from the table once per node set by one
+``searchsorted`` per member range and one scatter; a subset is tested on a
+row slice of it. ``path_test_entries`` computes one length at a time,
+longest first, so a caller that stops at the first failing length skips the
+shorter ones; ``path_symmetry_report`` takes every entry and
 ``path_symmetric`` stops at the first failure.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -49,45 +52,65 @@ def theta_sym(alpha: float, L: int, N: int) -> float:
     return (L - 1) / math.sqrt(2 * N) * t_inverse_survival(alpha / 2, N - 1)
 
 
+class SignatureTable(NamedTuple):
+    """First-hit signature counts of one source, one entry per distinct
+    (target, signature): ascending keys ``target * stride + code``, whose
+    codes in [0, stride) order signatures like (length, labels), with each
+    entry's count (> 0) and signature length."""
+
+    key: np.ndarray  # int64
+    count: np.ndarray  # int64
+    length: np.ndarray
+    stride: int
+
+    @classmethod
+    def from_counts(cls, counts_by_target: Mapping[int, Mapping[Signature, int]]):
+        """Per-target signature dicts as a table, each signature's rank in
+        (length, labels) order as its code; zero counts are dropped."""
+        items = sorted(
+            (v, len(s), s, c) for v, d in counts_by_target.items() for s, c in d.items() if c > 0
+        )
+        code = {s: j for j, (_, s) in enumerate(sorted({(k, s) for _, k, s, _ in items}))}
+        stride = max(1, len(code))
+        return cls(
+            np.array([v * stride + code[s] for v, _, s, _ in items], dtype=np.int64),
+            np.array([c for *_, c in items], dtype=np.int64),
+            np.array([k for _, k, _, _ in items], dtype=np.intp),
+            stride,
+        )
+
+
 @dataclass(frozen=True)
 class CountMatrix:
     """Members' positive signature counts: one row per member, in the given
-    order, and one column per signature, sorted by (length, signature).
-    ``col_len[j]`` is the length of column j's signature."""
+    order, and one column per signature code, ascending, which sorts the
+    columns by (length, signature). ``col_len[j]`` is the length of column
+    j's signature."""
 
     members: tuple[int, ...]
-    signatures: tuple[Signature, ...]
-    counts: np.ndarray  # float64, shape (len(members), len(signatures))
+    codes: np.ndarray
+    counts: np.ndarray  # float64, shape (len(members), len(codes))
     col_len: np.ndarray
 
     @classmethod
-    def from_counts(
-        cls, counts_by_member: Mapping[int, Mapping[Signature, int]], members: Sequence[int]
-    ) -> "CountMatrix":
-        members = tuple(members)
-        sigs = sorted(
-            {s for v in members for s, c in counts_by_member[v].items() if c > 0},
-            key=lambda s: (len(s), s),
+    def from_table(cls, table: SignatureTable, members: Sequence[int]) -> "CountMatrix":
+        targets = np.array(members, dtype=np.int64)
+        lo = np.searchsorted(table.key, targets * table.stride)
+        sizes = np.searchsorted(table.key, (targets + 1) * table.stride) - lo
+        rows = np.repeat(np.arange(len(targets)), sizes)
+        # the entries of every member's key range, member after member
+        at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+        codes, first, cols = np.unique(
+            table.key[at] % table.stride, return_index=True, return_inverse=True
         )
-        col = {s: j for j, s in enumerate(sigs)}
-        flat_pos, values = [], []
-        for i, v in enumerate(members):
-            for s, c in counts_by_member[v].items():
-                if c > 0:
-                    flat_pos.append(i * len(sigs) + col[s])
-                    values.append(c)
-        counts = np.zeros((len(members), len(sigs)))
-        np.put(counts, flat_pos, values)
-        col_len = np.array([len(s) for s in sigs], dtype=np.intp)
-        return cls(members=members, signatures=tuple(sigs), counts=counts, col_len=col_len)
+        counts = np.zeros((len(targets), len(codes)))
+        counts[rows, cols] = table.count[at]
+        return cls(tuple(members), codes, counts, table.length[at[first]])
 
     def take(self, rows: np.ndarray) -> "CountMatrix":
         """The rows' members over the same columns."""
         return CountMatrix(
-            members=tuple(self.members[i] for i in rows),
-            signatures=self.signatures,
-            counts=self.counts[rows],
-            col_len=self.col_len,
+            tuple(self.members[i] for i in rows), self.codes, self.counts[rows], self.col_len
         )
 
 
@@ -101,23 +124,18 @@ class ClusterCounts:
     """
 
     members: tuple[int, ...]
-    categories: tuple[Signature, ...]
+    categories: np.ndarray  # the kept columns' signature codes
     counts: np.ndarray  # shape (len(members), len(categories) + 1), col 0 null
     N: int
     length: int
 
     @classmethod
     def fold(
-        cls,
-        members: Sequence[int],
-        signatures: Sequence[Signature],
-        block: np.ndarray,
-        N: int,
-        length: int,
+        cls, members: Sequence[int], codes: np.ndarray, block: np.ndarray, N: int, length: int
     ) -> "ClusterCounts":
-        """Counts over the signatures (columns of ``block``), with those of
-        mean below ``MIN_CATEGORY_MEAN`` folded into the null column, which
-        drops every signature no member hit."""
+        """Counts over the signature codes (columns of ``block``), with those
+        of mean below ``MIN_CATEGORY_MEAN`` folded into the null column,
+        which drops every signature no member hit."""
         # integer counts sum exactly in any order, so reducing a strided
         # slice gives the bits of a freshly filled C-ordered copy
         keep = block.mean(axis=0) >= MIN_CATEGORY_MEAN
@@ -127,13 +145,7 @@ class ClusterCounts:
         counts[:, 0] = N - raw.sum(axis=1)
         if (counts[:, 0] < 0).any():
             raise ValueError("per-member counts exceed the number of walks")
-        return cls(
-            members=tuple(members),
-            categories=tuple(s for s, k in zip(signatures, keep) if k),
-            counts=counts,
-            N=N,
-            length=length,
-        )
+        return cls(tuple(members), codes[keep], counts, N, length)
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -212,9 +224,7 @@ def path_test_entries(cm: CountMatrix, N: int, L: int, alpha: float) -> Iterator
         return
     for length in range(L, 0, -1):
         lo, hi = np.searchsorted(cm.col_len, (length, length + 1))
-        cc = ClusterCounts.fold(
-            cm.members, cm.signatures[lo:hi], cm.counts[:, lo:hi], N, length
-        )
+        cc = ClusterCounts.fold(cm.members, cm.codes[lo:hi], cm.counts[:, lo:hi], N, length)
         q = q_statistic(cc)
         g = gamma_approx_params(cc)
         if g.degenerate:
@@ -233,7 +243,7 @@ def path_symmetry_report(
 ) -> list[dict]:
     """Every per-length test outcome (``path_test_entries``) of the members,
     longest length first."""
-    cm = CountMatrix.from_counts(counts_by_member, sorted(members))
+    cm = CountMatrix.from_table(SignatureTable.from_counts(counts_by_member), sorted(members))
     return list(path_test_entries(cm, N, L, alpha))
 
 
@@ -247,5 +257,5 @@ def path_symmetric(
     """True when the members' signature-count vectors are statistically
     indistinguishable at every exact length L, L-1, ..., 1; stops at the
     first failing length. Singleton sets pass vacuously."""
-    cm = CountMatrix.from_counts(counts_by_member, sorted(members))
+    cm = CountMatrix.from_table(SignatureTable.from_counts(counts_by_member), sorted(members))
     return all(entry["passed"] for entry in path_test_entries(cm, N, L, alpha))

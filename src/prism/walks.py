@@ -14,28 +14,29 @@ The engine runs all N walks of a source at once:
   moves every walker by one batched bisection over its own row of
   cumulative probabilities, the exact ``searchsorted(side="right")`` of a
   per-row lookup.
-- First hits are a mask over the N x L visited states (not the source, not
-  seen earlier in the same walk), so memory is O(N L) with nothing sized
-  N x n; hit counts and hitting-time sums are ``bincount``s over it.
-- Signatures are counted with one ``lexsort`` of the first-hit events by
-  target, length and the labels up to the length.
+- States are kept step-major. A state is a first hit when it is not the
+  source and differs from every earlier state of its walk: L(L-1)/2 row
+  compares, no sort, nothing sized N x n.
+- A first hit is one int64 key: target, length, then the labels so far as
+  digits ``label + 1`` in base ``n_labels + 1``, ranked (order kept) before
+  a digit would overflow. One sort of the keys and one neighbour compare
+  count every (target, signature), the source's ``SignatureTable``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import InitVar, dataclass, field
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .hypergraph import LabeledHypergraph
+from .stats import Signature, SignatureTable
 
 EULER_GAMMA = 0.5772156649
 
 MAX_WALK_COUNT = 2**48
-
-Signature = tuple[int, ...]
 
 
 def p_star(e: int, L: int) -> int:
@@ -81,14 +82,16 @@ def topk_walk_count(epsilon: float, e: int, L: int, k: int = 3) -> int:
 def walk_peak_bytes(n: int, n_labels: int, N: int, L: int) -> int:
     """Upper estimate of the peak allocation of one ``run_walks`` call, with
     N walks of length L on n nodes and ``n_labels`` labels, calibrated
-    against tracemalloc (about 58 B per walk step on the benchmark
-    databases): 64 B per walk step for the N x L buffers and first-hit
-    events, 384 B per distinct (target, signature) pair, of which there are
-    at most one per step and p_star per target, 640 B per node for the
-    per-target statistics and transition tables, and 64 KiB fixed."""
+    against tracemalloc (25-30 B per walk step on the benchmark databases,
+    where the estimate is 1.5-3x the measured peak): 24 B per walk step for
+    the step-major states and the first-hit keys, 32 B per distinct
+    (target, signature) entry, of which there are at most one per step and
+    p_star per target, 64 B per walk for the per-step vectors, 640 B per
+    node for the per-target statistics and transition tables, and 64 KiB
+    fixed."""
     steps = N * L
     signatures = min(steps, n * p_star(n_labels, L))
-    return 64 * steps + 384 * signatures + 640 * n + 2**16
+    return 24 * steps + 32 * signatures + 64 * N + 640 * n + 2**16
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,11 @@ class WalkStats:
     """Per-target estimates from N truncated walks out of one source node.
 
     ``tht`` is the estimated truncated hitting time in [1, L] (L when never
-    hit); ``signature_counts[target]`` maps each observed first-hit label
-    sequence to its count, so its values sum to ``hits[target]``. The null
-    path count is ``N - hits[target]``. Entries for the source itself are
-    zeroed placeholders.
+    hit); ``signatures`` counts each observed (target, first-hit label
+    sequence), so a target's counts sum to ``hits[target]``. The null path
+    count is ``N - hits[target]``. Entries for the source itself are zeroed
+    placeholders. Per-target dicts passed as ``signature_counts`` are
+    encoded into ``signatures``.
     """
 
     source: int
@@ -121,7 +125,12 @@ class WalkStats:
     tht: np.ndarray
     tht_sd: np.ndarray
     hits: np.ndarray
-    signature_counts: dict[int, dict[Signature, int]] = field(repr=False)
+    signatures: SignatureTable | None = field(default=None, repr=False)
+    signature_counts: InitVar[Mapping[int, Mapping[Signature, int]] | None] = None
+
+    def __post_init__(self, signature_counts):
+        if signature_counts is not None:
+            self.signatures = SignatureTable.from_counts(signature_counts)
 
     @property
     def n_nodes(self) -> int:
@@ -176,13 +185,10 @@ def transition_tables(h: LabeledHypergraph) -> TransitionTables:
         labels += [k[1] for k in keys]
         cums += cum.tolist()
         indptr.append(len(nexts))
-    # the narrowest signed type for labels -1..n_labels-1 keeps the label
-    # buffer and the signature sort keys small
-    label_type = np.min_scalar_type(-max(h.n_labels, 1))
     return TransitionTables(
         np.array(indptr, dtype=np.int64),
         np.array(nexts, dtype=np.int64),
-        np.array(labels, dtype=label_type),
+        np.array(labels, dtype=np.int64),
         np.array(cums, dtype=np.float64),
     )
 
@@ -218,23 +224,6 @@ def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> n
     return lo
 
 
-def _first_visits(states: np.ndarray, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """Walk index and steps taken (1..L) at the first visit of every walk to
-    every node other than the source, in row-major order of the N x L
-    ``states``."""
-    # a stable sort of each walk's states puts every node's earliest step
-    # first among its repeats
-    order = np.argsort(states, axis=1, kind="stable")
-    ranked = np.take_along_axis(states, order, axis=1)
-    first = np.ones(states.shape, dtype=bool)
-    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    fresh = np.empty(states.shape, dtype=bool)
-    np.put_along_axis(fresh, order, first, axis=1)
-    fresh &= states != source
-    walk, step = np.nonzero(fresh)
-    return walk, step + 1
-
-
 def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
     """Run N independent L-step walks from ``source`` and accumulate
     first-hit statistics for every other node.
@@ -250,59 +239,58 @@ def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
     rng = np.random.Generator(np.random.Philox(seq))
     tables = h.walk_tables
 
-    states = np.empty((N, L), dtype=np.int64)
-    labels = np.empty((N, L), dtype=tables.label.dtype)
+    # key = target * stride + (length - 1) * span + prefix code, < 2**63
+    base = h.n_labels + 1
+    span = (2**63 - 1) // (n * L)
+    if N * base > span:
+        raise ValueError("signature keys would overflow int64")
+    stride = L * span
+    states = np.empty((L, N), dtype=np.min_scalar_type(n))
+    keys = np.empty(N * L, dtype=np.int64)
+    events = 0
+    prefix = np.zeros(N, dtype=np.int64)
+    top = 0  # an upper bound on prefix
     cur = np.full(N, source, dtype=np.int64)
     for t in range(L):
         entry = table_lookup(tables, cur, rng.random(N))
         cur = tables.next[entry]
-        labels[:, t] = tables.label[entry]
-        states[:, t] = cur
+        states[t] = cur
+        if top * base + base > span:
+            # the next digit could reach the span: rank the prefixes, which
+            # keeps their order
+            distinct, prefix = np.unique(prefix, return_inverse=True)
+            top = len(distinct) - 1
+        prefix = prefix * base + tables.label[entry]
+        prefix += 1
+        top = top * base + base - 1
+        fresh = cur != source
+        for s in range(t):
+            fresh &= states[s] != cur
+        hit = (cur[fresh] * L + t) * span + prefix[fresh]
+        keys[events : events + len(hit)] = hit
+        events += len(hit)
+    del states, prefix, cur, fresh, hit  # only the keys outlive the walks
 
-    walk, length = _first_visits(states, source)
-    target = states[walk, length - 1]
+    keys = keys[:events]
+    keys.sort()
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    key = keys[starts]
+    table = SignatureTable(key, np.diff(starts, append=events), key % stride // span + 1, stride)
+    del keys, starts
 
     # sums of integer step counts stay exact in float64
-    hits = np.bincount(target, minlength=n)
+    target = table.key // stride
+    hits = np.bincount(target, weights=table.count, minlength=n).astype(np.int64)
     missed = N - hits
-    total = np.bincount(target, weights=length, minlength=n) + missed * L
-    sumsq = np.bincount(target, weights=length * length, minlength=n) + missed * L * L
+    steps = table.count * table.length
+    total = np.bincount(target, weights=steps, minlength=n) + missed * L
+    sumsq = np.bincount(target, weights=steps * table.length, minlength=n) + missed * L * L
     tht = total / N
     tht_sd = np.zeros(n)
     if N > 1:
         tht_sd = np.sqrt(np.maximum(0.0, (sumsq - total * total / N) / (N - 1)))
     tht[source] = tht_sd[source] = 0.0
-
-    # signatures: one sort of the events by target, length and the labels up
-    # to the length; each run of equal keys is one signature's count
-    keys = [np.where(length > col, labels[walk, col], -1) for col in range(L - 1, -1, -1)]
-    keys += [length, target]
-    order = np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=len(order))
-    heads = order[starts]
-    signature_counts: dict[int, dict[Signature, int]] = {v: {} for v in range(n) if v != source}
-    for v, t, row, c in zip(
-        target[heads].tolist(),
-        length[heads].tolist(),
-        labels[walk[heads]].tolist(),
-        counts.tolist(),
-    ):
-        signature_counts[v][tuple(row[:t])] = c
-    return WalkStats(
-        source=source,
-        N=N,
-        L=L,
-        tht=tht,
-        tht_sd=tht_sd,
-        hits=hits,
-        signature_counts=signature_counts,
-    )
+    return WalkStats(source=source, N=N, L=L, tht=tht, tht_sd=tht_sd, hits=hits, signatures=table)
 
 
 def exact_tht(h: LabeledHypergraph, source: int, L: int) -> np.ndarray:

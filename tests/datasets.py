@@ -122,6 +122,35 @@ def department_variant_db() -> str:
     return "\n".join(lines) + "\n"
 
 
+def rich_schema_db() -> str:
+    """Two departments over five predicates of three arities: unary
+    Tenured(chair), binary Teaches, Reads and Member, and ternary
+    Advises(prof,student,book). Each department has a chair and one more
+    professor, four students and two books; Reads(SX1,BY1) bridges them."""
+    lines = []
+    for d in ("X", "Y"):
+        chair, prof = f"P{d}1", f"P{d}2"
+        books = [f"B{d}1", f"B{d}2"]
+        for i in range(1, 5):
+            student = f"S{d}{i}"
+            teachers = [chair, prof] if i % 2 else [prof]
+            book = books[i % 2]
+            lines += [f"Teaches({p},{student})" for p in teachers]
+            lines.append(f"Reads({student},{book})")
+            lines.append(f"Advises({teachers[0]},{student},{book})")
+        lines.append(f"Member({chair},D{d})")
+        lines.append(f"Tenured({chair})")
+    lines.append("Reads(SX1,BY1)")
+    return "\n".join(lines) + "\n"
+
+
+def labeled_chain_db(length: int = 30) -> str:
+    """A chain n0 - n1 - ... whose links cycle through the predicates A, B
+    and C: diameter ``length``, three labels, and walks that go back and
+    forth over nodes they have already visited."""
+    return "".join(f"{'ABC'[i % 3]}(n{i},n{i + 1})\n" for i in range(length))
+
+
 def graph(db_text: str):
     return build_hypergraph(parse_database(db_text))
 

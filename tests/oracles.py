@@ -6,8 +6,9 @@ the power-iteration eigensolver, exhaustive enumeration for sweep cuts and
 accumulation for the sparse graph layer, a per-edge loop over node sets for
 the majority split, mpmath special functions for the scipy-backed quantiles, a
 Monte-Carlo generalized chi-squared for the gamma approximation, and a
-per-node, per-target walk sampler for the vectorized walk engine, and a
-per-test dict-built count matrix for the path-symmetry test.
+per-node, per-target walk sampler with signature dicts for the vectorized
+walk engine and its signature table, and a per-test dict-built count matrix
+for the path-symmetry test.
 
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
@@ -15,6 +16,7 @@ Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 import math
 from collections import deque
 from itertools import combinations
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -27,7 +29,6 @@ from prism.stats import (
     gamma_critical_value,
     q_statistic,
 )
-from prism.walks import WalkStats
 
 mpmath.mp.dps = 30
 
@@ -292,10 +293,41 @@ def reference_tables(h):
     return nexts, labels, cums
 
 
+class ReferenceWalks(NamedTuple):
+    tht: np.ndarray
+    tht_sd: np.ndarray
+    hits: np.ndarray
+    signature_counts: dict  # target -> {label sequence: count}
+
+
+def signature_dicts(table, like=None):
+    """A ``SignatureTable`` as per-target ``{signature: count}`` dicts.
+
+    Codes only promise an order, so the table's r-th smallest distinct code
+    reads as the r-th distinct signature, in (length, labels) order, of the
+    dicts ``like`` that the table should equal. Without ``like`` it reads as
+    ``(r,) + (0,) * (length - 1)``, a stand-in of the code's length that
+    sorts like the code. Either way the length must agree with the table's.
+    """
+    codes, rank = np.unique(table.key % table.stride, return_inverse=True)
+    if like is not None:
+        names = sorted({s for d in like.values() for s in d}, key=lambda s: (len(s), s))
+        assert len(names) == len(codes)
+    out = {}
+    for key, r, count, length in zip(
+        table.key.tolist(), rank.tolist(), table.count.tolist(), table.length.tolist()
+    ):
+        sig = (r,) + (0,) * (length - 1) if like is None else names[r]
+        assert len(sig) == length
+        out.setdefault(key // table.stride, {})[sig] = count
+    return out
+
+
 def reference_walks(h, source, cfg):
     """``run_walks`` with a Python loop over the distinct current nodes of
     every step, a dense N x n first-hit array and one ``np.unique`` per
-    target and length. Same random stream, so results must be equal."""
+    target and length, keeping signature dicts. Same random stream, so
+    results must be equal."""
     n = h.n_nodes
     if not 0 <= source < n:
         raise ValueError("source not in hypergraph")
@@ -349,16 +381,9 @@ def reference_walks(h, source, cfg):
             uniq, cnt = np.unique(lab_buf[sel, :t], axis=0, return_counts=True)
             for row, c in zip(uniq, cnt):
                 counts[tuple(int(x) for x in row)] = int(c)
-        signature_counts[target] = counts
-    return WalkStats(
-        source=source,
-        N=N,
-        L=L,
-        tht=tht,
-        tht_sd=tht_sd,
-        hits=hits,
-        signature_counts=signature_counts,
-    )
+        if counts:
+            signature_counts[target] = counts
+    return ReferenceWalks(tht, tht_sd, hits, signature_counts)
 
 
 def reference_cluster_counts(members, marginals, N, length, min_category_mean=MIN_CATEGORY_MEAN):

@@ -238,6 +238,15 @@ def test_majority_split_equals_reference(case):
     assert got == oracles.reference_majority_split(h, parts)
 
 
+@settings(max_examples=100, deadline=None)
+@given(partitioned_hypergraphs())
+def test_restrict_equals_build(case):
+    # restrict builds its pieces without build's checks and deduplication
+    h, labels = case
+    for piece in majority_subhypergraph(h, labels):
+        assert piece == LabeledHypergraph.build(piece.node_names, piece.label_names, piece.edges)
+
+
 def test_components_connected(physics):
     comps = connected_components(physics)
     assert len(comps) == 1

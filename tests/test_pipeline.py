@@ -280,9 +280,10 @@ def test_each_group_is_tested_once(two_departments, monkeypatch):
     assert len(sources) == len(walked)
     for src, (h, stats) in zip(sources, walked):
         assert src.source == h.node_names[stats.source]
+        view = oracles.signature_dicts(stats.signatures)
         for concept in src.concepts:
             ids = [h.node_names.index(name) for name in concept.members]
-            counts = {v: stats.signature_counts.get(v, {}) for v in ids}
+            counts = {v: view.get(v, {}) for v in ids}
             assert list(concept.margins) == oracles.reference_path_symmetry_report(
                 counts, ids, stats.N, stats.L, 0.01
             )
@@ -411,8 +412,32 @@ def test_cli_missing_file_is_usage_error(tmp_path):
             ["--no-hcluster"],
             "e99eed750faca3afa6fe5efe114cb47c5fb2ede592f01425b838c08a0470018f",
         ),
+        (
+            datasets.rich_schema_db(),
+            [],
+            "705a3f9fba8a1b05dc0de5b905a424d51e5746150326924ef0f155b3d7247c55",
+        ),
+        (
+            datasets.rich_schema_db(),
+            ["--no-hcluster"],
+            "e319c45e37147a225f1c0d6b6c78b89a004e8d1955dec46d7d33a7606195065d",
+        ),
+        (
+            # uncapped walks: L is the diameter, 30
+            datasets.labeled_chain_db(30),
+            ["--max-length", "0", "--no-hcluster", "--epsilon", "0.9"],
+            "e3e6962fada946bff4712167c8877854923bd18e146f19fc52060a262ec2c25a",
+        ),
     ],
-    ids=["hcluster", "no-hcluster", "two-components-hcluster", "two-components-no-hcluster"],
+    ids=[
+        "hcluster",
+        "no-hcluster",
+        "two-components-hcluster",
+        "two-components-no-hcluster",
+        "rich-hcluster",
+        "rich-no-hcluster",
+        "chain-uncapped",
+    ],
 )
 def test_cli_mine_report_bytes_are_pinned(tmp_path, db_text, flags, digest):
     # speed-ups must not move a single report byte; a change that means to

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import datasets
@@ -94,7 +94,9 @@ def test_run_walks_forced_transition():
     st = run_walks(h, 0, WalkConfig(L=1, N=64, seed=1))
     assert st.tht[1] == 1.0
     assert st.hits[1] == 64
-    assert st.signature_counts[1] == {(0,): 64}
+    table = st.signatures
+    assert (table.key // table.stride).tolist() == [1]
+    assert table.count.tolist() == [64] and table.length.tolist() == [1]
     assert st.tht_sd[1] == 0.0
 
 
@@ -132,7 +134,15 @@ def test_run_walks_determinism():
     b = run_walks(h, 0, cfg)
     assert np.array_equal(a.tht, b.tht)
     assert np.array_equal(a.hits, b.hits)
-    assert a.signature_counts == b.signature_counts
+    assert all(np.array_equal(x, y) for x, y in zip(a.signatures, b.signatures))
+
+
+def test_run_walks_refuses_keys_past_int64():
+    # ranks of 2**62 prefixes, times the base, would pass a key's span; the
+    # check comes before any buffer is allocated
+    h = datasets.graph(datasets.single_edge_db())
+    with pytest.raises(ValueError, match="overflow"):
+        run_walks(h, 0, WalkConfig(L=1, N=2**62))
 
 
 def test_run_walks_seed_changes_stream():
@@ -145,11 +155,10 @@ def test_run_walks_seed_changes_stream():
 def test_run_walks_count_conservation():
     h = datasets.graph(datasets.physics_db())
     st = run_walks(h, 0, WalkConfig(L=4, N=800, seed=5))
-    for target in range(h.n_nodes):
-        if target == st.source:
-            continue
-        total = sum(st.signature_counts[target].values())
-        assert total == st.hits[target] <= st.N
+    table = st.signatures
+    per_target = np.bincount(table.key // table.stride, weights=table.count, minlength=h.n_nodes)
+    assert np.array_equal(per_target, st.hits)
+    assert st.hits.max() <= st.N and st.hits[st.source] == 0
 
 
 def test_run_walks_tht_bounds():
@@ -231,6 +240,16 @@ def test_classroom_source_p1_students_symmetric(classroom):
     assert max(ths) - min(ths) <= theta
 
 
+def _ring(n, n_labels, extra, seed):
+    """A ring, which keeps it connected, plus random edges of cardinality 3."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(n_labels), (i, (i + 1) % n)) for i in range(n)]
+    edges += [(rng.randrange(n_labels), tuple(rng.sample(range(n), 3))) for _ in range(extra)]
+    return LabeledHypergraph.build(
+        [f"v{i}" for i in range(n)], [f"l{i}" for i in range(n_labels)], edges
+    )
+
+
 @st.composite
 def walk_inputs(draw):
     """Up to 12 nodes, some stranded, 1 to 3 labels, edges of cardinality 1
@@ -261,6 +280,25 @@ def walk_inputs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(walk_inputs())
+# L digits in base n_labels + 1 overflow a key in the first three, so the
+# label prefixes are ranked: 3 labels and L=30; 300 labels and L=8; one
+# label, where every prefix reaches its bound, with n * L = 2**12, which
+# puts the first ranking at length 51, where first hits are common
+@example((datasets.graph(datasets.labeled_chain_db(30)), 0, WalkConfig(L=30, N=400, seed=11)))
+@example((_ring(50, 300, 30, seed=3), 0, WalkConfig(L=8, N=3000, seed=11)))
+@example(
+    (
+        LabeledHypergraph.build(
+            [f"v{i}" for i in range(64)],
+            ["l0"],
+            [(0, (i, j)) for i in range(64) for j in range(i + 1, 64)],
+        ),
+        0,
+        WalkConfig(L=64, N=200, seed=11),
+    )
+)
+# 12 steps on 5 nodes: every walk comes back to nodes it has seen
+@example((_ring(5, 2, 0, seed=4), 0, WalkConfig(L=12, N=500, seed=11)))
 def test_run_walks_equals_reference_walks(inputs):
     h, source, cfg = inputs
     tables = h.walk_tables
@@ -274,7 +312,7 @@ def test_run_walks_equals_reference_walks(inputs):
     assert np.array_equal(got.tht, want.tht)
     assert np.array_equal(got.tht_sd, want.tht_sd)
     assert np.array_equal(got.hits, want.hits)
-    assert got.signature_counts == want.signature_counts
+    assert oracles.signature_dicts(got.signatures, want.signature_counts) == want.signature_counts
 
 
 @settings(max_examples=100, deadline=None)
@@ -328,15 +366,9 @@ def test_run_walks_memory_has_no_walks_by_nodes_array():
     ids=["walks", "labels"],
 )
 def test_walk_peak_estimate_bounds_tracemalloc_peak(n, n_labels, extra, N, L):
-    # a ring, which keeps it connected, plus random edges of cardinality 3;
     # as in the 10k-node case above, the tables are built inside the
     # measured call, as on a sub-hypergraph's first source
-    rng = random.Random(n)
-    edges = [(rng.randrange(n_labels), (i, (i + 1) % n)) for i in range(n)]
-    edges += [(rng.randrange(n_labels), tuple(rng.sample(range(n), 3))) for _ in range(extra)]
-    h = LabeledHypergraph.build(
-        [f"v{i}" for i in range(n)], [f"l{i}" for i in range(n_labels)], edges
-    )
+    h = _ring(n, n_labels, extra, seed=n)
     tracemalloc.start()
     try:
         run_walks(h, 0, WalkConfig(L=L, N=N, seed=1))
