@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg
 
-from .stats import CountMatrix, path_test_entries, theta_sym
+from .stats import CountMatrix, path_test, theta_sym
 from .stats import path_symmetric  # noqa: F401  kept bound for bench/child.py's TRACED
 from .walks import WalkStats
 
@@ -149,8 +149,8 @@ def prism_paths(
     The whole set is returned untouched when it already passes the test at
     every exact length. Otherwise the nodes' signature counts are projected
     once and repeatedly bisected; each side is kept when it passes (or is a
-    singleton) and re-queued when it fails. Every group is tested once, on
-    rows of one count matrix, and its test stops at the first failing length.
+    singleton) and re-queued when it fails. Every group is tested once, at
+    every length in one pass over its rows of one count matrix.
     Output clusters are sorted by smallest member id.
     """
     members = sorted(A)
@@ -161,12 +161,8 @@ def prism_paths(
     cm = CountMatrix.from_table(stats.signatures, members)
 
     def accepted(rows: np.ndarray) -> tuple[dict, ...] | None:
-        entries = []
-        for entry in path_test_entries(cm.take(rows), stats.N, stats.L, alpha):
-            if not entry["passed"]:
-                return None
-            entries.append(entry)
-        return tuple(entries)
+        entries = path_test(cm, rows, stats.N, stats.L, alpha)
+        return tuple(entries) if all(e["passed"] for e in entries) else None
 
     everyone = np.arange(len(members))
     margins = accepted(everyone)

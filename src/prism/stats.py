@@ -11,11 +11,11 @@ Signature counts arrive as a ``SignatureTable`` of sorted int64 (target,
 signature) keys, from the walk engine or from dicts. The path test reads a
 ``CountMatrix``, the member x signature counts with columns sorted by
 (length, signature), built from the table once per node set by one
-``searchsorted`` per member range and one scatter; a subset is tested on a
-row slice of it. ``path_test_entries`` computes one length at a time,
-longest first, so a caller that stops at the first failing length skips the
-shorter ones; ``path_symmetry_report`` takes every entry and
-``path_symmetric`` stops at the first failure.
+``searchsorted`` per member range and one scatter. ``path_test`` tests a
+group, a set of rows of that matrix, at every length in one pass: a columns
+x lengths mask sums the kept categories into each length's null column, Q
+and the gamma moments, which have a closed form in the category
+probabilities (``gamma_moments``), so no covariance matrix is built.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
 
 Signature = tuple[int, ...]
 
-MIN_CATEGORY_MEAN = 5.0  # rarer categories fold into the null (ClusterCounts)
+MIN_CATEGORY_MEAN = 5.0  # rarer categories fold into the null (path_test)
 
 
 def t_inverse_survival(p: float, df: int) -> float:
@@ -107,45 +107,17 @@ class CountMatrix:
         counts[rows, cols] = table.count[at]
         return cls(tuple(members), codes, counts, table.length[at[first]])
 
-    def take(self, rows: np.ndarray) -> "CountMatrix":
-        """The rows' members over the same columns."""
-        return CountMatrix(
-            tuple(self.members[i] for i in rows), self.codes, self.counts[rows], self.col_len
-        )
-
 
 @dataclass(frozen=True)
 class ClusterCounts:
-    """Per-member counts over signature categories, plus the null category.
-
-    Column 0 is the null category c0 = N - sum of the others; ``fold``
-    builds it from the categories whose cluster-mean count is below
-    ``MIN_CATEGORY_MEAN``.
-    """
+    """Per-member counts over signature categories, plus the null category
+    in column 0: c0 = N - the sum of the others."""
 
     members: tuple[int, ...]
     categories: np.ndarray  # the kept columns' signature codes
     counts: np.ndarray  # shape (len(members), len(categories) + 1), col 0 null
     N: int
     length: int
-
-    @classmethod
-    def fold(
-        cls, members: Sequence[int], codes: np.ndarray, block: np.ndarray, N: int, length: int
-    ) -> "ClusterCounts":
-        """Counts over the signature codes (columns of ``block``), with those
-        of mean below ``MIN_CATEGORY_MEAN`` folded into the null column,
-        which drops every signature no member hit."""
-        # integer counts sum exactly in any order, so reducing a strided
-        # slice gives the bits of a freshly filled C-ordered copy
-        keep = block.mean(axis=0) >= MIN_CATEGORY_MEAN
-        raw = block[:, keep]
-        counts = np.empty((len(members), raw.shape[1] + 1))
-        counts[:, 1:] = raw
-        counts[:, 0] = N - raw.sum(axis=1)
-        if (counts[:, 0] < 0).any():
-            raise ValueError("per-member counts exceed the number of walks")
-        return cls(tuple(members), codes[keep], counts, N, length)
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -178,27 +150,31 @@ class GammaApprox:
         return self.mu / self.sigma2
 
 
-def count_covariance(cc: ClusterCounts) -> np.ndarray:
-    """Multinomial covariance of one member's count vector, with category
-    probabilities estimated by the cluster means."""
-    p = cc.means / cc.N
-    return cc.N * (np.diag(p) - np.outer(p, p))
+def gamma_moments(m: int, N: int, p, s1, s2, s3):
+    """Mean and variance of Q under the null for m members whose counts are
+    multinomial, N trials over category probabilities p_i (estimated by the
+    cluster means): mu = (m-1) N (1 - sum p_i^2) and sigma2 = 2 (m-1) N^2
+    (sum p_i^2 - 2 sum p_i^3 + (sum p_i^2)^2), the trace of the block
+    covariance and twice the trace of its square.
+
+    Both are written around one category, of probability ``p``, with ``sk``
+    the sum of the other categories' k-th powers (so 1 - p = s1): no term
+    near 1 is subtracted when p is near 1. Works elementwise on arrays.
+    """
+    mu = (m - 1) * N * (s1 * (1 + p) - s2)
+    sigma2 = 2 * (m - 1) * N**2 * ((p * s1) ** 2 + s2 * (1 + 2 * p * p) - 2 * s3 + s2 * s2)
+    return mu, sigma2
 
 
 def gamma_approx_params(cc: ClusterCounts) -> GammaApprox:
-    """Mean and variance of Q under the null.
-
-    Equal to the trace of the full block covariance of the deviation vector
-    and twice the trace of its square, but computed from the single-member
-    covariance: mu = (m-1) tr(S), sigma2 = 2 (m-1) sum(S^2).
-    """
-    m = len(cc.members)
-    if m <= 1:
-        return GammaApprox(0.0, 0.0)
-    s = count_covariance(cc)
-    mu = (m - 1) * float(np.trace(s))
-    sigma2 = 2.0 * (m - 1) * float((s * s).sum())
-    return GammaApprox(mu, sigma2)
+    """``gamma_moments`` of a cluster, around its largest category."""
+    p = cc.means / cc.N
+    top = int(p.argmax())
+    rest = np.delete(p, top)
+    mu, sigma2 = gamma_moments(
+        len(cc.members), cc.N, p[top], rest.sum(), (rest**2).sum(), (rest**3).sum()
+    )
+    return GammaApprox(float(mu), float(sigma2))
 
 
 def gamma_critical_value(g: GammaApprox, alpha: float) -> float:
@@ -212,26 +188,45 @@ def gamma_critical_value(g: GammaApprox, alpha: float) -> float:
     return float(special.gammainccinv(g.shape, alpha) * (1.0 / g.rate))
 
 
-def path_test_entries(cm: CountMatrix, N: int, L: int, alpha: float) -> Iterator[dict]:
-    """Per-length test outcomes for the members of ``cm``, longest length
-    first, each computed only when the caller asks for it.
+def path_test(cm: CountMatrix, rows: np.ndarray, N: int, L: int, alpha: float) -> list[dict]:
+    """Per-length test outcomes for the members at ``rows`` of ``cm``,
+    longest length first, all from one pass over their counts.
 
-    Each entry holds the tested length, the Q statistic and the critical
-    value (None when the null distribution is degenerate, in which case Q is
-    necessarily 0 and the test passes). A singleton yields nothing.
+    At each length the categories are that length's signatures whose mean
+    count over the members is at least ``MIN_CATEGORY_MEAN``; the rest fold
+    into the null category, N minus the kept counts. Each entry holds the
+    tested length, the Q statistic and the critical value (None when the
+    null distribution is degenerate, in which case Q is necessarily 0 and
+    the test passes). A singleton gets no entries.
     """
-    if len(cm.members) <= 1:
-        return
-    for length in range(L, 0, -1):
-        lo, hi = np.searchsorted(cm.col_len, (length, length + 1))
-        cc = ClusterCounts.fold(cm.members, cm.codes[lo:hi], cm.counts[:, lo:hi], N, length)
-        q = q_statistic(cc)
-        g = gamma_approx_params(cc)
+    m = len(rows)
+    if m <= 1:
+        return []
+    x = cm.counts[rows]
+    mean = x.mean(axis=0)
+    keep = mean >= MIN_CATEGORY_MEAN
+    x, mean = x[:, keep], mean[keep]
+    lengths = np.arange(L, 0, -1)
+    mask = (cm.col_len[keep, None] == lengths).astype(np.float64)  # columns x lengths
+    null = N - x @ mask  # integer counts sum exactly
+    if (null < 0).any():
+        raise ValueError("per-member counts exceed the number of walks")
+    null_mean = null.mean(axis=0)
+    p = mean / N
+    dev2, s1, s2, s3 = np.stack([((x - mean) ** 2).sum(axis=0), p, p * p, p * p * p]) @ mask
+    q = dev2 + ((null - null_mean) ** 2).sum(axis=0)
+    # a walk is at one node per step, so at one length the members' kept means
+    # sum to at most N / m: the moments expand around the null's p >= 1/2
+    mu, sigma2 = gamma_moments(m, N, null_mean / N, s1, s2, s3)
+    entries = []
+    nulls = map(GammaApprox, mu.tolist(), sigma2.tolist())
+    for length, qv, g in zip(lengths.tolist(), q.tolist(), nulls):
         if g.degenerate:
-            yield {"length": length, "q": q, "critical": None, "passed": q <= 1e-9}
+            entries.append({"length": length, "q": qv, "critical": None, "passed": qv <= 1e-9})
         else:
             crit = gamma_critical_value(g, alpha)
-            yield {"length": length, "q": q, "critical": crit, "passed": q <= crit}
+            entries.append({"length": length, "q": qv, "critical": crit, "passed": qv <= crit})
+    return entries
 
 
 def path_symmetry_report(
@@ -241,10 +236,10 @@ def path_symmetry_report(
     L: int,
     alpha: float,
 ) -> list[dict]:
-    """Every per-length test outcome (``path_test_entries``) of the members,
-    longest length first."""
+    """Every per-length test outcome (``path_test``) of the members, longest
+    length first."""
     cm = CountMatrix.from_table(SignatureTable.from_counts(counts_by_member), sorted(members))
-    return list(path_test_entries(cm, N, L, alpha))
+    return path_test(cm, np.arange(len(cm.members)), N, L, alpha)
 
 
 def path_symmetric(
@@ -255,7 +250,6 @@ def path_symmetric(
     alpha: float,
 ) -> bool:
     """True when the members' signature-count vectors are statistically
-    indistinguishable at every exact length L, L-1, ..., 1; stops at the
-    first failing length. Singleton sets pass vacuously."""
-    cm = CountMatrix.from_table(SignatureTable.from_counts(counts_by_member), sorted(members))
-    return all(entry["passed"] for entry in path_test_entries(cm, N, L, alpha))
+    indistinguishable at every exact length L, L-1, ..., 1. Singleton sets
+    pass vacuously."""
+    return all(e["passed"] for e in path_symmetry_report(counts_by_member, members, N, L, alpha))

@@ -7,8 +7,9 @@ accumulation for the sparse graph layer, a per-edge loop over node sets for
 the majority split, mpmath special functions for the scipy-backed quantiles, a
 Monte-Carlo generalized chi-squared for the gamma approximation, and a
 per-node, per-target walk sampler with signature dicts for the vectorized
-walk engine and its signature table, and a per-test dict-built count matrix
-for the path-symmetry test.
+walk engine and its signature table, and a per-length dict-built count
+matrix with a k x k multinomial covariance for the path-symmetry test and its
+closed-form gamma moments.
 
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
@@ -20,12 +21,13 @@ from typing import NamedTuple
 
 import mpmath
 import numpy as np
+import pytest
 from scipy import sparse
 
 from prism.stats import (
     MIN_CATEGORY_MEAN,
     ClusterCounts,
-    gamma_approx_params,
+    GammaApprox,
     gamma_critical_value,
     q_statistic,
 )
@@ -423,9 +425,28 @@ def reference_cluster_counts(members, marginals, N, length, min_category_mean=MI
     )
 
 
+def count_covariance(cc):
+    """Multinomial covariance of one member's count vector, with category
+    probabilities estimated by the cluster means."""
+    p = cc.means / cc.N
+    return cc.N * (np.diag(p) - np.outer(p, p))
+
+
+def reference_gamma_approx(cc):
+    """Mean and variance of Q under the null from the full single-member
+    covariance S: mu = (m-1) tr(S), sigma2 = 2 (m-1) sum(S^2), the trace of
+    the block covariance of the deviation vector and twice the trace of its
+    square."""
+    m = len(cc.members)
+    if m <= 1:
+        return GammaApprox(0.0, 0.0)
+    s = count_covariance(cc)
+    return GammaApprox((m - 1) * float(np.trace(s)), 2.0 * (m - 1) * float((s * s).sum()))
+
+
 def reference_path_symmetry_report(counts_by_member, members, N, L, alpha):
-    """``path_symmetry_report`` with every length tested and a fresh count
-    matrix built from the members' dicts for each one."""
+    """``path_symmetry_report`` one length at a time, each with a fresh count
+    matrix built from the members' dicts and a k x k covariance."""
     members = sorted(members)
     out = []
     if len(members) <= 1:
@@ -440,10 +461,24 @@ def reference_path_symmetry_report(counts_by_member, members, N, L, alpha):
         marginals = by_length[length]
         cc = reference_cluster_counts(members, marginals, N, length)
         q = q_statistic(cc)
-        g = gamma_approx_params(cc)
+        g = reference_gamma_approx(cc)
         if g.degenerate:
             out.append({"length": length, "q": q, "critical": None, "passed": q <= 1e-9})
         else:
             crit = gamma_critical_value(g, alpha)
             out.append({"length": length, "q": q, "critical": crit, "passed": q <= crit})
     return out
+
+
+def assert_same_entries(got, want, rel=1e-10):
+    """Per-length path-test entries agree: equal lengths, decisions and
+    degenerate (None) critical values; q and the critical values within
+    ``rel``, since the closed-form gamma moments and the vectorized Q sum
+    in another order than the reference."""
+    assert [(e["length"], e["passed"], e["critical"] is None) for e in got] == [
+        (e["length"], e["passed"], e["critical"] is None) for e in want
+    ]
+    for g, w in zip(got, want):
+        assert g["q"] == pytest.approx(w["q"], rel=rel, abs=0)
+        if w["critical"] is not None:
+            assert g["critical"] == pytest.approx(w["critical"], rel=rel, abs=0)

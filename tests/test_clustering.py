@@ -269,15 +269,13 @@ def path_counts(draw):
     return L, rows
 
 
-def recording(entries, calls):
-    """``entries`` that logs each call's members with the entries drawn."""
+def recording(path_test, calls):
+    """``path_test`` that logs each call's members with its entries."""
 
-    def spy(cm, *args):
-        drawn = []
-        calls.append((cm.members, drawn))
-        for entry in entries(cm, *args):
-            drawn.append(entry)
-            yield entry
+    def spy(cm, rows, *args):
+        entries = path_test(cm, rows, *args)
+        calls.append(([cm.members[i] for i in rows], entries))
+        return entries
 
     return spy
 
@@ -295,8 +293,9 @@ def test_path_tests_equal_reference_report(case, N, alpha):
     m = len(rows)
     cbm = dict(enumerate(rows))
     members = list(range(m))
-    assert path_symmetry_report(cbm, members, N, L, alpha) == (
-        oracles.reference_path_symmetry_report(cbm, members, N, L, alpha)
+    oracles.assert_same_entries(
+        path_symmetry_report(cbm, members, N, L, alpha),
+        oracles.reference_path_symmetry_report(cbm, members, N, L, alpha),
     )
 
     walk_stats = WalkStats(
@@ -310,19 +309,17 @@ def test_path_tests_equal_reference_report(case, N, alpha):
     )
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            clustering, "path_test_entries", recording(clustering.path_test_entries, calls)
-        )
+        mp.setattr(clustering, "path_test", recording(clustering.path_test, calls))
         paths = prism_paths(members, walk_stats, alpha)
-    # a failing group's test ends at its first failing length
-    for group, drawn in calls:
+    # every group's test covers every length
+    for group, entries in calls:
         want = oracles.reference_path_symmetry_report(cbm, group, N, L, alpha)
-        failing = [i for i, entry in enumerate(want) if not entry["passed"]]
-        assert drawn == want[: failing[0] + 1 if failing else len(want)]
+        oracles.assert_same_entries(entries, want)
     # a cluster keeps every entry of the test that accepted it
     assert sorted(v for cluster, _ in paths for v in cluster) == members
     for cluster, margins in paths:
-        assert list(margins) == oracles.reference_path_symmetry_report(cbm, cluster, N, L, alpha)
+        want = oracles.reference_path_symmetry_report(cbm, cluster, N, L, alpha)
+        oracles.assert_same_entries(list(margins), want)
 
 
 def test_symmetry_clusters_end_to_end(physics):

@@ -255,23 +255,23 @@ def test_concept_margins_reflect_passing_tests(classroom):
 def test_each_group_is_tested_once(two_departments, monkeypatch):
     walked = []
     tested = []
-    run_walks, entries = pipeline.run_walks, clustering.path_test_entries
+    run_walks, path_test = pipeline.run_walks, clustering.path_test
 
     def walks_spy(h, source, cfg):
         stats = run_walks(h, source, cfg)
         walked.append((h, stats))
         return stats
 
-    def entries_spy(cm, *args):
+    def path_test_spy(cm, rows, *args):
         h, stats = walked[-1]
-        tested.append((id(h), stats.source, cm.members))
-        return entries(cm, *args)
+        tested.append((id(h), stats.source, tuple(cm.members[i] for i in rows)))
+        return path_test(cm, rows, *args)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the pipeline ran a path test of its own")
 
     monkeypatch.setattr(pipeline, "run_walks", walks_spy)
-    monkeypatch.setattr(clustering, "path_test_entries", entries_spy)
+    monkeypatch.setattr(clustering, "path_test", path_test_spy)
     monkeypatch.setattr(pipeline, "path_symmetry_report", refuse)
     report = get_communities(two_departments, RunConfig(seed=0))
     assert tested
@@ -284,8 +284,9 @@ def test_each_group_is_tested_once(two_departments, monkeypatch):
         for concept in src.concepts:
             ids = [h.node_names.index(name) for name in concept.members]
             counts = {v: view.get(v, {}) for v in ids}
-            assert list(concept.margins) == oracles.reference_path_symmetry_report(
-                counts, ids, stats.N, stats.L, 0.01
+            oracles.assert_same_entries(
+                list(concept.margins),
+                oracles.reference_path_symmetry_report(counts, ids, stats.N, stats.L, 0.01),
             )
 
 
@@ -358,12 +359,18 @@ def test_cli_negative_seed_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "epsilon, budget", [("0.1", 1), ("0.001", None)], ids=["low-budget", "epsilon-0.001"]
+    "epsilon, budget",
+    [("0.1", 1), ("0.001", None), ("0.0005", None)],
+    ids=["low-budget", "epsilon-0.001", "epsilon-0.0005"],
 )
 def test_cli_refuses_walks_over_memory_budget(tmp_path, capsys, monkeypatch, epsilon, budget):
-    # at epsilon 0.001 each piece of the toy database needs about 15M walks
-    # of length 4 per source, several GiB, against the real budget; the spy
-    # keeps a run that is not refused from allocating any of it
+    # against the real 2 GiB budget, each piece of the toy database needs
+    # walks of length 4 per source: at epsilon 0.001, 15.0M of them, about
+    # 1.65 GiB at the 118 B per walk measured with tracemalloc, refused only
+    # because walk_peak_bytes estimates 2.24 GiB; at epsilon 0.0005, 60.2M,
+    # 6.6 GiB at the measured rate and 9.0 GiB estimated, which no tighter
+    # estimate brings under the budget. The spy keeps a run that is not
+    # refused from allocating any of it
     def refuse(*args, **kwargs):
         raise AssertionError("walks started")
 
@@ -395,32 +402,32 @@ def test_cli_missing_file_is_usage_error(tmp_path):
         (
             datasets.two_departments_db(),
             [],
-            "2d1bb1f0e94a8e7afff393e6977cd3d8002ad6d7d32bb0fc5e2eb5bfb4d55721",
+            "38be58d1f7ee0e1101f57cd84da8c305966836b791f7a13824167f6c5f650e15",
         ),
         (
             datasets.two_departments_db(),
             ["--no-hcluster"],
-            "f9d6f0459d3a2eefaa90fe8418814ed512992ffccbe7580ccffbb6a717d22b44",
+            "fd9a35d1a8adc1bb4dbbaa43d57d63c2cdf4ac754acddc261f20add2f5efc4a0",
         ),
         (
             datasets.two_components_db(),
             [],
-            "8dac7f925a91bfbd5e706ea09157086767e3b98756cc1cf3e0361d9c35464abf",
+            "e04fff2edd9f4bc78a880a51b94ef756813135c30cc2638b22a81896a1139e15",
         ),
         (
             datasets.two_components_db(),
             ["--no-hcluster"],
-            "e99eed750faca3afa6fe5efe114cb47c5fb2ede592f01425b838c08a0470018f",
+            "e4f34aacce2e21b8413aeda76a3dbf1f1c5cb9f51fe4cb53e1b4a9d876543fe5",
         ),
         (
             datasets.rich_schema_db(),
             [],
-            "705a3f9fba8a1b05dc0de5b905a424d51e5746150326924ef0f155b3d7247c55",
+            "5c1de7d2c36c6ecf4c53edfa0a72d71e147c4cd8a91e7d9a94645f70758fb7f4",
         ),
         (
             datasets.rich_schema_db(),
             ["--no-hcluster"],
-            "e319c45e37147a225f1c0d6b6c78b89a004e8d1955dec46d7d33a7606195065d",
+            "6fcb097a30feed70ffb97e263945d26f9a96fab6521755fb49f2bcc5e0f5a139",
         ),
         (
             # uncapped walks: L is the diameter, 30

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,6 +21,7 @@ from prism.stats import (
     gamma_critical_value,
     path_symmetric,
     path_symmetry_report,
+    path_test,
     q_statistic,
     t_inverse_survival,
     theta_sym,
@@ -28,9 +29,7 @@ from prism.stats import (
 
 
 def cluster(per_member, N, length=1):
-    table = SignatureTable.from_counts(dict(enumerate(per_member)))
-    cm = CountMatrix.from_table(table, range(len(per_member)))
-    return ClusterCounts.fold(cm.members, cm.codes, cm.counts, N, length)
+    return oracles.reference_cluster_counts(range(len(per_member)), per_member, N, length)
 
 
 def test_t_inverse_survival_cauchy_closed_form():
@@ -148,6 +147,35 @@ def test_gamma_params_match_block_eigenvalues():
         assert g.sigma2 == pytest.approx(2 * (w**2).sum(), rel=1e-9, abs=1e-9)
 
 
+@st.composite
+def member_counts(draw):
+    """N and per-member kept counts, each row summing to at most N: small
+    counts leave the null category dominant, counts up to N / k let one kept
+    category dominate, and k = 0 leaves the null category alone."""
+    N = draw(st.sampled_from([200, 2490, 31057]))
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 5))
+    cap = draw(st.sampled_from([12, N // max(k, 1)]))
+    row = st.lists(st.integers(0, cap), min_size=k, max_size=k)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    return N, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_counts())
+@example((31057, [[5], [4], [6]]))  # null-dominated
+@example((2490, [[], []]))  # the null category alone: degenerate
+@example((200, [[3, 120], [9, 80]]))  # two members
+@example((2490, [[2490], [2489]]))  # one kept category holds nearly all
+def test_gamma_params_match_reference_covariance(case):
+    N, rows = case
+    counts = np.array([[N - sum(r), *r] for r in rows], dtype=float)
+    cc = ClusterCounts(tuple(range(len(rows))), np.arange(counts.shape[1] - 1), counts, N, 1)
+    got, want = gamma_approx_params(cc), oracles.reference_gamma_approx(cc)
+    assert got.mu == pytest.approx(want.mu, rel=1e-10, abs=0)
+    assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-10, abs=0)
+
+
 def test_gamma_critical_value_exponential_closed_form():
     g = GammaApprox(mu=1.0, sigma2=1.0)  # shape 1, rate 1
     for alpha in (0.5, 0.1, 0.01):
@@ -175,12 +203,14 @@ def test_gamma_critical_value_degenerate_raises():
 
 
 def test_low_count_categories_fold_into_null():
-    per = [{(0,): 100, (1,): 2}, {(0,): 104, (1,): 1}]
-    cc = cluster(per, N=1000)
-    assert cc.categories.tolist() == [0]  # the code of (0,), the first in order
-    # the folded category's counts move into the null column
-    assert cc.counts[0, 0] == 1000 - 100
-    assert cc.counts[1, 0] == 1000 - 104
+    # (1,) at a mean of 1.5 folds: its counts join the null column, and
+    # (0,) and the null (900, 896) each give 8; at a mean of exactly
+    # MIN_CATEGORY_MEAN it is kept, adding 2, and the null (896, 890) gives 18
+    for rare, q in [((2, 1), 16.0), ((4, 6), 28.0)]:
+        per = [{(0,): 100, (1,): rare[0]}, {(0,): 104, (1,): rare[1]}]
+        cm = CountMatrix.from_table(SignatureTable.from_counts(dict(enumerate(per))), [0, 1])
+        (entry,) = path_test(cm, np.arange(2), 1000, 1, 0.05)
+        assert entry["q"] == q == q_statistic(cluster(per, N=1000))
 
 
 def test_path_symmetric_singleton_passes():
