@@ -1,10 +1,17 @@
 """End-to-end mining: component split, hierarchical clustering, walks per
 source, symmetry clustering, and report serialization.
 
+Each piece's sources are mined in blocks of as many as the walk memory
+budget holds, in two phases: walk every source of the block (on a thread
+pool when ``threads > 1``), keeping its ``WalkStats``, then cluster them all
+in one ``symmetry_clusters`` call, which refines every distance set of the
+block together, one bisection depth at a time.
+
 The serialized report is deterministic for a fixed configuration: per-source
-random streams are derived from the seed alone, results are assembled in
-canonical order, and stage timings go to a side channel instead of the
-report bytes.
+random streams are derived from the seed alone, a set's refinement does not
+depend on the sets refined beside it, so neither threads nor block bounds
+move a byte, results are assembled in canonical order, and stage timings go
+to a side channel instead of the report bytes.
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ from .hypergraph import LabeledHypergraph, connected_components, diameter
 from .spectral import SpectralConfig, hcluster
 from .stats import MIN_CATEGORY_MEAN
 from .stats import path_symmetry_report  # noqa: F401  kept bound for bench/child.py's TRACED
-from .walks import WalkConfig, run_walks, topk_walk_count, walk_peak_bytes
+from .walks import WalkConfig, run_walks, topk_walk_count, walk_kept_bytes, walk_peak_bytes
 
 SCHEMA_VERSION = 1
-WALK_MEMORY_BUDGET = 2 * 2**30  # bytes of walk buffers a run may hold at once
+WALK_MEMORY_BUDGET = 2 * 2**30  # bytes of walk buffers and walked sources a run may hold at once
 
 
 @dataclass(frozen=True)
@@ -107,11 +114,7 @@ class ConceptReport:
     config: dict | None = None
 
 
-def _source_report(
-    h: LabeledHypergraph, source: int, walk_cfg: WalkConfig, cfg: RunConfig
-) -> SourceReport:
-    stats = run_walks(h, source, walk_cfg)
-    part: SymmetryPartition = symmetry_clusters(stats, cfg.alpha)
+def _source_report(h: LabeledHypergraph, part: SymmetryPartition) -> SourceReport:
     entries = [
         ConceptEntry(
             members=tuple(h.node_names[v] for v in concept),
@@ -121,7 +124,7 @@ def _source_report(
         for concept, parent, margins in zip(part.concepts, part.concept_parents, part.margins)
     ]
     return SourceReport(
-        source=h.node_names[source],
+        source=h.node_names[part.source],
         concepts=tuple(entries),
         unreached=tuple(h.node_names[v] for v in part.unreached),
     )
@@ -132,8 +135,12 @@ def get_communities(
 ) -> ConceptReport:
     """Mine path-symmetric concepts for every source node of every
     sub-hypergraph; deterministic for a fixed config, any thread count.
-    Raises ValueError, before any walk starts, when a piece's walks would
-    need more than ``WALK_MEMORY_BUDGET`` bytes."""
+
+    Before any walk starts, each piece is sized: its walks in flight
+    (``walk_peak_bytes`` per worker) and what each walked source keeps until
+    its block is clustered (``walk_kept_bytes``). A block is as many sources
+    as fit beside the walks under ``WALK_MEMORY_BUDGET``; a ValueError
+    refuses the run when not even one fits."""
     if timings is None:
         timings = {}
     if h.n_nodes == 0:
@@ -149,7 +156,7 @@ def get_communities(
     timings["hcluster"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    plans: list[tuple[int, WalkConfig]] = []
+    plans: list[tuple[int, WalkConfig, int]] = []
     for k, sub in enumerate(pieces):
         diam = diameter(sub)
         L = max(1, diam)
@@ -158,47 +165,50 @@ def get_communities(
         n_labels = max(1, sub.n_labels)
         N = topk_walk_count(cfg.epsilon, n_labels, L, cfg.k_top)
         workers = min(cfg.threads, sub.n_nodes)
-        need = workers * walk_peak_bytes(sub.n_nodes, n_labels, N, L)
-        if need > WALK_MEMORY_BUDGET:
+        walking = workers * walk_peak_bytes(sub.n_nodes, n_labels, N, L)
+        kept = walk_kept_bytes(sub.n_nodes, n_labels, N, L)
+        block = (WALK_MEMORY_BUDGET - walking) // kept
+        if block < 1:
             raise ValueError(
                 f"epsilon {cfg.epsilon} needs {N} walks of length {L} per source on piece {k} "
-                f"({sub.n_nodes} nodes, {workers} at once): about {need / 2**30:.1f} GiB, over "
-                f"the {WALK_MEMORY_BUDGET / 2**30:.0f} GiB walk memory budget"
+                f"({sub.n_nodes} nodes, {workers} at once): about "
+                f"{(walking + kept) / 2**30:.1f} GiB, over the "
+                f"{WALK_MEMORY_BUDGET / 2**30:.0f} GiB walk memory budget"
             )
         sub_seed = int(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)).generate_state(
                 1, np.uint64
             )[0]
         )
-        plans.append((diam, WalkConfig(L=L, N=N, seed=sub_seed)))
+        plans.append((diam, WalkConfig(L=L, N=N, seed=sub_seed), block))
 
     subs: list[SubhypergraphReport] = []
     source_time = 0.0
-    for k, (sub, (diam, walk_cfg)) in enumerate(zip(pieces, plans)):
-        sources = list(range(sub.n_nodes))
-        t_sources = time.perf_counter()
-        if cfg.threads > 1 and len(sources) > 1:
-            # built here, once: cached_property takes no lock from Python 3.12 on
-            sub.walk_tables
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                reports = list(
-                    pool.map(lambda v: _source_report(sub, v, walk_cfg, cfg), sources)
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        walk_map = pool.map if cfg.threads > 1 else map
+        for k, (sub, (diam, walk_cfg, block)) in enumerate(zip(pieces, plans)):
+            t_sources = time.perf_counter()
+            if cfg.threads > 1:
+                # built here, once: cached_property takes no lock from Python 3.12 on
+                sub.walk_tables
+            reports: list[SourceReport] = []
+            for lo in range(0, sub.n_nodes, block):
+                sources = range(lo, min(lo + block, sub.n_nodes))
+                walked = list(walk_map(lambda v: run_walks(sub, v, walk_cfg), sources))
+                reports += [_source_report(sub, p) for p in symmetry_clusters(walked, cfg.alpha)]
+            source_time += time.perf_counter() - t_sources
+            subs.append(
+                SubhypergraphReport(
+                    id=k,
+                    nodes=sub.node_names,
+                    n_edges=sub.n_edges,
+                    labels=sub.label_names,
+                    diameter=diam,
+                    walk_length=walk_cfg.L,
+                    walk_count=walk_cfg.N,
+                    sources=tuple(reports),
                 )
-        else:
-            reports = [_source_report(sub, v, walk_cfg, cfg) for v in sources]
-        source_time += time.perf_counter() - t_sources
-        subs.append(
-            SubhypergraphReport(
-                id=k,
-                nodes=sub.node_names,
-                n_edges=sub.n_edges,
-                labels=sub.label_names,
-                diameter=diam,
-                walk_length=walk_cfg.L,
-                walk_count=walk_cfg.N,
-                sources=tuple(reports),
             )
-        )
     timings["mine"] = time.perf_counter() - t0
     # walks, clustering and margin reports of every source
     timings["sources"] = source_time

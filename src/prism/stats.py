@@ -8,14 +8,16 @@ distribution (a generalized chi-squared) is approximated by a
 moment-matched gamma so no eigendecomposition is needed.
 
 Signature counts arrive as a ``SignatureTable`` of sorted int64 (target,
-signature) keys, from the walk engine or from dicts. The path test reads a
-``CountMatrix``, the member x signature counts with columns sorted by
-(length, signature), built from the table once per node set by one
-``searchsorted`` per member range and one scatter. ``path_test`` tests a
-group, a set of rows of that matrix, at every length in one pass: a columns
-x lengths mask sums the kept categories into each length's null column, Q
-and the gamma moments, which have a closed form in the category
-probabilities (``gamma_moments``), so no covariance matrix is built.
+signature) keys, from the walk engine or from dicts. ``CountRows`` holds the
+member x signature count matrices of many node sets, one row per (source,
+member) with its positive counts in CSR form and columns sorted by (length,
+signature), each set filled from its table by one ``searchsorted`` per
+member range. ``path_test`` tests many groups of those rows at every length
+in one pass: each sum over a group's members (column means, keep masks,
+null columns, Q) and over its kept categories (the gamma moments, which
+have a closed form in the category probabilities, ``gamma_moments``) is an
+``np.bincount`` over that group's entries in row order, so a group's
+outcome does not depend on the groups it is tested with.
 """
 
 from __future__ import annotations
@@ -80,32 +82,62 @@ class SignatureTable(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class CountMatrix:
-    """Members' positive signature counts: one row per member, in the given
-    order, and one column per signature code, ascending, which sorts the
-    columns by (length, signature). ``col_len[j]`` is the length of column
-    j's signature."""
+class CountRows(NamedTuple):
+    """The rows of several count matrices, one per (source, node set), with
+    their positive counts in CSR form. Row r is node ``target[r]`` seen from
+    the walks of ``source[r]``, in a matrix of ``width[r]`` columns, one per
+    signature code its members hit, ascending, which sorts the columns by
+    (length, signature). Its entries ``indptr[r]:indptr[r + 1]`` give each
+    positive count's column, value and signature length, column by column."""
 
-    members: tuple[int, ...]
-    codes: np.ndarray
-    counts: np.ndarray  # float64, shape (len(members), len(codes))
-    col_len: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    width: np.ndarray
+    indptr: np.ndarray
+    col: np.ndarray
+    value: np.ndarray  # float64
+    length: np.ndarray
 
     @classmethod
-    def from_table(cls, table: SignatureTable, members: Sequence[int]) -> "CountMatrix":
-        targets = np.array(members, dtype=np.int64)
-        lo = np.searchsorted(table.key, targets * table.stride)
-        sizes = np.searchsorted(table.key, (targets + 1) * table.stride) - lo
-        rows = np.repeat(np.arange(len(targets)), sizes)
-        # the entries of every member's key range, member after member
-        at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-        codes, first, cols = np.unique(
-            table.key[at] % table.stride, return_index=True, return_inverse=True
+    def from_tables(
+        cls, sets: Sequence[tuple[int, SignatureTable, Sequence[int]]]
+    ) -> "CountRows":
+        """The count matrices of one or more (source, table, members) sets,
+        matrix after matrix, with one row per member in the given order, each
+        filled by one ``searchsorted`` per member range of the table."""
+        targets, widths, nnz, cols, values, lengths = [], [], [], [], [], []
+        for _, table, members in sets:
+            t = np.array(members, dtype=np.int64)
+            lo = np.searchsorted(table.key, t * table.stride)
+            sizes = np.searchsorted(table.key, (t + 1) * table.stride) - lo
+            # the entries of every member's key range, member after member
+            at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+            codes, col = np.unique(table.key[at] % table.stride, return_inverse=True)
+            targets.append(t)
+            widths.append(len(codes))
+            nnz.append(sizes)
+            cols.append(col)
+            values.append(table.count[at])
+            lengths.append(table.length[at])
+        heights = [len(t) for t in targets]
+        return cls(
+            np.repeat(np.array([source for source, _, _ in sets], dtype=np.int64), heights),
+            np.concatenate(targets),
+            np.repeat(np.array(widths, dtype=np.intp), heights),
+            np.cumsum(np.concatenate([[0], *nnz])),
+            np.concatenate(cols),
+            np.concatenate(values, dtype=np.float64),
+            np.concatenate(lengths),
         )
-        counts = np.zeros((len(targets), len(codes)))
-        counts[rows, cols] = table.count[at]
-        return cls(tuple(members), codes, counts, table.length[at[first]])
+
+    def dense(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1, all of one matrix, as a dense float64 array."""
+        a, b = self.indptr[lo], self.indptr[hi]
+        out = np.zeros((hi - lo, self.width[lo]))
+        out[np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo : hi + 1])), self.col[a:b]] = (
+            self.value[a:b]
+        )
+        return out
 
 
 @dataclass(frozen=True)
@@ -138,8 +170,9 @@ class GammaApprox:
     sigma2: float
 
     @property
-    def degenerate(self) -> bool:
-        return self.mu <= 0 or self.sigma2 <= 0
+    def degenerate(self):
+        """Whether the moments admit no gamma; elementwise on arrays."""
+        return np.logical_or(self.mu <= 0, self.sigma2 <= 0)
 
     @property
     def shape(self) -> float:
@@ -177,56 +210,113 @@ def gamma_approx_params(cc: ClusterCounts) -> GammaApprox:
     return GammaApprox(float(mu), float(sigma2))
 
 
-def gamma_critical_value(g: GammaApprox, alpha: float) -> float:
-    """x with GammaSurvival(x; shape, rate) = alpha."""
-    if g.degenerate:
+def gamma_critical_value(g: GammaApprox, alpha: float):
+    """x with GammaSurvival(x; shape, rate) = alpha; an array of them when
+    ``g`` holds arrays of moments."""
+    if np.any(g.degenerate):
         raise ValueError("degenerate gamma approximation has no critical value")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     # multiplying by the scale, not dividing by the rate, matches
     # scipy.stats.gamma.isf bit for bit
-    return float(special.gammainccinv(g.shape, alpha) * (1.0 / g.rate))
+    crit = special.gammainccinv(g.shape, alpha) * (1.0 / g.rate)
+    return crit if np.ndim(crit) else float(crit)
 
 
-def path_test(cm: CountMatrix, rows: np.ndarray, N: int, L: int, alpha: float) -> list[dict]:
-    """Per-length test outcomes for the members at ``rows`` of ``cm``,
-    longest length first, all from one pass over their counts.
+class PathTests(NamedTuple):
+    """``path_test`` outcomes, one row per group and one column per length,
+    longest length first: Q, the critical value (NaN where the null is
+    degenerate) and the decision."""
 
-    At each length the categories are that length's signatures whose mean
-    count over the members is at least ``MIN_CATEGORY_MEAN``; the rest fold
-    into the null category, N minus the kept counts. Each entry holds the
-    tested length, the Q statistic and the critical value (None when the
-    null distribution is degenerate, in which case Q is necessarily 0 and
-    the test passes). A singleton gets no entries.
+    q: np.ndarray
+    critical: np.ndarray
+    passed: np.ndarray
+
+    def entries(self) -> list[list[dict]]:
+        """Every group's outcomes as per-length report entries, ``critical``
+        None where the null is degenerate."""
+        L = self.q.shape[1]
+        return [
+            [
+                {"length": L - j, "q": q, "critical": None if math.isnan(c) else c, "passed": ok}
+                for j, (q, c, ok) in enumerate(zip(*group))
+            ]
+            for group in zip(self.q.tolist(), self.critical.tolist(), self.passed.tolist())
+        ]
+
+
+def path_test(
+    cr: CountRows, rows: np.ndarray, sizes: np.ndarray, N: int, L: int, alpha: float
+) -> PathTests:
+    """Per-length test outcomes of many groups at once. Group g is the next
+    ``sizes[g]`` (at least 2) of ``rows``, rows of ``cr`` from one count
+    matrix.
+
+    At each length a group's categories are that length's signatures whose
+    mean count over the group is at least ``MIN_CATEGORY_MEAN``; the rest
+    fold into the null category, N minus the kept counts. Q sums the squared
+    deviations from the group means over members and categories, null
+    included, and is compared with the critical value of the moment-matched
+    gamma; a degenerate null means Q is necessarily 0, and the test passes
+    when Q <= 1e-9.
     """
-    m = len(rows)
-    if m <= 1:
-        return []
-    x = cm.counts[rows]
-    mean = x.mean(axis=0)
-    keep = mean >= MIN_CATEGORY_MEAN
-    x, mean = x[:, keep], mean[keep]
-    lengths = np.arange(L, 0, -1)
-    mask = (cm.col_len[keep, None] == lengths).astype(np.float64)  # columns x lengths
-    null = N - x @ mask  # integer counts sum exactly
+    rows = np.asarray(rows, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    n_groups, n_rows, cells = len(sizes), len(rows), len(sizes) * L
+    group = np.repeat(np.arange(n_groups), sizes)
+    gwidth = cr.width[rows[np.cumsum(sizes) - sizes]]
+    col0 = np.cumsum(gwidth) - gwidth
+    # every positive count of every row, row after row, binned by (group,
+    # column): a bin sums its group's rows in row order, as .sum(axis=0) does
+    nnz = cr.indptr[rows + 1] - cr.indptr[rows]
+    e = np.arange(nnz.sum()) + np.repeat(cr.indptr[rows] - (np.cumsum(nnz) - nnz), nnz)
+    row = np.repeat(np.arange(n_rows), nnz)
+    bins = col0[group[row]] + cr.col[e]
+    x = cr.value[e]
+    mean = np.bincount(bins, x, int(gwidth.sum())) / np.repeat(sizes, gwidth)
+    bin_len = np.zeros(len(mean), dtype=np.intp)
+    bin_len[bins] = cr.length[e]
+    # a kept column has a positive count, which set its length
+    keep = (mean >= MIN_CATEGORY_MEAN) & (bin_len <= L)
+    kept = keep[bins]
+    x, row, bins = x[kept], row[kept], bins[kept]
+    del e, kept
+    kb = np.flatnonzero(keep)
+    per_group = np.bincount(np.repeat(np.arange(n_groups), gwidth)[kb], minlength=n_groups)
+    k0 = np.cumsum(per_group) - per_group
+    # each row's counts in its group's kept columns, zeros included, row
+    # after row: pair j of row r is kept column k0[group] + j
+    per_row = per_group[group]
+    pair0 = np.cumsum(per_row) - per_row
+    pairs = np.zeros(per_row.sum())
+    rank = np.cumsum(keep)[bins] - 1 - k0[group[row]]  # among the group's kept columns
+    pairs[pair0[row] + rank] = x
+    pair_col = np.repeat(k0[group] - pair0, per_row) + np.arange(len(pairs))
+    pairs -= mean[kb][pair_col]
+    dev2 = np.bincount(pair_col, np.square(pairs, out=pairs), len(kb))
+    del pairs, pair_col
+    # cells are (group, length) pairs, longest length first
+    kcell = np.repeat(np.arange(n_groups) * L + L, gwidth)[kb] - bin_len[kb]
+    null = np.subtract(N, np.bincount(row * L + L - bin_len[bins], x, n_rows * L), dtype=float)
     if (null < 0).any():
         raise ValueError("per-member counts exceed the number of walks")
-    null_mean = null.mean(axis=0)
-    p = mean / N
-    dev2, s1, s2, s3 = np.stack([((x - mean) ** 2).sum(axis=0), p, p * p, p * p * p]) @ mask
-    q = dev2 + ((null - null_mean) ** 2).sum(axis=0)
+    null_cell = np.repeat(group * L, L) + np.tile(np.arange(L), n_rows)
+    null_mean = np.bincount(null_cell, null, cells) / np.repeat(sizes, L)
+    p = mean[kb] / N
+    dev2, s1, s2, s3 = (np.bincount(kcell, w, cells) for w in (dev2, p, p * p, p * p * p))
+    null -= null_mean[null_cell]
+    q = dev2 + np.bincount(null_cell, np.square(null, out=null), cells)
     # a walk is at one node per step, so at one length the members' kept means
     # sum to at most N / m: the moments expand around the null's p >= 1/2
-    mu, sigma2 = gamma_moments(m, N, null_mean / N, s1, s2, s3)
-    entries = []
-    nulls = map(GammaApprox, mu.tolist(), sigma2.tolist())
-    for length, qv, g in zip(lengths.tolist(), q.tolist(), nulls):
-        if g.degenerate:
-            entries.append({"length": length, "q": qv, "critical": None, "passed": qv <= 1e-9})
-        else:
-            crit = gamma_critical_value(g, alpha)
-            entries.append({"length": length, "q": qv, "critical": crit, "passed": qv <= crit})
-    return entries
+    m = np.repeat(sizes, L).astype(np.float64)
+    nulls = GammaApprox(*gamma_moments(m, N, null_mean / N, s1, s2, s3))
+    degenerate = nulls.degenerate
+    critical = np.full(cells, np.nan)
+    critical[~degenerate] = gamma_critical_value(
+        GammaApprox(nulls.mu[~degenerate], nulls.sigma2[~degenerate]), alpha
+    )
+    passed = np.where(degenerate, q <= 1e-9, q <= critical)
+    return PathTests(*(a.reshape(n_groups, L) for a in (q, critical, passed)))
 
 
 def path_symmetry_report(
@@ -237,9 +327,13 @@ def path_symmetry_report(
     alpha: float,
 ) -> list[dict]:
     """Every per-length test outcome (``path_test``) of the members, longest
-    length first."""
-    cm = CountMatrix.from_table(SignatureTable.from_counts(counts_by_member), sorted(members))
-    return path_test(cm, np.arange(len(cm.members)), N, L, alpha)
+    length first; counts given as dicts have no source, recorded as -1."""
+    m = len(members)
+    if m <= 1:
+        return []
+    table = SignatureTable.from_counts(counts_by_member)
+    cr = CountRows.from_tables([(-1, table, sorted(members))])
+    return path_test(cr, np.arange(m), [m], N, L, alpha).entries()[0]
 
 
 def path_symmetric(

@@ -94,6 +94,14 @@ def walk_peak_bytes(n: int, n_labels: int, N: int, L: int) -> int:
     return 24 * steps + 32 * signatures + 64 * N + 640 * n + 2**16
 
 
+def walk_kept_bytes(n: int, n_labels: int, N: int, L: int) -> int:
+    """Upper estimate of what one walked source keeps until it is clustered:
+    its signature table, 24 B per distinct (target, signature) entry, of
+    which there are at most min(N·L, n·p_star), and 24 B per node for
+    ``tht``, ``tht_sd`` and ``hits``."""
+    return 24 * min(N * L, n * p_star(n_labels, L)) + 24 * n
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     L: int

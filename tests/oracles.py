@@ -7,15 +7,17 @@ accumulation for the sparse graph layer, a per-edge loop over node sets for
 the majority split, mpmath special functions for the scipy-backed quantiles, a
 Monte-Carlo generalized chi-squared for the gamma approximation, and a
 per-node, per-target walk sampler with signature dicts for the vectorized
-walk engine and its signature table, and a per-length dict-built count
-matrix with a k x k multinomial covariance for the path-symmetry test and its
-closed-form gamma moments.
+walk engine and its signature table, a per-length dict-built count matrix
+with a k x k multinomial covariance in exact rational arithmetic for the
+path-symmetry test and its closed-form gamma moments, and a one-group Lloyd
+loop for the batched 2-means.
 
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -261,6 +263,36 @@ def best_two_partition_sse(points):
     return best
 
 
+def reference_binary_split(points):
+    """The 2-means bisection of one group: a two-pass farthest-pair seed,
+    at most 100 Lloyd rounds, ties to the first side and the lowest index.
+    Returns the two sides' row indices."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    spread = ((points - points.mean(axis=0)) ** 2).sum(axis=1)
+    if spread.max() <= 0:
+        return np.array([0]), np.arange(1, n)
+    a = int(spread.argmax())
+    dist_a = ((points - points[a]) ** 2).sum(axis=1)
+    b = int(dist_a.argmax())
+    c1, c2 = points[a].copy(), points[b].copy()
+    assign = np.zeros(n, dtype=bool)
+    for _ in range(100):
+        d1 = ((points - c1) ** 2).sum(axis=1)
+        d2 = ((points - c2) ** 2).sum(axis=1)
+        new_assign = d2 < d1
+        if not new_assign.any():
+            new_assign[int(d1.argmax())] = True
+        elif new_assign.all():
+            new_assign[int(d2.argmax())] = False
+        if (new_assign == assign).all():
+            break
+        assign = new_assign
+        c1 = points[~assign].mean(axis=0)
+        c2 = points[assign].mean(axis=0)
+    return np.flatnonzero(~assign), np.flatnonzero(assign)
+
+
 def reference_tables(h):
     """Per-node categorical transition tables over (next node, label) pairs."""
     nexts: list[np.ndarray] = []
@@ -427,21 +459,31 @@ def reference_cluster_counts(members, marginals, N, length, min_category_mean=MI
 
 def count_covariance(cc):
     """Multinomial covariance of one member's count vector, with category
-    probabilities estimated by the cluster means."""
-    p = cc.means / cc.N
-    return cc.N * (np.diag(p) - np.outer(p, p))
+    probabilities estimated by the cluster means, as exact fractions: with
+    c the integer column sums and D = m N, p_i = c_i / D and
+    S_ij = N (delta_ij p_i - p_i p_j) = N A_ij / D^2 for the integer
+    A_ij = delta_ij c_i D - c_i c_j. Returns A and the scale N / D^2."""
+    if not np.array_equal(cc.counts, np.round(cc.counts)):
+        raise ValueError("counts must be integers")
+    m = len(cc.members)
+    c = [sum(int(x) for x in col) for col in cc.counts.T.tolist()]
+    D = m * cc.N
+    a = [[(D if i == j else 0) * ci - ci * cj for j, cj in enumerate(c)] for i, ci in enumerate(c)]
+    return a, Fraction(cc.N, D * D)
 
 
 def reference_gamma_approx(cc):
     """Mean and variance of Q under the null from the full single-member
     covariance S: mu = (m-1) tr(S), sigma2 = 2 (m-1) sum(S^2), the trace of
     the block covariance of the deviation vector and twice the trace of its
-    square."""
+    square, each evaluated exactly and rounded once."""
     m = len(cc.members)
     if m <= 1:
         return GammaApprox(0.0, 0.0)
-    s = count_covariance(cc)
-    return GammaApprox((m - 1) * float(np.trace(s)), 2.0 * (m - 1) * float((s * s).sum()))
+    a, scale = count_covariance(cc)
+    mu = (m - 1) * scale * sum(a[i][i] for i in range(len(a)))
+    sigma2 = 2 * (m - 1) * scale * scale * sum(x * x for row in a for x in row)
+    return GammaApprox(float(mu), float(sigma2))
 
 
 def reference_path_symmetry_report(counts_by_member, members, N, L, alpha):

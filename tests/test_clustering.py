@@ -9,6 +9,7 @@ from prism.clustering import (
     binary_split,
     partition_distance_symmetric,
     prism_paths,
+    refine_sets,
     standardize_and_project,
     symmetry_clusters,
 )
@@ -55,6 +56,11 @@ def synthetic_count_stats(count_rows, N=2000, L=1, source=None):
 def clusters(paths):
     """The clusters of a ``prism_paths`` result, without their margins."""
     return [cluster for cluster, _ in paths]
+
+
+def sides(second):
+    """The two sides of a one-group ``binary_split`` result."""
+    return np.flatnonzero(~second), np.flatnonzero(second)
 
 
 def test_distance_partition_gap_sweep():
@@ -157,7 +163,7 @@ def test_binary_split_recovers_blobs():
     a = rng.normal(0.0, 0.05, size=(6, 2))
     b = rng.normal(5.0, 0.05, size=(5, 2)) + np.array([0.0, 3.0])
     pts = np.vstack([a, b])
-    left, right = binary_split(pts)
+    left, right = sides(binary_split(pts))
     got = {frozenset(left.tolist()), frozenset(right.tolist())}
     assert got == {frozenset(range(6)), frozenset(range(6, 11))}
     # agrees with the exhaustive minimum within-cluster sum of squares
@@ -166,17 +172,49 @@ def test_binary_split_recovers_blobs():
 
 
 def test_binary_split_two_points():
-    left, right = binary_split(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    left, right = sides(binary_split(np.array([[0.0, 0.0], [1.0, 1.0]])))
     assert sorted([left.tolist(), right.tolist()]) == [[0], [1]]
 
 
 def test_binary_split_duplicate_points_deterministic():
     pts = np.zeros((5, 2))
-    left, right = binary_split(pts)
+    left, right = sides(binary_split(pts))
     assert left.tolist() == [0]
     assert right.tolist() == [1, 2, 3, 4]
-    again = binary_split(pts)
+    again = sides(binary_split(pts))
     assert again[0].tolist() == [0] and again[1].tolist() == [1, 2, 3, 4]
+
+
+@st.composite
+def point_groups(draw):
+    """Groups of 2-D points: grid points with many exact ties and
+    duplicates, or spread floats, one group sometimes all alike."""
+    groups = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(2, 40))
+        if draw(st.booleans()):
+            coord = st.integers(-2, 2).map(float)
+        else:
+            coord = st.floats(-1e3, 1e3, allow_nan=False)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        if draw(st.integers(0, 5)) == 0:
+            pts = [pts[0]] * n
+        groups.append(np.array(pts, dtype=float))
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_groups())
+def test_binary_split_batch_equals_reference_per_group(groups):
+    # each group of a batch is split exactly as the one-group Lloyd loop
+    # splits it, and as it is split alone
+    second = binary_split(np.vstack(groups), [len(g) for g in groups])
+    ends = np.cumsum([len(g) for g in groups])
+    for g, pts in enumerate(groups):
+        got = second[ends[g] - len(pts) : ends[g]]
+        left, right = oracles.reference_binary_split(pts)
+        assert np.array_equal(got, np.isin(np.arange(len(pts)), right))
+        assert np.array_equal(binary_split(pts), got)
 
 
 def test_prism_paths_singleton_passes_through():
@@ -270,12 +308,15 @@ def path_counts(draw):
 
 
 def recording(path_test, calls):
-    """``path_test`` that logs each call's members with its entries."""
+    """``path_test`` that logs each group's members with its entries."""
 
-    def spy(cm, rows, *args):
-        entries = path_test(cm, rows, *args)
-        calls.append(([cm.members[i] for i in rows], entries))
-        return entries
+    def spy(cr, rows, sizes, *args):
+        tests = path_test(cr, rows, sizes, *args)
+        ends = np.cumsum(sizes)
+        for g, entries in enumerate(tests.entries()):
+            members = cr.target[rows[ends[g] - sizes[g] : ends[g]]].tolist()
+            calls.append((members, entries))
+        return tests
 
     return spy
 
@@ -288,6 +329,8 @@ def recording(path_test, calls):
 )
 # the mean of (0,) is exactly MIN_CATEGORY_MEAN
 @example((1, [{(0,): 4, (1,): 30}, {(0,): 6, (1,): 2}]), 300, 0.3)
+# no member has a count: nothing is kept and every null column is N
+@example((1, [{}, {}]), 200, 0.01)
 def test_path_tests_equal_reference_report(case, N, alpha):
     L, rows = case
     m = len(rows)
@@ -325,7 +368,7 @@ def test_path_tests_equal_reference_report(case, N, alpha):
 def test_symmetry_clusters_end_to_end(physics):
     b1 = physics.node_names.index("B1")
     st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
-    part = symmetry_clusters(st, alpha=0.01)
+    (part,) = symmetry_clusters([st], alpha=0.01)
     named = sorted(sorted(physics.node_names[v] for v in c) for c in part.concepts)
     assert named == [
         ["B2"],
@@ -343,6 +386,19 @@ def test_symmetry_clusters_end_to_end(physics):
 def test_symmetry_clusters_deterministic(physics):
     b1 = physics.node_names.index("B1")
     st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
-    a = symmetry_clusters(st, alpha=0.01)
-    b = symmetry_clusters(st, alpha=0.01)
+    a = symmetry_clusters([st], alpha=0.01)
+    b = symmetry_clusters([st], alpha=0.01)
     assert a == b
+
+
+def test_refinement_does_not_depend_on_its_batch(physics):
+    # a source clustered alone equals the same source clustered with every
+    # other source of its piece, and a set refined alone equals the same set
+    # refined beside every other set: entries compared with ==
+    cfg = WalkConfig(L=4, N=1505, seed=2)
+    walked = [run_walks(physics, v, cfg) for v in range(physics.n_nodes)]
+    together = symmetry_clusters(walked, alpha=0.01)
+    assert together == [symmetry_clusters([st], alpha=0.01)[0] for st in walked]
+    sets = [(st, g) for st in walked for g in partition_distance_symmetric(st, 0.01)]
+    assert any(len(prism_paths(g, st, 0.01)) > 1 for st, g in sets)
+    assert refine_sets(sets, 0.01) == [prism_paths(g, st, 0.01) for st, g in sets]

@@ -22,6 +22,7 @@ from prism.pipeline import (
     parse_report,
 )
 from prism.relational import build_hypergraph, parse_database
+from prism.walks import walk_kept_bytes, walk_peak_bytes
 
 
 def source_concepts(report, source):
@@ -262,10 +263,16 @@ def test_each_group_is_tested_once(two_departments, monkeypatch):
         walked.append((h, stats))
         return stats
 
-    def path_test_spy(cm, rows, *args):
-        h, stats = walked[-1]
-        tested.append((id(h), stats.source, tuple(cm.members[i] for i in rows)))
-        return path_test(cm, rows, *args)
+    def path_test_spy(cr, rows, sizes, *args):
+        # a block is walked whole before it is refined, so the groups of a
+        # batch belong to the piece walked last
+        h, _ = walked[-1]
+        ends = np.cumsum(sizes)
+        for g, size in enumerate(sizes):
+            group = rows[ends[g] - size : ends[g]]
+            assert len(set(cr.source[group].tolist())) == 1
+            tested.append((id(h), int(cr.source[group[0]]), tuple(cr.target[group].tolist())))
+        return path_test(cr, rows, sizes, *args)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the pipeline ran a path test of its own")
@@ -283,11 +290,40 @@ def test_each_group_is_tested_once(two_departments, monkeypatch):
         view = oracles.signature_dicts(stats.signatures)
         for concept in src.concepts:
             ids = [h.node_names.index(name) for name in concept.members]
+            if len(ids) > 1:
+                assert (id(h), stats.source, tuple(sorted(ids))) in tested
             counts = {v: view.get(v, {}) for v in ids}
             oracles.assert_same_entries(
                 list(concept.margins),
                 oracles.reference_path_symmetry_report(counts, ids, stats.N, stats.L, 0.01),
             )
+
+
+@pytest.mark.parametrize("use_hcluster", [True, False])
+def test_blocked_run_equals_unblocked(two_departments, monkeypatch, use_hcluster):
+    # a budget that holds one piece's walks beside only two walked sources
+    # splits every piece into blocks of a few sources; the report keeps its
+    # bytes
+    cfg = RunConfig(seed=5, use_hcluster=use_hcluster)
+    whole = emit_report(get_communities(two_departments, cfg))
+    pieces = parse_report(whole).subhypergraphs
+    sized = [
+        (len(sub.nodes), max(1, len(sub.labels)), sub.walk_count, sub.walk_length)
+        for sub in pieces
+    ]
+    budget = max(walk_peak_bytes(*size) + 2 * walk_kept_bytes(*size) for size in sized)
+    blocks = []
+    symmetry_clusters = pipeline.symmetry_clusters
+
+    def spy(walked, alpha):
+        blocks.append(len(walked))
+        return symmetry_clusters(walked, alpha)
+
+    monkeypatch.setattr(pipeline, "WALK_MEMORY_BUDGET", budget)
+    monkeypatch.setattr(pipeline, "symmetry_clusters", spy)
+    assert emit_report(get_communities(two_departments, cfg)) == whole
+    assert sum(blocks) == sum(len(sub.nodes) for sub in pieces)
+    assert 2 in blocks and len(blocks) > len(pieces)
 
 
 def test_bench_traced_attributes_resolve():
@@ -422,7 +458,7 @@ def test_cli_missing_file_is_usage_error(tmp_path):
         (
             datasets.rich_schema_db(),
             [],
-            "5c1de7d2c36c6ecf4c53edfa0a72d71e147c4cd8a91e7d9a94645f70758fb7f4",
+            "022830900cde6cb0bbb39fee5e73585415779218c739d371ab40cd4073f69aad",
         ),
         (
             datasets.rich_schema_db(),

@@ -14,7 +14,7 @@ import oracles
 import prism
 from prism.stats import (
     ClusterCounts,
-    CountMatrix,
+    CountRows,
     GammaApprox,
     SignatureTable,
     gamma_approx_params,
@@ -152,7 +152,7 @@ def member_counts(draw):
     """N and per-member kept counts, each row summing to at most N: small
     counts leave the null category dominant, counts up to N / k let one kept
     category dominate, and k = 0 leaves the null category alone."""
-    N = draw(st.sampled_from([200, 2490, 31057]))
+    N = draw(st.sampled_from([200, 2490, 31057, 248975, 10**6]))
     m = draw(st.integers(1, 6))
     k = draw(st.integers(0, 5))
     cap = draw(st.sampled_from([12, N // max(k, 1)]))
@@ -167,6 +167,8 @@ def member_counts(draw):
 @example((2490, [[], []]))  # the null category alone: degenerate
 @example((200, [[3, 120], [9, 80]]))  # two members
 @example((2490, [[2490], [2489]]))  # one kept category holds nearly all
+@example((10**6, [[1], [0]]))  # one hit in 2 million
+@example((248975, [[7, 5], [6, 0], [5, 9]]))  # null-dominated at the epsilon 0.01 walk count
 def test_gamma_params_match_reference_covariance(case):
     N, rows = case
     counts = np.array([[N - sum(r), *r] for r in rows], dtype=float)
@@ -208,8 +210,9 @@ def test_low_count_categories_fold_into_null():
     # MIN_CATEGORY_MEAN it is kept, adding 2, and the null (896, 890) gives 18
     for rare, q in [((2, 1), 16.0), ((4, 6), 28.0)]:
         per = [{(0,): 100, (1,): rare[0]}, {(0,): 104, (1,): rare[1]}]
-        cm = CountMatrix.from_table(SignatureTable.from_counts(dict(enumerate(per))), [0, 1])
-        (entry,) = path_test(cm, np.arange(2), 1000, 1, 0.05)
+        cr = CountRows.from_tables([(2, SignatureTable.from_counts(dict(enumerate(per))), [0, 1])])
+        tests = path_test(cr, np.arange(2), [2], 1000, 1, 0.05)
+        ((entry,),) = tests.entries()
         assert entry["q"] == q == q_statistic(cluster(per, N=1000))
 
 

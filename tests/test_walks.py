@@ -21,6 +21,7 @@ from prism.walks import (
     run_walks,
     topk_walk_count,
     transition_matrix,
+    walk_kept_bytes,
     walk_peak_bytes,
 )
 
@@ -376,6 +377,22 @@ def test_walk_peak_estimate_bounds_tracemalloc_peak(n, n_labels, extra, N, L):
     finally:
         tracemalloc.stop()
     assert peak <= walk_peak_bytes(n, n_labels, N, L)
+
+
+@pytest.mark.parametrize(
+    "n, n_labels, extra, N, L",
+    [(20, 3, 10, 40_000, 5), (50, 300, 200, 20_000, 5), (30, 1, 0, 5_000, 2)],
+    ids=["walks", "labels", "ring"],
+)
+def test_walk_kept_estimate_bounds_walked_source(n, n_labels, extra, N, L):
+    # what a walked source keeps until its block is clustered: its table
+    # and per-node arrays, bounded both where walks repeat signatures and
+    # where nearly every signature is distinct
+    h = _ring(n, n_labels, extra, seed=n)
+    for source in (0, n // 2):
+        st_ = run_walks(h, source, WalkConfig(L=L, N=N, seed=1))
+        kept = sum(a.nbytes for a in (*st_.signatures[:3], st_.tht, st_.tht_sd, st_.hits))
+        assert kept <= walk_kept_bytes(n, n_labels, N, L)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
