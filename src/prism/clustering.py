@@ -207,6 +207,8 @@ def refine_sets(
                 lo = ends[g] - sizes[g]
                 points[lo : ends[g]] = standardize_and_project(cr.dense(lo, ends[g]))
         rows, sizes, owner = rows[np.repeat(~ok, sizes)], sizes[~ok], owner[~ok]
+        if not len(owner):
+            break
         # each group's first side, then its second, each in row order
         key = 2 * np.repeat(np.arange(len(sizes)), sizes) + binary_split(points[rows], sizes)
         rows = rows[np.argsort(key, kind="stable")]

@@ -33,6 +33,7 @@ from scipy import special
 Signature = tuple[int, ...]
 
 MIN_CATEGORY_MEAN = 5.0  # rarer categories fold into the null (path_test)
+PATH_TEST_COUNTS = 2**16  # counts per pass of path_test, which bounds its temporaries
 
 
 def t_inverse_survival(p: float, df: int) -> float:
@@ -87,16 +88,18 @@ class CountRows(NamedTuple):
     their positive counts in CSR form. Row r is node ``target[r]`` seen from
     the walks of ``source[r]``, in a matrix of ``width[r]`` columns, one per
     signature code its members hit, ascending, which sorts the columns by
-    (length, signature). Its entries ``indptr[r]:indptr[r + 1]`` give each
-    positive count's column, value and signature length, column by column."""
+    (length, signature); column j's signature length is
+    ``col_len[col0[r] + j]``. Row r's entries ``indptr[r]:indptr[r + 1]``
+    give each positive count's column and value, column by column."""
 
     source: np.ndarray
     target: np.ndarray
     width: np.ndarray
+    col0: np.ndarray
     indptr: np.ndarray
-    col: np.ndarray
+    col: np.ndarray  # int32: 12 B per count with its value
     value: np.ndarray  # float64
-    length: np.ndarray
+    col_len: np.ndarray
 
     @classmethod
     def from_tables(
@@ -105,29 +108,35 @@ class CountRows(NamedTuple):
         """The count matrices of one or more (source, table, members) sets,
         matrix after matrix, with one row per member in the given order, each
         filled by one ``searchsorted`` per member range of the table."""
-        targets, widths, nnz, cols, values, lengths = [], [], [], [], [], []
+        targets, ranges = [], []
         for _, table, members in sets:
             t = np.array(members, dtype=np.int64)
             lo = np.searchsorted(table.key, t * table.stride)
-            sizes = np.searchsorted(table.key, (t + 1) * table.stride) - lo
+            targets.append(t)
+            ranges.append((lo, np.searchsorted(table.key, (t + 1) * table.stride) - lo))
+        indptr = np.cumsum(np.concatenate([[0], *(sizes for _, sizes in ranges)]))
+        col, value = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+        col_len, end = [], 0
+        for (_, table, _), (lo, sizes) in zip(sets, ranges):
             # the entries of every member's key range, member after member
             at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-            codes, col = np.unique(table.key[at] % table.stride, return_inverse=True)
-            targets.append(t)
-            widths.append(len(codes))
-            nnz.append(sizes)
-            cols.append(col)
-            values.append(table.count[at])
-            lengths.append(table.length[at])
+            start, end = end, end + len(at)
+            _, first, col[start:end] = np.unique(
+                table.key[at] % table.stride, return_index=True, return_inverse=True
+            )
+            value[start:end] = table.count[at]
+            col_len.append(table.length[at[first]])
         heights = [len(t) for t in targets]
+        widths = np.array([len(c) for c in col_len], dtype=np.intp)
         return cls(
             np.repeat(np.array([source for source, _, _ in sets], dtype=np.int64), heights),
             np.concatenate(targets),
-            np.repeat(np.array(widths, dtype=np.intp), heights),
-            np.cumsum(np.concatenate([[0], *nnz])),
-            np.concatenate(cols),
-            np.concatenate(values, dtype=np.float64),
-            np.concatenate(lengths),
+            np.repeat(widths, heights),
+            np.repeat(np.cumsum(widths) - widths, heights),
+            indptr,
+            col,
+            value,
+            np.concatenate(col_len),
         )
 
     def dense(self, lo: int, hi: int) -> np.ndarray:
@@ -245,6 +254,64 @@ class PathTests(NamedTuple):
         ]
 
 
+def _path_moments(
+    cr: CountRows, rows: np.ndarray, sizes: np.ndarray, N: int, L: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q and the null's gamma moments of each (group, length) cell, group
+    after group, longest length first (``path_test``)."""
+    n_groups, n_rows, cells = len(sizes), len(rows), len(sizes) * L
+    group = np.repeat(np.arange(n_groups), sizes)
+    head = rows[np.cumsum(sizes) - sizes]  # each group's first row
+    gwidth = cr.width[head]
+    col0 = np.cumsum(gwidth) - gwidth
+    n_bins = int(gwidth.sum())
+    bin_len = cr.col_len[np.repeat(cr.col0[head] - col0, gwidth) + np.arange(n_bins)]
+    # every positive count of every row, row after row, binned by (group,
+    # column): a bin sums its group's rows in row order, as .sum(axis=0) does
+    nnz = cr.indptr[rows + 1] - cr.indptr[rows]
+    e = np.arange(nnz.sum()) + np.repeat(cr.indptr[rows] - (np.cumsum(nnz) - nnz), nnz)
+    bins = np.repeat(col0[group], nnz) + cr.col[e]
+    x = cr.value[e]
+    del e
+    mean = np.bincount(bins, x, n_bins) / np.repeat(sizes, gwidth)
+    keep = (mean >= MIN_CATEGORY_MEAN) & (bin_len <= L)
+    kb = np.flatnonzero(keep)
+    per_group = np.bincount(np.repeat(np.arange(n_groups), gwidth)[kb], minlength=n_groups)
+    k0 = np.cumsum(per_group) - per_group
+    # each row's counts in its group's kept columns, zeros included, row
+    # after row: pair j of row r is kept column k0[group] + j; the counts of
+    # other columns land on a spare last pair
+    per_row = per_group[group]
+    pair0 = np.cumsum(per_row) - per_row
+    n_pairs = int(per_row.sum())
+    rank = np.cumsum(keep) - 1 - np.repeat(k0, gwidth)  # among the group's kept columns
+    pairs = np.zeros(n_pairs + 1)
+    pairs[np.where(keep[bins], np.repeat(pair0, nnz) + rank[bins], n_pairs)] = x
+    pairs = pairs[:n_pairs]
+    del bins, x
+    pair_col = np.repeat(k0[group] - pair0, per_row) + np.arange(n_pairs)
+    pair_cell = np.repeat(np.arange(n_rows) * L + L, per_row) - bin_len[kb][pair_col]
+    null = np.subtract(N, np.bincount(pair_cell, pairs, n_rows * L), dtype=float)
+    if (null < 0).any():
+        raise ValueError("per-member counts exceed the number of walks")
+    del pair_cell
+    pairs -= mean[kb][pair_col]
+    dev2 = np.bincount(pair_col, np.square(pairs, out=pairs), len(kb))
+    del pairs, pair_col
+    # cells are (group, length) pairs, longest length first
+    kcell = np.repeat(np.arange(n_groups) * L + L, gwidth)[kb] - bin_len[kb]
+    null_cell = np.repeat(group * L, L) + np.tile(np.arange(L), n_rows)
+    null_mean = np.bincount(null_cell, null, cells) / np.repeat(sizes, L)
+    p = mean[kb] / N
+    dev2, s1, s2, s3 = (np.bincount(kcell, w, cells) for w in (dev2, p, p * p, p * p * p))
+    null -= null_mean[null_cell]
+    q = dev2 + np.bincount(null_cell, np.square(null, out=null), cells)
+    # a walk is at one node per step, so at one length the members' kept means
+    # sum to at most N / m: the moments expand around the null's p >= 1/2
+    m = np.repeat(sizes, L).astype(np.float64)
+    return q, *gamma_moments(m, N, null_mean / N, s1, s2, s3)
+
+
 def path_test(
     cr: CountRows, rows: np.ndarray, sizes: np.ndarray, N: int, L: int, alpha: float
 ) -> PathTests:
@@ -258,65 +325,28 @@ def path_test(
     deviations from the group means over members and categories, null
     included, and is compared with the critical value of the moment-matched
     gamma; a degenerate null means Q is necessarily 0, and the test passes
-    when Q <= 1e-9.
+    when Q <= 1e-9. Whole groups are taken in passes of about
+    ``PATH_TEST_COUNTS`` counts, which bounds the temporaries.
     """
     rows = np.asarray(rows, dtype=np.intp)
     sizes = np.asarray(sizes, dtype=np.intp)
-    n_groups, n_rows, cells = len(sizes), len(rows), len(sizes) * L
-    group = np.repeat(np.arange(n_groups), sizes)
-    gwidth = cr.width[rows[np.cumsum(sizes) - sizes]]
-    col0 = np.cumsum(gwidth) - gwidth
-    # every positive count of every row, row after row, binned by (group,
-    # column): a bin sums its group's rows in row order, as .sum(axis=0) does
-    nnz = cr.indptr[rows + 1] - cr.indptr[rows]
-    e = np.arange(nnz.sum()) + np.repeat(cr.indptr[rows] - (np.cumsum(nnz) - nnz), nnz)
-    row = np.repeat(np.arange(n_rows), nnz)
-    bins = col0[group[row]] + cr.col[e]
-    x = cr.value[e]
-    mean = np.bincount(bins, x, int(gwidth.sum())) / np.repeat(sizes, gwidth)
-    bin_len = np.zeros(len(mean), dtype=np.intp)
-    bin_len[bins] = cr.length[e]
-    # a kept column has a positive count, which set its length
-    keep = (mean >= MIN_CATEGORY_MEAN) & (bin_len <= L)
-    kept = keep[bins]
-    x, row, bins = x[kept], row[kept], bins[kept]
-    del e, kept
-    kb = np.flatnonzero(keep)
-    per_group = np.bincount(np.repeat(np.arange(n_groups), gwidth)[kb], minlength=n_groups)
-    k0 = np.cumsum(per_group) - per_group
-    # each row's counts in its group's kept columns, zeros included, row
-    # after row: pair j of row r is kept column k0[group] + j
-    per_row = per_group[group]
-    pair0 = np.cumsum(per_row) - per_row
-    pairs = np.zeros(per_row.sum())
-    rank = np.cumsum(keep)[bins] - 1 - k0[group[row]]  # among the group's kept columns
-    pairs[pair0[row] + rank] = x
-    pair_col = np.repeat(k0[group] - pair0, per_row) + np.arange(len(pairs))
-    pairs -= mean[kb][pair_col]
-    dev2 = np.bincount(pair_col, np.square(pairs, out=pairs), len(kb))
-    del pairs, pair_col
-    # cells are (group, length) pairs, longest length first
-    kcell = np.repeat(np.arange(n_groups) * L + L, gwidth)[kb] - bin_len[kb]
-    null = np.subtract(N, np.bincount(row * L + L - bin_len[bins], x, n_rows * L), dtype=float)
-    if (null < 0).any():
-        raise ValueError("per-member counts exceed the number of walks")
-    null_cell = np.repeat(group * L, L) + np.tile(np.arange(L), n_rows)
-    null_mean = np.bincount(null_cell, null, cells) / np.repeat(sizes, L)
-    p = mean[kb] / N
-    dev2, s1, s2, s3 = (np.bincount(kcell, w, cells) for w in (dev2, p, p * p, p * p * p))
-    null -= null_mean[null_cell]
-    q = dev2 + np.bincount(null_cell, np.square(null, out=null), cells)
-    # a walk is at one node per step, so at one length the members' kept means
-    # sum to at most N / m: the moments expand around the null's p >= 1/2
-    m = np.repeat(sizes, L).astype(np.float64)
-    nulls = GammaApprox(*gamma_moments(m, N, null_mean / N, s1, s2, s3))
-    degenerate = nulls.degenerate
-    critical = np.full(cells, np.nan)
+    ends = np.cumsum(sizes)
+    counts = np.cumsum(cr.indptr[rows + 1] - cr.indptr[rows])
+    first = np.flatnonzero(np.diff(counts[ends - 1] // PATH_TEST_COUNTS)) + 1
+    gcut = [0, *first.tolist(), len(sizes)]
+    rcut = [0, *ends[first - 1].tolist(), len(rows)]
+    passes = [
+        _path_moments(cr, rows[r0:r1], sizes[g0:g1], N, L)
+        for g0, g1, r0, r1 in zip(gcut, gcut[1:], rcut, rcut[1:])
+    ]
+    q, mu, sigma2 = (np.concatenate(a) for a in zip(*passes))
+    degenerate = GammaApprox(mu, sigma2).degenerate
+    critical = np.full(len(q), np.nan)
     critical[~degenerate] = gamma_critical_value(
-        GammaApprox(nulls.mu[~degenerate], nulls.sigma2[~degenerate]), alpha
+        GammaApprox(mu[~degenerate], sigma2[~degenerate]), alpha
     )
     passed = np.where(degenerate, q <= 1e-9, q <= critical)
-    return PathTests(*(a.reshape(n_groups, L) for a in (q, critical, passed)))
+    return PathTests(*(a.reshape(len(sizes), L) for a in (q, critical, passed)))
 
 
 def path_symmetry_report(

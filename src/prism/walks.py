@@ -95,11 +95,12 @@ def walk_peak_bytes(n: int, n_labels: int, N: int, L: int) -> int:
 
 
 def walk_kept_bytes(n: int, n_labels: int, N: int, L: int) -> int:
-    """Upper estimate of what one walked source keeps until it is clustered:
-    its signature table, 24 B per distinct (target, signature) entry, of
-    which there are at most min(N·L, n·p_star), and 24 B per node for
-    ``tht``, ``tht_sd`` and ``hits``."""
-    return 24 * min(N * L, n * p_star(n_labels, L)) + 24 * n
+    """Upper estimate of what one walked source keeps until its block is
+    clustered: per distinct (target, signature) entry, of which there are
+    at most min(N·L, n·p_star), 24 B in its signature table and 16 B in the
+    block's count rows, and per node 24 B for ``tht``, ``tht_sd`` and
+    ``hits`` and 48 B for its count row and 2-D projection."""
+    return 40 * min(N * L, n * p_star(n_labels, L)) + 72 * n
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import oracles
 from prism import walks
 from prism.hypergraph import LabeledHypergraph, diameter
 from prism.pipeline import RunConfig, get_communities
+from prism.stats import CountRows
 from prism.walks import (
     EULER_GAMMA,
     WalkConfig,
@@ -385,14 +386,17 @@ def test_walk_peak_estimate_bounds_tracemalloc_peak(n, n_labels, extra, N, L):
     ids=["walks", "labels", "ring"],
 )
 def test_walk_kept_estimate_bounds_walked_source(n, n_labels, extra, N, L):
-    # what a walked source keeps until its block is clustered: its table
-    # and per-node arrays, bounded both where walks repeat signatures and
-    # where nearly every signature is distinct
+    # what a walked source keeps until its block is clustered: its table,
+    # per-node arrays and count rows over every reached node, bounded both
+    # where walks repeat signatures and where nearly every signature is
+    # distinct
     h = _ring(n, n_labels, extra, seed=n)
     for source in (0, n // 2):
         st_ = run_walks(h, source, WalkConfig(L=L, N=N, seed=1))
-        kept = sum(a.nbytes for a in (*st_.signatures[:3], st_.tht, st_.tht_sd, st_.hits))
-        assert kept <= walk_kept_bytes(n, n_labels, N, L)
+        reached = np.flatnonzero(st_.hits).tolist()
+        rows = CountRows.from_tables([(source, st_.signatures, reached)])
+        kept = sum(a.nbytes for a in (*st_.signatures[:3], st_.tht, st_.tht_sd, st_.hits, *rows))
+        assert kept + 16 * len(reached) <= walk_kept_bytes(n, n_labels, N, L)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
