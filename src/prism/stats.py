@@ -11,11 +11,12 @@ Signature counts arrive as a ``SignatureTable`` of sorted int64 (target,
 signature) keys, from the walk engine or from dicts. ``CountRows`` holds the
 member x signature count matrices of many node sets, one row per (source,
 member) with its positive counts in CSR form and columns sorted by (length,
-signature), each set filled from its table by one ``searchsorted`` per
-member range. ``path_test`` tests many groups of those rows at every length
-in one pass: each sum over a group's members (column means, keep masks,
-null columns, Q) and over its kept categories (the gamma moments, which
-have a closed form in the category probabilities, ``gamma_moments``) is an
+signature), each set read from its table by one ``searchsorted`` per
+member range and the columns of many sets ranked by one lexsort.
+``path_test`` tests many groups of those rows at every length in one pass:
+each sum over a group's members (column means, keep masks, null columns,
+Q) and over its kept categories (the gamma moments, which have a closed
+form in the category probabilities, ``gamma_moments``) is an
 ``np.bincount`` over that group's entries in row order, so a group's
 outcome does not depend on the groups it is tested with.
 """
@@ -33,7 +34,7 @@ from scipy import special
 Signature = tuple[int, ...]
 
 MIN_CATEGORY_MEAN = 5.0  # rarer categories fold into the null (path_test)
-PATH_TEST_COUNTS = 2**16  # counts per pass of path_test, which bounds its temporaries
+PATH_TEST_COUNTS = 2**16  # counts per pass of path_test and CountRows.from_tables
 
 
 def t_inverse_survival(p: float, df: int) -> float:
@@ -106,33 +107,49 @@ class CountRows(NamedTuple):
         cls, sets: Sequence[tuple[int, SignatureTable, Sequence[int]]]
     ) -> "CountRows":
         """The count matrices of one or more (source, table, members) sets,
-        matrix after matrix, with one row per member in the given order, each
-        filled by one ``searchsorted`` per member range of the table."""
-        targets, ranges = [], []
-        for _, table, members in sets:
-            t = np.array(members, dtype=np.int64)
-            lo = np.searchsorted(table.key, t * table.stride)
-            targets.append(t)
-            ranges.append((lo, np.searchsorted(table.key, (t + 1) * table.stride) - lo))
-        indptr = np.cumsum(np.concatenate([[0], *(sizes for _, sizes in ranges)]))
-        col, value = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
-        col_len, end = [], 0
-        for (_, table, _), (lo, sizes) in zip(sets, ranges):
-            # the entries of every member's key range, member after member
-            at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-            start, end = end, end + len(at)
-            _, first, col[start:end] = np.unique(
-                table.key[at] % table.stride, return_index=True, return_inverse=True
-            )
-            value[start:end] = table.count[at]
-            col_len.append(table.length[at[first]])
+        matrix after matrix, with one row per member in the given order. Each
+        set finds its members' key ranges by one ``searchsorted`` each side.
+        Whole sets of about ``PATH_TEST_COUNTS`` counts a pass, which bounds
+        the temporaries, have their columns ranked by one lexsort of their
+        (set, code) pairs."""
+        targets = [np.array(members, dtype=np.int64) for _, _, members in sets]
+        tables = [table for _, table, _ in sets]
+        lo, hi = (
+            np.concatenate([np.searchsorted(tb.key, t * tb.stride) for tb, t in zip(tables, ts)])
+            for ts in (targets, [t + 1 for t in targets])
+        )
+        sizes = hi - lo
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
         heights = [len(t) for t in targets]
-        widths = np.array([len(c) for c in col_len], dtype=np.intp)
+        first_row = np.cumsum([0, *heights])
+        bounds = indptr[first_row]  # each set's first count, then the total
+        col, value = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+        widths, col_len = np.zeros(len(sets), np.intp), []
+        starts = np.flatnonzero(np.diff(bounds[:-1] // PATH_TEST_COUNTS, prepend=-1)).tolist()
+        for i, j in zip(starts, [*starts[1:], len(sets)]):
+            a, b, r0, r1 = bounds[i], bounds[j], first_row[i], first_row[j]
+            # each count's position in its set's table
+            at = np.arange(b - a) + np.repeat(lo[r0:r1] - (indptr[r0:r1] - a), sizes[r0:r1])
+            code, length = np.empty(b - a, np.int64), np.empty(b - a, np.intp)
+            for k in range(i, j):
+                here = slice(bounds[k] - a, bounds[k + 1] - a)
+                np.remainder(tables[k].key[at[here]], tables[k].stride, out=code[here])
+                value[a:b][here] = tables[k].count[at[here]]
+                length[here] = tables[k].length[at[here]]
+            owner = np.repeat(np.arange(j - i), np.diff(bounds[i : j + 1]))
+            order = np.lexsort((code, owner))
+            code = code[order]  # owner is ascending, so the sort leaves it in place
+            first = np.ones(b - a, dtype=bool)
+            first[1:] = (code[1:] != code[:-1]) | (owner[1:] != owner[:-1])
+            widths[i:j] = np.bincount(owner[first], minlength=j - i)
+            col[a:b][order] = np.cumsum(first) - 1 - (np.cumsum(widths[i:j]) - widths[i:j])[owner]
+            col_len.append(length[order[first]])
+        col0 = np.cumsum(widths) - widths
         return cls(
             np.repeat(np.array([source for source, _, _ in sets], dtype=np.int64), heights),
             np.concatenate(targets),
             np.repeat(widths, heights),
-            np.repeat(np.cumsum(widths) - widths, heights),
+            np.repeat(col0, heights),
             indptr,
             col,
             value,

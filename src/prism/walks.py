@@ -8,12 +8,15 @@ walk never hits contribute the full length L to the hitting-time average.
 
 The engine runs all N walks of a source at once:
 
-- Transition tables are flat CSR arrays (``TransitionTables``), built once
-  per sub-hypergraph and cached on it (``LabeledHypergraph.walk_tables``).
+- Transition tables are flat CSR arrays (``TransitionTables``) with a
+  guide table per row, built once per sub-hypergraph and cached on it
+  (``LabeledHypergraph.walk_tables``).
 - Each step draws one ``rng.random(N)`` from the source's Philox stream and
-  moves every walker by one batched bisection over its own row of
-  cumulative probabilities, the exact ``searchsorted(side="right")`` of a
-  per-row lookup.
+  moves every walker by one gather from its row's guide and one
+  compare-and-advance over the row's cumulative probabilities (indexed
+  search, exact because a row's bucket count is a power of two), the exact
+  ``searchsorted(side="right")`` of a per-row lookup. Rows whose guide is
+  capped finish the few walkers left by bisection.
 - States are kept step-major. A state is a first hit when it is not the
   source and differs from every earlier state of its walk: L(L-1)/2 row
   compares, no sort, nothing sized N x n.
@@ -37,6 +40,7 @@ from .stats import Signature, SignatureTable
 EULER_GAMMA = 0.5772156649
 
 MAX_WALK_COUNT = 2**48
+GUIDE_BUCKETS_PER_ENTRY = 4  # the most guide buckets a transition row gets per entry
 
 
 def p_star(e: int, L: int) -> int:
@@ -87,11 +91,13 @@ def walk_peak_bytes(n: int, n_labels: int, N: int, L: int) -> int:
     the step-major states and the first-hit keys, 32 B per distinct
     (target, signature) entry, of which there are at most one per step and
     p_star per target, 64 B per walk for the per-step vectors, 640 B per
-    node for the per-target statistics and transition tables, and 64 KiB
-    fixed."""
+    node for the per-target statistics and transition tables, 128 B per
+    node for the tables' guide (16 B per row and 4 B per bucket, at most
+    ``GUIDE_BUCKETS_PER_ENTRY`` per table entry; 5-13 buckets per node on
+    the benchmark databases), and 64 KiB fixed."""
     steps = N * L
     signatures = min(steps, n * p_star(n_labels, L))
-    return 24 * steps + 32 * signatures + 64 * N + 640 * n + 2**16
+    return 24 * steps + 32 * signatures + 64 * N + 768 * n + 2**16
 
 
 def walk_kept_bytes(n: int, n_labels: int, N: int, L: int) -> int:
@@ -153,12 +159,22 @@ class TransitionTables(NamedTuple):
     pairs in ascending order with their cumulative probabilities ``cum``;
     the last entry of every row is exactly 1.0. A stranded node has the one
     entry (v, -1): walks stay put without consuming a label.
+
+    Each row also has a guide table for inversion sampling (indexed search):
+    ``gsize[v]`` buckets, a power of two, at ``guide[gptr[v]:gptr[v + 1]]``,
+    where bucket b holds the row's first entry with cum > b / gsize[v].
+    ``width`` is the most cum values of one row strictly inside one bucket,
+    so the most entries a lookup ever advances past its bucket's entry.
     """
 
     indptr: np.ndarray
     next: np.ndarray
     label: np.ndarray
     cum: np.ndarray
+    gptr: np.ndarray
+    gsize: np.ndarray  # float64, so that u * gsize[v] is exact
+    guide: np.ndarray  # int32 below 2**31 entries
+    width: int
 
 
 def transition_tables(h: LabeledHypergraph) -> TransitionTables:
@@ -194,12 +210,47 @@ def transition_tables(h: LabeledHypergraph) -> TransitionTables:
         labels += [k[1] for k in keys]
         cums += cum.tolist()
         indptr.append(len(nexts))
-    return TransitionTables(
-        np.array(indptr, dtype=np.int64),
-        np.array(nexts, dtype=np.int64),
-        np.array(labels, dtype=np.int64),
-        np.array(cums, dtype=np.float64),
+    # the lists take several times the arrays' memory: free them before the guide is built
+    indptr, nexts = np.array(indptr, dtype=np.int64), np.array(nexts, dtype=np.int64)
+    labels, cum = np.array(labels, dtype=np.int64), np.array(cums, dtype=np.float64)
+    del cums
+    return TransitionTables(indptr, nexts, labels, cum, *_guide(indptr, cum))
+
+
+def _guide(indptr: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The guide tables of rows ``indptr`` over ``cum`` (``gptr``, ``gsize``,
+    ``guide`` and ``width`` of ``TransitionTables``).
+
+    A row gets the fewest buckets, a power of two, that are no wider than
+    the smallest gap between its consecutive cum values, so no bucket holds
+    two of them; but at most ``GUIDE_BUCKETS_PER_ENTRY`` per entry, and
+    then a bucket can hold more. Scaling by a power of two is exact, so
+    bucket b's guide is the row start plus the count of the row's entries
+    with ceil(c·G) <= b, i.e. with cum c <= b / G.
+    """
+    lens = np.diff(indptr)
+    gap = np.diff(cum, prepend=0.0)
+    gap[indptr[:-1]] = 1.0  # a one-entry row needs one bucket
+    # gap = m·2^e with m in [0.5, 1) is at least 2^(e-1) = 1/2^(1-e)
+    bits = np.minimum(
+        1 - np.frexp(np.minimum.reduceat(gap, indptr[:-1]))[1],
+        np.frexp(GUIDE_BUCKETS_PER_ENTRY * lens)[1] - 1,
     )
+    gptr = np.concatenate([[0], np.cumsum(1 << bits.astype(np.int64))])
+    gsize = np.ldexp(1.0, bits)
+    scaled = cum * np.repeat(gsize, lens)
+    up = np.ceil(scaled)
+    inside = scaled != up
+    del scaled
+    # the bucket of a cum value, or the one below a cum value on a boundary
+    bucket = np.repeat(gptr[:-1] - 1, lens)
+    bucket += up.astype(np.int64)
+    del up
+    width = int(np.bincount(bucket[inside], minlength=1).max())
+    below = np.bincount(bucket, minlength=gptr[-1])
+    guide = np.cumsum(below, dtype=np.int32 if len(cum) < 2**31 else np.int64)
+    guide -= below
+    return gptr, gsize, guide, width
 
 
 def transition_matrix(h: LabeledHypergraph) -> np.ndarray:
@@ -217,17 +268,33 @@ def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> n
     """Per walker, the index of the first entry of its row with cum > u,
     i.e. the row start plus ``searchsorted(row's cum, u, side="right")``.
 
-    One batched bisection over every walker's row. It needs 0 <= u < 1:
-    then the entry exists (the row's last cum is 1.0), and a walker whose
-    range has closed sits on it, so rounds that other walkers still need
-    leave it in place.
+    It needs 0 <= u < 1: then the entry exists (the row's last cum is 1.0).
+    One gather from the guide gives the first entry with cum > b / G for the
+    walker's bucket b = floor(u·G), exact as G is a power of two; one
+    compare-and-advance finishes every row whose buckets hold at most one
+    cum value. Walkers still short of the entry, in buckets of rows whose
+    guide was capped, finish by bisecting the rest of their rows.
     """
-    lo = tables.indptr[rows]
-    hi = tables.indptr[rows + 1]
+    bucket = tables.gptr[rows] + (u * tables.gsize[rows]).astype(np.int64)
+    # int64 entries: gathers with int32 indices take about 3x as long
+    entry = tables.guide[bucket].astype(np.int64)
+    if tables.width:
+        entry += tables.cum[entry] <= u
+    if tables.width > 1:
+        late = np.flatnonzero(tables.cum[entry] <= u)
+        entry[late] = _bisect(tables.cum, entry[late] + 1, tables.indptr[rows[late] + 1], u[late])
+    return entry
+
+
+def _bisect(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per element, the first index in [lo, hi) with cum > u, by one batched
+    bisection; cum[hi - 1] > u must hold. An element whose range has closed
+    sits on its answer, so rounds that other elements still need leave it
+    in place."""
     # a range of m entries closes in m.bit_length() rounds
     for _ in range(int((hi - lo).max(initial=0)).bit_length()):
         mid = (lo + hi) >> 1
-        right = tables.cum[mid] <= u
+        right = cum[mid] <= u
         lo = np.where(right, mid + 1, lo)
         hi = np.where(right, hi, mid)
     return lo
@@ -256,6 +323,7 @@ def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
     stride = L * span
     states = np.empty((L, N), dtype=np.min_scalar_type(n))
     keys = np.empty(N * L, dtype=np.int64)
+    step_key = np.empty(N, dtype=np.int64)  # every walker's key at this step
     events = 0
     prefix = np.zeros(N, dtype=np.int64)
     top = 0  # an upper bound on prefix
@@ -275,10 +343,13 @@ def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
         fresh = cur != source
         for s in range(t):
             fresh &= states[s] != cur
-        hit = (cur[fresh] * L + t) * span + prefix[fresh]
-        keys[events : events + len(hit)] = hit
-        events += len(hit)
-    del states, prefix, cur, fresh, hit  # only the keys outlive the walks
+        np.multiply(cur, stride, out=step_key)
+        step_key += t * span
+        step_key += prefix
+        k = np.count_nonzero(fresh)
+        np.compress(fresh, step_key, out=keys[events : events + k])
+        events += k
+    del states, prefix, cur, fresh, step_key  # only the keys outlive the walks
 
     keys = keys[:events]
     keys.sort()

@@ -252,6 +252,14 @@ def _ring(n, n_labels, extra, seed):
     )
 
 
+def _hub():
+    """Node 0 in a 30-member edge and in 40 parallel binary edges to node 30:
+    its row's probabilities, 1/1189 and 40/41, are three orders of magnitude
+    apart, so its guide is capped and one bucket holds many cum values."""
+    edges = [(0, tuple(range(30)))] + [(0, (0, 30))] * 40
+    return LabeledHypergraph.build([f"v{i}" for i in range(31)], ["l0"], edges)
+
+
 @st.composite
 def walk_inputs(draw):
     """Up to 12 nodes, some stranded, 1 to 3 labels, edges of cardinality 1
@@ -319,6 +327,20 @@ def test_run_walks_equals_reference_walks(inputs):
 
 @settings(max_examples=100, deadline=None)
 @given(walk_inputs(), st.integers(0, 2**32 - 1))
+# a capped guide, where lookups finish by bisection; a stranded node, whose
+# one entry is (v, -1); a one-member edge beside a binary one
+@example((_hub(), 0, WalkConfig(L=1, N=1)), 0)
+@example(
+    (LabeledHypergraph.build(["a", "b", "c"], ["l0"], [(0, (0, 2))]), 1, WalkConfig(L=1, N=1)), 0
+)
+@example(
+    (
+        LabeledHypergraph.build(["a", "b"], ["l0", "l1"], [(0, (0,)), (1, (0, 1))]),
+        0,
+        WalkConfig(L=1, N=1),
+    ),
+    0,
+)
 def test_table_lookup_is_searchsorted_right(inputs, seed):
     # random draws almost never land on a boundary, so put some on, just
     # below and just above every cumulative probability under 1
@@ -337,6 +359,22 @@ def test_table_lookup_is_searchsorted_right(inputs, seed):
         for r, x in zip(rows, u)
     ]
     assert np.array_equal(walks.table_lookup(t, rows, u), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_inputs())
+@example((_hub(), 0, WalkConfig(L=1, N=1)))
+def test_guide_has_at_most_its_buckets_per_entry(inputs):
+    t = inputs[0].walk_tables
+    assert len(t.guide) == t.gptr[-1]
+    assert np.all(np.diff(t.gptr) <= walks.GUIDE_BUCKETS_PER_ENTRY * np.diff(t.indptr))
+    assert np.all(t.gsize == np.diff(t.gptr))
+
+
+def test_hub_guide_is_capped():
+    # the lookup test's hub example reaches the bisection
+    t = _hub().walk_tables
+    assert t.gsize[0] == 64 and t.width > 1
 
 
 def test_run_walks_memory_has_no_walks_by_nodes_array():
