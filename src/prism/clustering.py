@@ -4,7 +4,10 @@ sets (abstract concepts).
 Reached nodes are grouped by a sorted sweep over hitting-time estimates, the
 gap threshold coming from the distance-symmetry test. Each group is then
 recursively bisected (standardized counts, 2-D principal-component
-projection, 2-means) until every cluster passes the path-symmetry test.
+projection, 2-means) until every cluster passes the path-symmetry test. The
+projection eigendecomposes the smaller side of a set's count block: the
+columns' covariance when it has at least as many rows as live columns, else
+the rows' Gram matrix.
 
 The refinement runs over many sets at once, one bisection depth at a time:
 every group of a depth is tested in one ``path_test`` call and every failing
@@ -26,6 +29,7 @@ from .stats import path_symmetric  # noqa: F401  kept bound for bench/child.py's
 from .walks import WalkStats
 
 VARIANCE_FLOOR = 1e-12
+GRAM_FLOOR = 1e-9  # share of the total variance below which a Gram-side direction is noise
 PROJ_DIM = 2  # principal components kept before each 2-means bisection
 
 
@@ -75,8 +79,12 @@ def standardize_and_project(counts: np.ndarray) -> np.ndarray:
     principal components.
 
     Constant columns (variance below a small floor) are dropped before
-    standardization; if fewer than ``PROJ_DIM`` informative directions
-    remain, the output is padded with zero columns.
+    standardization. A block with fewer rows than live columns takes its
+    directions from the rows' n x n Gram matrix instead of the columns'
+    covariance (the snapshot method, Sirovich 1987), and keeps only those
+    whose share of the total variance is above ``GRAM_FLOOR``. If fewer
+    than ``PROJ_DIM`` directions remain, the output is padded with zero
+    columns.
     """
     counts = np.asarray(counts, dtype=np.float64)
     n = counts.shape[0]
@@ -88,13 +96,24 @@ def standardize_and_project(counts: np.ndarray) -> np.ndarray:
     if live.shape[1] == 0:
         return out
     x = (live - live.mean(axis=0)) / live.std(axis=0)
-    cov = (x.T @ x) / (n - 1)
-    # same LAPACK routine (syevd) as np.linalg.eigh and the same bits; numpy's
-    # threaded OpenBLAS took ~15 ms per 32x32 call on a 2-core x86 machine,
-    # a fixed cost per prism_paths call, scipy's ~0.1 ms
-    eigvals, eigvecs = linalg.eigh(cov, driver="evd")
-    order = np.argsort(eigvals)[::-1][:PROJ_DIM]
-    basis = eigvecs[:, order]
+    if n < x.shape[1]:
+        # x xᵀ u = w u makes xᵀu / ‖xᵀu‖ a direction of variance w / (n - 1).
+        # The w sum to x.size, and eigh leaves each an error of about
+        # eps * x.size; xᵀu of a w that small points anywhere, even along the
+        # first direction, so the floor is a share of x.size
+        w, u = linalg.eigh(x @ x.T, driver="evd")
+        order = np.argsort(w)[::-1][:PROJ_DIM]
+        order = order[w[order] > GRAM_FLOOR * x.size]
+        basis = x.T @ u[:, order]
+        basis /= np.linalg.norm(basis, axis=0)
+    else:
+        cov = (x.T @ x) / (n - 1)
+        # this side keeps the bits of np.linalg.eigh: the same LAPACK routine
+        # (syevd); numpy's threaded OpenBLAS took ~15 ms per 32x32 call on a
+        # 2-core x86 machine, a fixed cost per prism_paths call, scipy's ~0.1 ms
+        eigvals, eigvecs = linalg.eigh(cov, driver="evd")
+        order = np.argsort(eigvals)[::-1][:PROJ_DIM]
+        basis = eigvecs[:, order]
     # fix component signs so projections are reproducible
     for col in range(basis.shape[1]):
         pivot = np.argmax(np.abs(basis[:, col]))

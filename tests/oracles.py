@@ -9,8 +9,9 @@ Monte-Carlo generalized chi-squared for the gamma approximation, and a
 per-node, per-target walk sampler with signature dicts for the vectorized
 walk engine and its signature table, a per-length dict-built count matrix
 with a k x k multinomial covariance in exact rational arithmetic for the
-path-symmetry test and its closed-form gamma moments, and a one-group Lloyd
-loop for the batched 2-means.
+path-symmetry test and its closed-form gamma moments, a one-group Lloyd loop
+for the batched 2-means, and a dense SVD for the principal-component
+projection.
 
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
@@ -241,6 +242,18 @@ def genchi2_mc_quantile(weights, q, n_samples, rng):
     for w in weights:
         total += w * rng.chisquare(1, size=n_samples)
     return float(np.quantile(total, q))
+
+
+def reference_projection(counts, dim=2):
+    """Principal-component scores of a count block from a dense SVD of its
+    standardized live columns: with x = U S Vᵀ, component k scores the rows
+    x v_k = s_k u_k with variance s_k² / (n - 1). Returns the first ``dim``
+    score columns and every component's variance."""
+    counts = np.asarray(counts, dtype=float)
+    live = counts[:, counts.var(axis=0) > 1e-12]
+    x = (live - live.mean(axis=0)) / live.std(axis=0)
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return u[:, :dim] * s[:dim], s**2 / (len(x) - 1)
 
 
 def best_two_partition_sse(points):

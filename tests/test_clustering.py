@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -141,10 +143,12 @@ def test_standardize_and_project_collinear_counts():
 
 def test_standardize_and_project_bits_equal_numpy_eigh():
     # the projection feeds 2-means, so report bytes depend on its exact bits;
-    # they must equal the np.linalg.eigh (syevd) version it replaced
+    # a block with at least as many rows as live columns must give the bits
+    # of the np.linalg.eigh (syevd) version it replaced
     rng = np.random.default_rng(7)
     for _ in range(50):
-        n, m = int(rng.integers(3, 300)), int(rng.integers(2, 40))
+        m = int(rng.integers(2, 40))
+        n = int(rng.integers(max(m, 3), 300))
         counts = rng.poisson(rng.uniform(0.5, 50.0, size=m), size=(n, m)).astype(float)
         live = counts[:, counts.var(axis=0) > 1e-12]
         x = (live - live.mean(axis=0)) / live.std(axis=0)
@@ -156,6 +160,74 @@ def test_standardize_and_project_bits_equal_numpy_eigh():
         want = np.zeros((n, 2))
         want[:, : basis.shape[1]] = x @ basis
         assert np.array_equal(standardize_and_project(counts), want)
+
+
+def test_standardize_and_project_wide_matches_reference_svd():
+    # fewer rows than live columns: the Gram-side directions are the dense
+    # SVD's, column by column up to sign, wherever the top two are well apart
+    # from the third
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 50:
+        n = int(rng.integers(3, 30))
+        m = int(rng.integers(n + 1, 400))
+        latent = rng.normal(size=(n, 2)) * [3.0, 1.5]
+        means = 20.0 + 4.0 * latent @ rng.normal(size=(2, m))
+        counts = rng.poisson(np.clip(means, 0.5, None)).astype(float)
+        want, var = oracles.reference_projection(counts)
+        if (counts.var(axis=0) > 1e-12).sum() <= n or var[1] < 1.5 * var[2]:
+            continue
+        got = standardize_and_project(counts)
+        for k in range(2):
+            sign = np.sign(got[:, k] @ want[:, k])
+            err = np.linalg.norm(sign * got[:, k] - want[:, k])
+            assert err <= 1e-9 * np.linalg.norm(want[:, k])
+        checked += 1
+
+
+@pytest.mark.parametrize("shape", [(12, 4), (5, 30)], ids=["tall", "wide"])
+def test_standardize_and_project_identical_rows_identical_points(shape):
+    rng = np.random.default_rng(3)
+    n, m = shape
+    counts = rng.poisson(8.0, size=(n, m)).astype(float)
+    counts[3] = counts[0]
+    counts[4] = counts[1]
+    pts = standardize_and_project(counts)
+    assert np.array_equal(pts[3], pts[0]) and np.array_equal(pts[4], pts[1])
+    assert not np.array_equal(pts[0], pts[1])
+
+
+@pytest.mark.parametrize("m", [10, 1000, 20_000])
+def test_standardize_and_project_rank1_wide_second_column_is_zero(m):
+    # the Gram matrix's rounding noise grows with the column count; a noise
+    # direction kept by an absolute variance floor points along the first one
+    base = np.linspace(-2.0, 3.0, m)
+    t = np.array([[0.0], [1.0], [2.0], [4.0]])
+    counts = 10 + t * base  # 4 rows, m - 1 live columns, rank-1 once standardized
+    pts = standardize_and_project(counts)
+    assert np.all(pts[:, 1] == 0.0)
+    want, _ = oracles.reference_projection(counts, dim=1)
+    assert np.abs(pts[:, 0]) == pytest.approx(np.abs(want[:, 0]), rel=1e-12)
+
+
+def test_standardize_and_project_two_wide_points_preserve_distance():
+    counts = np.array([[10.0, 4.0, 7.0, 0.0, 3.0], [16.0, 4.0, 1.0, 2.0, 5.0]])
+    pts = standardize_and_project(counts)
+    # four live columns, each standardized to +-1 per row
+    assert np.linalg.norm(pts[0] - pts[1]) == pytest.approx(np.linalg.norm([2.0] * 4))
+    assert np.all(pts[:, 1] == 0.0)
+
+
+def test_standardize_and_project_wide_memory_stays_on_the_row_side():
+    # the 4000 x 4000 column covariance alone would take 128 MB
+    counts = np.random.default_rng(5).poisson(5.0, size=(6, 4000)).astype(float)
+    tracemalloc.start()
+    try:
+        standardize_and_project(counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_binary_split_recovers_blobs():

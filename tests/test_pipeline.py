@@ -471,6 +471,12 @@ def test_cli_missing_file_is_usage_error(tmp_path):
             ["--max-length", "0", "--no-hcluster", "--epsilon", "0.9"],
             "e3e6962fada946bff4712167c8877854923bd18e146f19fc52060a262ec2c25a",
         ),
+        (
+            # N=2337 walks of L=30: thousands of signatures per distance set
+            datasets.labeled_chain_db(30),
+            ["--max-length", "0", "--no-hcluster", "--epsilon", "0.3"],
+            "c896be0dbd71deefce5e8b755eab3d615de725f08774f2f46a089793e9dec4e6",
+        ),
     ],
     ids=[
         "hcluster",
@@ -480,6 +486,7 @@ def test_cli_missing_file_is_usage_error(tmp_path):
         "rich-hcluster",
         "rich-no-hcluster",
         "chain-uncapped",
+        "chain-uncapped-wide",
     ],
 )
 def test_cli_mine_report_bytes_are_pinned(tmp_path, db_text, flags, digest):
