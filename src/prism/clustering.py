@@ -2,35 +2,39 @@
 sets (abstract concepts).
 
 Reached nodes are grouped by a sorted sweep over hitting-time estimates, the
-gap threshold coming from the distance-symmetry test. Each group is then
-recursively bisected (standardized counts, 2-D principal-component
-projection, 2-means) until every cluster passes the path-symmetry test. The
-projection eigendecomposes the smaller side of a set's count block: the
-columns' covariance when it has at least as many rows as live columns, else
-the rows' Gram matrix.
+gap threshold coming from the distance-symmetry test; one lexsort sweeps
+every source of a block. Each group is then recursively bisected
+(standardized counts, 2-D principal-component projection, 2-means) until
+every cluster passes the path-symmetry test. The projection eigendecomposes
+the smaller side of a set's count block: the columns' covariance when it has
+at least as many rows as live columns, else the rows' Gram matrix.
 
 The refinement runs over many sets at once, one bisection depth at a time:
 every group of a depth is tested in one ``path_test`` call and every failing
 group is bisected in one ``binary_split`` call, each computing a group from
 its own rows only, so a set's concepts do not depend on the sets refined
-beside it. A set is projected once, when it fails as a whole.
+beside it. A set is projected once, when it fails as a whole: the failing
+sets of one row count are standardized in one pass over all their columns,
+and each then takes one LAPACK ``syevd`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 from scipy import linalg
 
-from .stats import CountRows, PathTests, path_test, theta_sym
+from .stats import PATH_TEST_COUNTS, CountRows, PathTests, path_test, theta_sym
 from .stats import path_symmetric  # noqa: F401  kept bound for bench/child.py's TRACED
 from .walks import WalkStats
 
 VARIANCE_FLOOR = 1e-12
 GRAM_FLOOR = 1e-9  # share of the total variance below which a Gram-side direction is noise
 PROJ_DIM = 2  # principal components kept before each 2-means bisection
+_SYEVD, _SYEVD_LWORK = linalg.get_lapack_funcs(("syevd", "syevd_lwork"))
 
 
 @dataclass(frozen=True)
@@ -57,26 +61,127 @@ class SymmetryPartition:
     unreached: tuple[int, ...]
 
 
-def partition_distance_symmetric(stats: WalkStats, alpha: float) -> list[list[int]]:
-    """Group reached nodes by sweeping their sorted hitting-time estimates.
+def distance_sets(stats: Sequence[WalkStats], alpha: float) -> list[list[DistanceSet]]:
+    """Group each source's reached nodes by sweeping its sorted hitting-time
+    estimates; every source shares N and L, so one merge threshold serves.
 
-    A new group starts whenever the gap between consecutive estimates
-    exceeds the merge threshold. Nodes with zero hits are left out entirely.
+    A new set starts whenever the gap between consecutive estimates of one
+    source exceeds the threshold. Nodes with zero hits, and the source, are
+    left out entirely. One lexsort orders every reached (source, node) pair
+    of the block by source, estimate and node; each set's members are
+    sorted by node. The sets' mean estimates are taken one row of a C-ordered
+    block per set, one block per set size, which rounds as the mean of each
+    set's estimates alone.
     """
-    reached = np.flatnonzero(stats.hits > 0)
-    reached = reached[reached != stats.source]
-    if not len(reached):
+    if not len(stats):
         return []
-    theta = theta_sym(alpha, stats.L, stats.N)
-    tht = stats.tht[reached]
-    order = np.lexsort((reached, tht))
-    cuts = np.flatnonzero(np.diff(tht[order]) > theta) + 1
-    return [np.sort(g).tolist() for g in np.split(reached[order], cuts)]
+    if len({(st.N, st.L) for st in stats}) > 1:
+        raise ValueError("sources partitioned together need one walk count and length")
+    reached = [np.flatnonzero(st.hits > 0) for st in stats]
+    reached = [r[r != st.source] for r, st in zip(reached, stats)]
+    source = np.repeat(np.arange(len(stats)), [len(r) for r in reached])
+    node = np.concatenate(reached)
+    tht = np.concatenate([st.tht[r] for r, st in zip(reached, stats)])
+    order = np.lexsort((node, tht, source))
+    source, node, tht = source[order], node[order], tht[order]
+    theta = theta_sym(alpha, stats[0].L, stats[0].N)
+    new = np.ones(len(node), dtype=bool)
+    new[1:] = (source[1:] != source[:-1]) | (np.diff(tht) > theta)
+    first = np.flatnonzero(new)
+    by_node = np.lexsort((node, np.cumsum(new)))
+    node, tht = node[by_node], tht[by_node]
+    size = np.diff(first, append=len(node))
+    mean = np.empty(len(first))
+    for m in np.unique(size).tolist():
+        at = np.flatnonzero(size == m)
+        mean[at] = tht[first[at, None] + np.arange(m)].mean(axis=1)
+    members = node.tolist()
+    out: list[list[DistanceSet]] = [[] for _ in stats]
+    bounds = zip(first.tolist(), (first + size).tolist())
+    for s, (a, b), t in zip(source[first].tolist(), bounds, mean.tolist()):
+        out[s].append(DistanceSet(tuple(members[a:b]), t))
+    return out
+
+
+def partition_distance_symmetric(stats: WalkStats, alpha: float) -> list[list[int]]:
+    """The members of each distance-symmetric set of one source
+    (``distance_sets`` of the one source)."""
+    return [list(d.members) for d in distance_sets([stats], alpha)[0]]
+
+
+@cache
+def _syevd_work(n: int) -> tuple[int, int]:
+    """The workspace ``linalg.eigh(..., driver="evd")`` queries for order n."""
+    lwork, liwork, _ = _SYEVD_LWORK(n, compute_v=1, lower=1)
+    return int(lwork), int(liwork)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg.eigh(a, driver="evd")`` without its argument checks: the same
+    one LAPACK ``syevd`` call, on the lower triangle, and the same bits.
+    ``np.linalg.eigh`` runs the same routine, but numpy's threaded OpenBLAS
+    took ~15 ms per 32x32 call on a 2-core x86 machine."""
+    lwork, liwork = _syevd_work(a.shape[0])
+    w, v, info = _SYEVD(a, compute_v=1, lower=1, lwork=lwork, liwork=liwork)
+    if info:
+        raise linalg.LinAlgError(f"syevd failed with info {info}")
+    return w, v
+
+
+def _project_stripes(
+    stripes: np.ndarray, widths: Sequence[int], out: np.ndarray, first: Sequence[int]
+) -> None:
+    """Write the projection of each count matrix held in ``stripes`` to the
+    zeroed rows ``out[first[s] : first[s] + n]``.
+
+    ``stripes`` is C-ordered, one row per (matrix, column) and one column per
+    matrix row: matrix s is the next ``widths[s]`` rows, all with n rows.
+    The mean, deviations and variance of every column are taken once for
+    all matrices. numpy sums a contiguous row pairwise, just as it sums each
+    column of an F-ordered (n, w) block such as ``counts[:, mask]``, so the
+    moments have the bits of a per-matrix ``live.mean(axis=0)`` and
+    ``live.std(axis=0)``; the columns of a C-ordered (n, w) block it sums
+    sequentially, which rounds differently once n is 8 or more. A constant
+    count column has variance exactly 0 and any other about 1/n or more, so
+    the live test decides alike in either order. Each matrix's standardized
+    live columns ``x`` are then an F-ordered (n, w) view, and the rest is per
+    matrix: one LAPACK ``syevd`` call, the top ``PROJ_DIM`` directions and
+    ``x @ basis``.
+    """
+    n = stripes.shape[1]
+    mean = stripes.sum(axis=1) / n
+    d = stripes - mean[:, None]
+    var = (d * d).sum(axis=1) / n
+    live = var > VARIANCE_FLOOR
+    x_all = d[live] / np.sqrt(var[live])[:, None]
+    n_live = np.bincount(np.repeat(np.arange(len(widths)), widths)[live], minlength=len(widths))
+    ends = np.cumsum(n_live)
+    for a, b, r in zip((ends - n_live).tolist(), ends.tolist(), first):
+        if a < b:
+            x = x_all[a:b].T
+            if n < x.shape[1]:
+                # x xᵀ u = w u makes xᵀu / ‖xᵀu‖ a direction of variance
+                # w / (n - 1). The w sum to x.size, and syevd leaves each an
+                # error of about eps * x.size; xᵀu of a w that small points
+                # anywhere, even along the first direction, so the floor is a
+                # share of x.size
+                w, u = _eigh(x @ x.T)
+                order = np.argsort(w)[::-1][:PROJ_DIM]
+                order = order[w[order] > GRAM_FLOOR * x.size]
+                basis = x.T @ u[:, order]
+                basis /= np.linalg.norm(basis, axis=0)
+            else:
+                eigvals, eigvecs = _eigh((x.T @ x) / (n - 1))
+                basis = eigvecs[:, np.argsort(eigvals)[::-1][:PROJ_DIM]]
+            # fix component signs so projections are reproducible
+            pivot = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+            basis *= np.where(pivot < 0, -1.0, 1.0)
+            out[r : r + n, : basis.shape[1]] = x @ basis
 
 
 def standardize_and_project(counts: np.ndarray) -> np.ndarray:
     """Standardize count columns and project onto the top ``PROJ_DIM``
-    principal components.
+    principal components (``project_rows`` of one dense block).
 
     Constant columns (variance below a small floor) are dropped before
     standardization. A block with fewer rows than live columns takes its
@@ -87,39 +192,44 @@ def standardize_and_project(counts: np.ndarray) -> np.ndarray:
     columns.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    n = counts.shape[0]
-    if n < 2:
+    if counts.shape[0] < 2:
         raise ValueError("need at least 2 rows to project")
-    var = counts.var(axis=0)
-    live = counts[:, var > VARIANCE_FLOOR]
-    out = np.zeros((n, PROJ_DIM))
-    if live.shape[1] == 0:
-        return out
-    x = (live - live.mean(axis=0)) / live.std(axis=0)
-    if n < x.shape[1]:
-        # x xᵀ u = w u makes xᵀu / ‖xᵀu‖ a direction of variance w / (n - 1).
-        # The w sum to x.size, and eigh leaves each an error of about
-        # eps * x.size; xᵀu of a w that small points anywhere, even along the
-        # first direction, so the floor is a share of x.size
-        w, u = linalg.eigh(x @ x.T, driver="evd")
-        order = np.argsort(w)[::-1][:PROJ_DIM]
-        order = order[w[order] > GRAM_FLOOR * x.size]
-        basis = x.T @ u[:, order]
-        basis /= np.linalg.norm(basis, axis=0)
-    else:
-        cov = (x.T @ x) / (n - 1)
-        # this side keeps the bits of np.linalg.eigh: the same LAPACK routine
-        # (syevd); numpy's threaded OpenBLAS took ~15 ms per 32x32 call on a
-        # 2-core x86 machine, a fixed cost per prism_paths call, scipy's ~0.1 ms
-        eigvals, eigvecs = linalg.eigh(cov, driver="evd")
-        order = np.argsort(eigvals)[::-1][:PROJ_DIM]
-        basis = eigvecs[:, order]
-    # fix component signs so projections are reproducible
-    for col in range(basis.shape[1]):
-        pivot = np.argmax(np.abs(basis[:, col]))
-        if basis[pivot, col] < 0:
-            basis[:, col] = -basis[:, col]
-    out[:, : basis.shape[1]] = x @ basis
+    out = np.zeros((counts.shape[0], PROJ_DIM))
+    _project_stripes(np.ascontiguousarray(counts.T), [counts.shape[1]], out, [0])
+    return out
+
+
+def project_rows(cr: CountRows, starts: Sequence[int], heights: Sequence[int]) -> np.ndarray:
+    """``standardize_and_project`` of each set of rows ``starts[s]`` ..
+    ``starts[s] + heights[s] - 1`` of ``cr`` (all of one matrix), the sets'
+    points stacked in the given order.
+
+    Sets of one row count are scattered straight from the CSR into one
+    stripes array (see ``_project_stripes``), in passes of about
+    ``PATH_TEST_COUNTS`` entries, which bounds the temporaries.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    heights = np.asarray(heights, dtype=np.intp)
+    if (heights < 2).any():
+        raise ValueError("need at least 2 rows to project")
+    out = np.zeros((heights.sum(), PROJ_DIM))
+    first = np.cumsum(heights) - heights
+    by_height = np.argsort(heights, kind="stable")
+    h = heights[by_height]
+    size = cr.width[starts[by_height]] * h
+    new = np.diff((np.cumsum(size) - size) // PATH_TEST_COUNTS, prepend=-1) != 0
+    new[1:] |= h[1:] != h[:-1]
+    cuts = np.flatnonzero(new).tolist()
+    for i, j in zip(cuts, [*cuts[1:], len(h)]):
+        sets, n = by_height[i:j], int(h[i])
+        widths = cr.width[starts[sets]]
+        rows = (starts[sets, None] + np.arange(n)).ravel()
+        nnz = cr.indptr[rows + 1] - cr.indptr[rows]
+        at = np.arange(nnz.sum()) + np.repeat(cr.indptr[rows] - (np.cumsum(nnz) - nnz), nnz)
+        stripes = np.zeros((widths.sum(), n))
+        stripe = np.repeat(np.repeat(np.cumsum(widths) - widths, n), nnz) + cr.col[at]
+        stripes[stripe, np.repeat(np.tile(np.arange(n), len(sets)), nnz)] = cr.value[at]
+        _project_stripes(stripes, widths, out, first[sets].tolist())
     return out
 
 
@@ -188,11 +298,12 @@ def refine_sets(
     accepted it (``()`` for a singleton). Every pair's stats share N and L.
 
     A set is returned untouched when it passes the test at every exact
-    length. Otherwise its signature counts are projected once and
-    repeatedly bisected; each side is kept when it passes (or is a
-    singleton) and bisected again when it fails. All groups of one depth,
-    across sets, are tested in one ``path_test`` call and bisected in one
-    ``binary_split`` call. Every group is tested once, at every length.
+    length. Otherwise its signature counts are projected once (one
+    ``project_rows`` call for every set that fails) and repeatedly bisected;
+    each side is kept when it passes (or is a singleton) and bisected again
+    when it fails. All groups of one depth, across sets, are tested in one
+    ``path_test`` call and bisected in one ``binary_split`` call. Every
+    group is tested once, at every length.
     Each set's clusters are sorted by smallest member id.
     """
     members = [sorted(A) for _, A in sets]
@@ -220,11 +331,10 @@ def refine_sets(
         margins = PathTests(*(a[ok] for a in tests)).entries()
         for g, i, entries in zip(np.flatnonzero(ok).tolist(), owner[ok].tolist(), margins):
             partitions[i].append((targets[ends[g] - sizes[g] : ends[g]], tuple(entries)))
-        if points is None:  # the first depth: project each set that fails whole
+        if points is None:  # the first depth: project every set that fails whole
             points = np.zeros((len(rows), PROJ_DIM))
-            for g in np.flatnonzero(~ok).tolist():
-                lo = ends[g] - sizes[g]
-                points[lo : ends[g]] = standardize_and_project(cr.dense(lo, ends[g]))
+            first = np.cumsum(sizes) - sizes
+            points[np.repeat(~ok, sizes)] = project_rows(cr, first[~ok], sizes[~ok])
         rows, sizes, owner = rows[np.repeat(~ok, sizes)], sizes[~ok], owner[~ok]
         if not len(owner):
             break
@@ -254,16 +364,16 @@ def prism_paths(
 
 def symmetry_clusters(stats: Sequence[WalkStats], alpha: float) -> list[SymmetryPartition]:
     """Full two-stage clustering for each of several sources that share N
-    and L: distance sets, then the path-symmetric refinement of all of them
-    together."""
-    groups = [partition_distance_symmetric(st, alpha) for st in stats]
-    refined = iter(refine_sets([(st, g) for st, gs in zip(stats, groups) for g in gs], alpha))
+    and L: distance sets of all of them in one pass, then the path-symmetric
+    refinement of all of them together."""
+    sets = distance_sets(stats, alpha)
+    refined = iter(refine_sets([(st, d.members) for st, ds in zip(stats, sets) for d in ds], alpha))
     out = []
-    for st, gs in zip(stats, groups):
+    for st, ds in zip(stats, sets):
         concepts: list[tuple[int, ...]] = []
         parents: list[int] = []
         margins: list[tuple[dict, ...]] = []
-        for parent in range(len(gs)):
+        for parent in range(len(ds)):
             for cluster, entries in next(refined):
                 concepts.append(tuple(cluster))
                 parents.append(parent)
@@ -272,7 +382,7 @@ def symmetry_clusters(stats: Sequence[WalkStats], alpha: float) -> list[Symmetry
         out.append(
             SymmetryPartition(
                 source=st.source,
-                distance_sets=tuple(DistanceSet(tuple(g), float(st.tht[g].mean())) for g in gs),
+                distance_sets=tuple(ds),
                 concepts=tuple(concepts),
                 concept_parents=tuple(parents),
                 margins=tuple(margins),

@@ -117,9 +117,12 @@ def get_clusters(g: sparse.csr_array, cfg: SpectralConfig) -> np.ndarray:
     """Recursive sweep-cut bipartition; returns the leaf label of every node.
 
     Disconnected subgraphs split into their components outright (a zero-cost
-    cut). Otherwise recursion stops when lambda2 exceeds ``lambda2_max`` or
-    the proposed cut leaves a side smaller than ``n_min``. Leaves are
-    numbered in order of their smallest node id.
+    cut). A connected subgraph of fewer than ``2 * n_min`` nodes is a leaf
+    without an eigensolve, since no cut of it could leave ``n_min`` nodes on
+    both sides; it therefore cannot raise ``ConvergenceError``. Otherwise
+    recursion stops when lambda2 exceeds ``lambda2_max`` or the proposed cut
+    leaves a side smaller than ``n_min``. Leaves are numbered in order of
+    their smallest node id.
     """
     if g.shape[0] == 0:
         raise ValueError("graph must be non-empty")
@@ -136,6 +139,9 @@ def get_clusters(g: sparse.csr_array, cfg: SpectralConfig) -> np.ndarray:
         if n_comp > 1:
             for ci in range(n_comp):
                 recurse(ids[comp == ci])
+            return
+        if len(ids) < 2 * cfg.n_min:  # no cut of it leaves n_min nodes a side
+            leaves.append(ids)
             return
         lam2, v2 = second_eigenpair(sub)
         if lam2 > cfg.lambda2_max:

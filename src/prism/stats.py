@@ -156,15 +156,6 @@ class CountRows(NamedTuple):
             np.concatenate(col_len),
         )
 
-    def dense(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1, all of one matrix, as a dense float64 array."""
-        a, b = self.indptr[lo], self.indptr[hi]
-        out = np.zeros((hi - lo, self.width[lo]))
-        out[np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo : hi + 1])), self.col[a:b]] = (
-            self.value[a:b]
-        )
-        return out
-
 
 @dataclass(frozen=True)
 class ClusterCounts:

@@ -2,10 +2,13 @@
 
 All are small teaching/reading databases over Person and Book entities with
 two binary predicates. Text builders return `.db` file contents; `*_graph`
-helpers return the parsed hypergraph.
+helpers return the parsed hypergraph. ``bench_db`` returns a database of
+the benchmark's generator.
 """
 
+import importlib.util
 import re
+from pathlib import Path
 
 from prism.relational import build_hypergraph, parse_database
 
@@ -149,6 +152,15 @@ def labeled_chain_db(length: int = 30) -> str:
     and C: diameter ``length``, three labels, and walks that go back and
     forth over nodes they have already visited."""
     return "".join(f"{'ABC'[i % 3]}(n{i},n{i + 1})\n" for i in range(length))
+
+
+def bench_db(schema: str, k: int, seed: int) -> str:
+    """The `.db` text of ``bench/generate.py`` for (schema, k, seed)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.generate(schema, k, seed)[0]
 
 
 def graph(db_text: str):

@@ -4,14 +4,16 @@ These deliberately avoid the code paths they check: dense eigensolves for
 the power-iteration eigensolver, exhaustive enumeration for sweep cuts and
 2-means, plain breadth-first search over per-node edge lists and dict
 accumulation for the sparse graph layer, a per-edge loop over node sets for
-the majority split, mpmath special functions for the scipy-backed quantiles, a
+the majority split, a Python sort-and-sweep for the distance partition,
+mpmath special functions for the scipy-backed quantiles, a
 Monte-Carlo generalized chi-squared for the gamma approximation, and a
 per-node, per-target walk sampler with signature dicts for the vectorized
 walk engine and its signature table, a per-length dict-built count matrix
 with a k x k multinomial covariance in exact rational arithmetic for the
 path-symmetry test and its closed-form gamma moments, a one-group Lloyd loop
 for the batched 2-means, and a dense SVD for the principal-component
-projection.
+projection, with the per-set numpy projection that the batched one
+replaced as its bit reference.
 
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 
 from prism.stats import (
     MIN_CATEGORY_MEAN,
@@ -254,6 +256,53 @@ def reference_projection(counts, dim=2):
     x = (live - live.mean(axis=0)) / live.std(axis=0)
     u, s, _ = np.linalg.svd(x, full_matrices=False)
     return u[:, :dim] * s[:dim], s**2 / (len(x) - 1)
+
+
+def reference_standardize_and_project(counts):
+    """The bit reference of ``clustering.standardize_and_project``: the
+    one-block projection it replaced, which took each block's column
+    moments with numpy's reductions over a dense block and eigendecomposed
+    with ``scipy.linalg.eigh(..., driver="evd")``. Constant columns drop out,
+    a wide block is projected from its Gram matrix, the tall rest from the
+    columns' covariance."""
+    counts = np.asarray(counts, dtype=np.float64)
+    n = counts.shape[0]
+    var = counts.var(axis=0)
+    live = counts[:, var > 1e-12]
+    out = np.zeros((n, 2))
+    if live.shape[1] == 0:
+        return out
+    x = (live - live.mean(axis=0)) / live.std(axis=0)
+    if n < x.shape[1]:
+        w, u = linalg.eigh(x @ x.T, driver="evd")
+        order = np.argsort(w)[::-1][:2]
+        order = order[w[order] > 1e-9 * x.size]
+        basis = x.T @ u[:, order]
+        basis /= np.linalg.norm(basis, axis=0)
+    else:
+        eigvals, eigvecs = linalg.eigh((x.T @ x) / (n - 1), driver="evd")
+        basis = eigvecs[:, np.argsort(eigvals)[::-1][:2]]
+    for col in range(basis.shape[1]):
+        pivot = np.argmax(np.abs(basis[:, col]))
+        if basis[pivot, col] < 0:
+            basis[:, col] = -basis[:, col]
+    out[:, : basis.shape[1]] = x @ basis
+    return out
+
+
+def reference_distance_partition(stats, theta):
+    """One source's reached nodes (hit at least once, not the source) sorted
+    by (estimate, node) in Python and swept: a gap above ``theta`` between
+    consecutive estimates starts a new group; members sorted by node."""
+    reached = [v for v in range(len(stats.tht)) if stats.hits[v] > 0 and v != stats.source]
+    groups = []
+    prev = None
+    for v in sorted(reached, key=lambda v: (stats.tht[v], v)):
+        if prev is None or stats.tht[v] - prev > theta:
+            groups.append([])
+        groups[-1].append(v)
+        prev = stats.tht[v]
+    return [sorted(g) for g in groups]
 
 
 def best_two_partition_sse(points):

@@ -9,13 +9,15 @@ import oracles
 from prism import clustering
 from prism.clustering import (
     binary_split,
+    distance_sets,
     partition_distance_symmetric,
     prism_paths,
+    project_rows,
     refine_sets,
     standardize_and_project,
     symmetry_clusters,
 )
-from prism.stats import path_symmetry_report, theta_sym
+from prism.stats import PATH_TEST_COUNTS, CountRows, path_symmetry_report, theta_sym
 from prism.walks import WalkConfig, WalkStats, run_walks
 
 
@@ -109,6 +111,118 @@ def test_distance_partition_physics_reference_sets(physics):
         ["P6", "P7", "P8"],
         ["B2"],
     ]
+
+
+@st.composite
+def walk_blocks(draw):
+    """Blocks of sources over one node set, sharing N and L: estimates on a
+    coarse grid (many exact ties) or spread floats, some nodes unreached,
+    and sometimes a source that reaches nothing."""
+    n = draw(st.integers(1, 25))
+    N, L = draw(st.sampled_from([(1000, 1), (1000, 4), (200, 5)]))
+    block = []
+    for _ in range(draw(st.integers(1, 6))):
+        source = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            est = st.integers(4, 4 * L).map(lambda k: k / 4)
+        else:
+            est = st.floats(1.0, float(L), allow_nan=False)
+        tht = np.array(draw(st.lists(est, min_size=n, max_size=n)), dtype=float)
+        hits = np.array(draw(st.lists(st.sampled_from([0, 3, N]), min_size=n, max_size=n)))
+        if draw(st.integers(0, 4)) == 0:
+            hits[:] = 0
+        hits[source] = 0
+        block.append(stats_from_tht(tht, hits=hits, N=N, L=L, source=source))
+    return block
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_blocks(), st.sampled_from([0.01, 0.3]))
+def test_distance_sets_block_equals_each_source_alone(block, alpha):
+    # members and mean estimates compared with ==: the means keep the bits
+    # of each set's own numpy mean
+    theta = theta_sym(alpha, block[0].L, block[0].N)
+    got = distance_sets(block, alpha)
+    assert got == [distance_sets([s], alpha)[0] for s in block]
+    for s, sets in zip(block, got):
+        assert [list(d.members) for d in sets] == oracles.reference_distance_partition(s, theta)
+        assert [list(d.members) for d in sets] == partition_distance_symmetric(s, alpha)
+        assert [d.tht for d in sets] == [float(s.tht[list(d.members)].mean()) for d in sets]
+
+
+def test_distance_set_means_keep_their_bits_at_every_size():
+    # sets of one size share one block of rows; sizes around pairwise
+    # summation's 8-wide unroll and 128 block, several sets per size
+    rng = np.random.default_rng(5)
+    block = []
+    for n in (2, 7, 8, 9, 9, 128, 129, 300, 300, 1000):
+        tht = np.concatenate([[0.0], 2.0 + rng.uniform(0.0, 0.01, size=n)])
+        block.append(stats_from_tht(tht, N=1000, L=4))
+    got = distance_sets(block, 0.01)
+    for walked, (d,) in zip(block, got):
+        assert d.members == tuple(range(1, len(walked.tht)))
+        assert d.tht == float(walked.tht[list(d.members)].mean())
+
+
+def dense_count_rows(blocks):
+    """``CountRows`` holding each dense count block as one matrix; every
+    column must have a positive count, as in a block built from walks."""
+    heights = [len(b) for b in blocks]
+    widths = [b.shape[1] for b in blocks]
+    rows = [r for b in blocks for r in b]
+    nz = [np.flatnonzero(r) for r in rows]
+    return CountRows(
+        source=np.zeros(len(rows), dtype=np.int64),
+        target=np.arange(len(rows), dtype=np.int64),
+        width=np.repeat(widths, heights),
+        col0=np.repeat(np.cumsum(widths) - widths, heights),
+        indptr=np.cumsum([0, *map(len, nz)]),
+        col=np.concatenate(nz).astype(np.int32),
+        value=np.concatenate([r[c] for r, c in zip(rows, nz)]),
+        col_len=np.ones(sum(widths), dtype=np.intp),
+    )
+
+
+def random_count_block(rng, n, m):
+    lam = rng.uniform(0.05, 40.0, size=m)
+    counts = rng.poisson(lam, size=(n, m)).astype(float)
+    counts[:, counts.sum(axis=0) == 0] = 1.0
+    return counts
+
+
+def test_project_rows_bits_equal_per_set_reference():
+    # the batched moments must round as the per-set numpy reductions did:
+    # row counts around pairwise summation's 8-wide unroll and its 128 block,
+    # sets sharing a row count, one live column, all-constant sets, wide and
+    # tall sets, and enough entries for several passes
+    rng = np.random.default_rng(14)
+    heights = [2, 3, 7, 8, 9, 16, 33, 64, 127, 128, 129, 140] * 3
+    heights += rng.integers(2, 141, size=24).tolist()
+    blocks = []
+    for i, n in enumerate(heights):
+        m = int(rng.integers(n + 1, 4 * n + 40)) if i % 2 else int(rng.integers(1, n + 1))
+        blocks.append(random_count_block(rng, n, m))
+    one_live = np.full((9, 5), 3.0)
+    one_live[:, 2] = np.arange(9)
+    blocks += [one_live, np.full((8, 6), 2.0), np.tile([1.0, 4.0], (140, 1))]
+    for n in (7, 8, 129):  # rows repeated: exact ties between points
+        b = random_count_block(rng, n, 30)
+        b[1::2] = b[0]
+        blocks.append(b)
+    order = rng.permutation(len(blocks))
+    blocks = [blocks[i] for i in order]
+    cr = dense_count_rows(blocks)
+    sizes = np.array([len(b) for b in blocks])
+    starts = np.cumsum(sizes) - sizes
+    assert (sizes * [b.shape[1] for b in blocks]).sum() > 4 * PATH_TEST_COUNTS
+    want = [oracles.reference_standardize_and_project(b) for b in blocks]
+    assert np.array_equal(project_rows(cr, starts, sizes), np.vstack(want))
+    # a subset of the sets, out of row order, and each block alone
+    pick = rng.choice(len(blocks), size=10, replace=False)
+    got = project_rows(cr, starts[pick], sizes[pick])
+    assert np.array_equal(got, np.vstack([want[i] for i in pick]))
+    for b, points in zip(blocks, want):
+        assert np.array_equal(standardize_and_project(b), points)
 
 
 def test_standardize_and_project_two_points_preserve_distance():

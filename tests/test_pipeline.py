@@ -477,6 +477,17 @@ def test_cli_missing_file_is_usage_error(tmp_path):
             ["--max-length", "0", "--no-hcluster", "--epsilon", "0.3"],
             "c896be0dbd71deefce5e8b755eab3d615de725f08774f2f46a089793e9dec4e6",
         ),
+        (
+            # the benchmark's 199-node dept databases: many sets fail whole
+            datasets.bench_db("dept", 10, 2),
+            [],
+            "d956c74f4ecd79aedcbb58383076e1eda42c2e2ba90fabefba7b9db21b252275",
+        ),
+        (
+            datasets.bench_db("dept", 10, 1),
+            ["--no-hcluster"],
+            "5b2defea255510346e2eb4c740e9c0aca5dc6964c8ba79020d34c90520d45958",
+        ),
     ],
     ids=[
         "hcluster",
@@ -487,6 +498,8 @@ def test_cli_missing_file_is_usage_error(tmp_path):
         "rich-no-hcluster",
         "chain-uncapped",
         "chain-uncapped-wide",
+        "bench-dept-k10-g2-hcluster",
+        "bench-dept-k10-g1-no-hcluster",
     ],
 )
 def test_cli_mine_report_bytes_are_pinned(tmp_path, db_text, flags, digest):

@@ -4,6 +4,7 @@ from scipy import sparse
 
 import datasets
 import oracles
+from prism import spectral
 from prism.hypergraph import LabeledHypergraph, to_weighted_graph
 from prism.spectral import (
     EIG_TOLERANCE,
@@ -142,6 +143,23 @@ def test_get_clusters_respects_n_min():
     assert get_clusters(g, cfg).tolist() == [0] * 10
     cfg_loose = SpectralConfig(n_min=5)
     assert get_clusters(g, cfg_loose).tolist() == [0] * 5 + [1] * 5
+
+
+@pytest.mark.parametrize("n_min", [2, 3, 8])
+def test_get_clusters_small_connected_subgraph_is_a_leaf_without_eigensolve(n_min, monkeypatch):
+    # below 2 * n_min nodes no cut can leave n_min nodes on both sides, so
+    # the eigensolver is never reached and cannot fail
+    def unreachable(g):
+        raise spectral.ConvergenceError("stub eigensolver")
+
+    monkeypatch.setattr(spectral, "second_eigenpair", unreachable)
+    cfg = SpectralConfig(n_min=n_min)
+    n = 2 * n_min - 1  # a path graph of n nodes, then of n + 1
+    g = graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    assert get_clusters(g, cfg).tolist() == [0] * n
+    g = graph_from_edges(n + 1, [(i, i + 1, 1.0) for i in range(n)])
+    with pytest.raises(spectral.ConvergenceError, match="stub"):
+        get_clusters(g, cfg)
 
 
 def test_get_clusters_two_departments(two_departments):
