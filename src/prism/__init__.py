@@ -4,8 +4,6 @@ concepts") from relational data via truncated hypergraph random walks."""
 from .clustering import (
     SymmetryPartition,
     binary_split,
-    partition_distance_symmetric,
-    prism_paths,
     standardize_and_project,
     symmetry_clusters,
 )
@@ -41,19 +39,15 @@ from .spectral import (
     second_eigenpair,
 )
 from .stats import (
-    ClusterCounts,
     GammaApprox,
-    gamma_approx_params,
     gamma_critical_value,
     path_symmetric,
-    q_statistic,
     t_inverse_survival,
     theta_sym,
 )
 from .walks import (
     WalkConfig,
     WalkStats,
-    exact_tht,
     optimal_walk_count,
     p_star,
     run_walks,
@@ -63,7 +57,6 @@ from .walks import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterCounts",
     "ConceptReport",
     "ConvergenceError",
     "DatabaseParseError",
@@ -82,8 +75,6 @@ __all__ = [
     "connected_components",
     "diameter",
     "emit_report",
-    "exact_tht",
-    "gamma_approx_params",
     "gamma_critical_value",
     "get_clusters",
     "get_communities",
@@ -94,10 +85,7 @@ __all__ = [
     "p_star",
     "parse_database",
     "parse_report",
-    "partition_distance_symmetric",
     "path_symmetric",
-    "prism_paths",
-    "q_statistic",
     "run_walks",
     "second_eigenpair",
     "serialize_database",

@@ -103,12 +103,6 @@ def distance_sets(stats: Sequence[WalkStats], alpha: float) -> list[list[Distanc
     return out
 
 
-def partition_distance_symmetric(stats: WalkStats, alpha: float) -> list[list[int]]:
-    """The members of each distance-symmetric set of one source
-    (``distance_sets`` of the one source)."""
-    return [list(d.members) for d in distance_sets([stats], alpha)[0]]
-
-
 @cache
 def _syevd_work(n: int) -> tuple[int, int]:
     """The workspace ``linalg.eigh(..., driver="evd")`` queries for order n."""
@@ -351,15 +345,6 @@ def refine_sets(
     for part in partitions:
         part.sort(key=lambda cluster: cluster[0][0])
     return partitions
-
-
-def prism_paths(
-    A: Sequence[int], stats: WalkStats, alpha: float
-) -> list[tuple[list[int], tuple[dict, ...]]]:
-    """Partition one node set into path-symmetric clusters (``refine_sets``
-    of the one pair), each with the per-length entries of the test that
-    accepted it (``()`` for a singleton), sorted by smallest member id."""
-    return refine_sets([(stats, A)], alpha)[0]
 
 
 def symmetry_clusters(stats: Sequence[WalkStats], alpha: float) -> list[SymmetryPartition]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -158,28 +157,6 @@ class CountRows(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ClusterCounts:
-    """Per-member counts over signature categories, plus the null category
-    in column 0: c0 = N - the sum of the others."""
-
-    members: tuple[int, ...]
-    categories: np.ndarray  # the kept columns' signature codes
-    counts: np.ndarray  # shape (len(members), len(categories) + 1), col 0 null
-    N: int
-    length: int
-
-    @cached_property
-    def means(self) -> np.ndarray:
-        return self.counts.mean(axis=0)
-
-
-def q_statistic(cc: ClusterCounts) -> float:
-    """Sum over categories and members of squared deviations from the
-    cluster-mean counts."""
-    return float(((cc.counts - cc.means) ** 2).sum())
-
-
-@dataclass(frozen=True)
 class GammaApprox:
     """Moment-matched gamma for the null distribution of the Q statistic."""
 
@@ -214,17 +191,6 @@ def gamma_moments(m: int, N: int, p, s1, s2, s3):
     mu = (m - 1) * N * (s1 * (1 + p) - s2)
     sigma2 = 2 * (m - 1) * N**2 * ((p * s1) ** 2 + s2 * (1 + 2 * p * p) - 2 * s3 + s2 * s2)
     return mu, sigma2
-
-
-def gamma_approx_params(cc: ClusterCounts) -> GammaApprox:
-    """``gamma_moments`` of a cluster, around its largest category."""
-    p = cc.means / cc.N
-    top = int(p.argmax())
-    rest = np.delete(p, top)
-    mu, sigma2 = gamma_moments(
-        len(cc.members), cc.N, p[top], rest.sum(), (rest**2).sum(), (rest**3).sum()
-    )
-    return GammaApprox(float(mu), float(sigma2))
 
 
 def gamma_critical_value(g: GammaApprox, alpha: float):

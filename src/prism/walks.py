@@ -1,4 +1,4 @@
-"""Truncated random walks: walk-count bounds, sampling, and the exact oracle.
+"""Truncated random walks: walk-count bounds and sampling.
 
 A walk step picks an incident hyperedge uniformly at random, then a uniform
 member of that edge other than the current node (a cardinality-1 edge is a
@@ -29,13 +29,13 @@ The engine runs all N walks of a source at once:
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
-from typing import Mapping, NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .hypergraph import LabeledHypergraph
-from .stats import Signature, SignatureTable
+from .stats import SignatureTable
 
 EULER_GAMMA = 0.5772156649
 
@@ -130,8 +130,7 @@ class WalkStats:
     hit); ``signatures`` counts each observed (target, first-hit label
     sequence), so a target's counts sum to ``hits[target]``. The null path
     count is ``N - hits[target]``. Entries for the source itself are zeroed
-    placeholders. Per-target dicts passed as ``signature_counts`` are
-    encoded into ``signatures``.
+    placeholders.
     """
 
     source: int
@@ -140,12 +139,7 @@ class WalkStats:
     tht: np.ndarray
     tht_sd: np.ndarray
     hits: np.ndarray
-    signatures: SignatureTable | None = field(default=None, repr=False)
-    signature_counts: InitVar[Mapping[int, Mapping[Signature, int]] | None] = None
-
-    def __post_init__(self, signature_counts):
-        if signature_counts is not None:
-            self.signatures = SignatureTable.from_counts(signature_counts)
+    signatures: SignatureTable = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -180,41 +174,55 @@ class TransitionTables(NamedTuple):
 def transition_tables(h: LabeledHypergraph) -> TransitionTables:
     """Build the transition tables of ``h``. Callers read ``h.walk_tables``,
     which builds them once per hypergraph."""
-    # row v of the incidence lists v's edges in ascending id order, the order
-    # its probabilities accumulate in
-    incidence = h.incidence
-    indptr, nexts, labels, cums = [0], [], [], []
-    for v in range(h.n_nodes):
-        eids = incidence.indices[incidence.indptr[v] : incidence.indptr[v + 1]].tolist()
-        probs: dict[tuple[int, int], float] = {}
-        if eids:
-            per_edge = 1.0 / len(eids)
-            for eid in eids:
-                label, members = h.edges[eid]
-                if len(members) == 1:
-                    key = (v, label)
-                    probs[key] = probs.get(key, 0.0) + per_edge
-                else:
-                    share = per_edge / (len(members) - 1)
-                    for u in members:
-                        if u != v:
-                            key = (u, label)
-                            probs[key] = probs.get(key, 0.0) + share
-        if not probs:
-            probs[(v, -1)] = 1.0
-        keys = sorted(probs)
-        cum = np.cumsum([probs[k] for k in keys])
-        cum /= cum[-1]
-        cum[-1] = 1.0
-        nexts += [k[0] for k in keys]
-        labels += [k[1] for k in keys]
-        cums += cum.tolist()
-        indptr.append(len(nexts))
-    # the lists take several times the arrays' memory: free them before the guide is built
-    indptr, nexts = np.array(indptr, dtype=np.int64), np.array(nexts, dtype=np.int64)
-    labels, cum = np.array(labels, dtype=np.int64), np.array(cums, dtype=np.float64)
-    del cums
-    return TransitionTables(indptr, nexts, labels, cum, *_guide(indptr, cum))
+    indptr, nxt, label, cum = _rows(h)  # whose temporaries are freed before the guide is built
+    return TransitionTables(indptr, nxt, label, cum, *_guide(indptr, cum))
+
+
+def _rows(h: LabeledHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``indptr``, ``next``, ``label`` and ``cum`` of ``h``'s tables.
+
+    Each (node, edge) incidence pair is expanded over the edge's members: a
+    share (1/deg)/(c-1) to every other member, or 1/deg back to the node for
+    a one-member edge. One stable lexsort by (node, next, label) keeps each
+    key's shares in ascending edge order, and ``np.bincount`` sums them in
+    that order. Each row's cumulative sum is taken along one (rows, k) block
+    per row length k, which rounds as the row's own ``np.cumsum``.
+    """
+    n, b, by_edge = h.n_nodes, h.incidence, h.incidence.tocsc()
+    deg, edge = np.diff(b.indptr), b.indices  # row v lists v's edges in ascending id order
+    node = np.repeat(np.arange(n, dtype=edge.dtype), deg)
+    size = np.diff(by_edge.indptr)[edge]
+    at = np.repeat(by_edge.indptr[edge] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    nxt = by_edge.indices[at]
+    del by_edge, at
+    # a pair keeps the c - 1 other members, or the node of a one-member edge;
+    # a stranded node has the one entry (v, -1)
+    nxt = nxt[(nxt != np.repeat(node, size)) | np.repeat(size == 1, size)]
+    kept = np.maximum(size - 1, 1)
+    labels = np.fromiter((label for label, _ in h.edges), np.int64, h.n_edges)
+    stranded = np.flatnonzero(deg == 0).astype(edge.dtype)
+    src = np.concatenate([np.repeat(node, kept), stranded])
+    nxt = np.concatenate([nxt, stranded])
+    lab = np.concatenate([np.repeat(labels[edge], kept), np.full(len(stranded), -1)])
+    share = np.concatenate([np.repeat((1.0 / deg[node]) / kept, kept), np.ones(len(stranded))])
+    del node, size, kept
+    order = np.lexsort((lab, nxt, src))
+    src, nxt, lab = src[order], nxt[order], lab[order]
+    share = share[order]
+    del order
+    new = np.ones(len(src), dtype=bool)
+    new[1:] = (src[1:] != src[:-1]) | (nxt[1:] != nxt[:-1]) | (lab[1:] != lab[:-1])
+    cum = np.bincount(np.cumsum(new) - 1, share)
+    first = np.flatnonzero(new)
+    lens = np.bincount(src[first], minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    for k in np.unique(lens).tolist():
+        rows = indptr[:-1][lens == k, None] + np.arange(k)
+        block = np.cumsum(cum[rows], axis=1)
+        block /= block[:, -1:]
+        block[:, -1] = 1.0
+        cum[rows] = block
+    return indptr, nxt[first].astype(np.int64), lab[first], cum
 
 
 def _guide(indptr: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -251,17 +259,6 @@ def _guide(indptr: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     guide = np.cumsum(below, dtype=np.int32 if len(cum) < 2**31 else np.int64)
     guide -= below
     return gptr, gsize, guide, width
-
-
-def transition_matrix(h: LabeledHypergraph) -> np.ndarray:
-    """Dense single-step transition matrix of the walk process."""
-    t = h.walk_tables
-    starts = t.indptr[:-1]
-    probs = np.diff(t.cum, prepend=0.0)
-    probs[starts] = t.cum[starts]
-    p = np.zeros((h.n_nodes, h.n_nodes))
-    np.add.at(p, (np.repeat(np.arange(h.n_nodes), np.diff(t.indptr)), t.next), probs)
-    return p
 
 
 def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -371,21 +368,3 @@ def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
         tht_sd = np.sqrt(np.maximum(0.0, (sumsq - total * total / N) / (N - 1)))
     tht[source] = tht_sd[source] = 0.0
     return WalkStats(source=source, N=N, L=L, tht=tht, tht_sd=tht_sd, hits=hits, signatures=table)
-
-
-def exact_tht(h: LabeledHypergraph, source: int, L: int) -> np.ndarray:
-    """Exact truncated hitting times from ``source`` under the same walk
-    process, by dynamic programming; h[target] = L when unreachable in L
-    steps and 0 for the source itself."""
-    if not 0 <= source < h.n_nodes:
-        raise ValueError("source not in hypergraph")
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    p = transition_matrix(h)
-    n = h.n_nodes
-    # column j holds h^l(i -> j) for all i; the diagonal is pinned to 0
-    hmat = np.zeros((n, n))
-    for _ in range(L):
-        hmat = 1.0 + p @ hmat
-        np.fill_diagonal(hmat, 0.0)
-    return hmat[source].copy()

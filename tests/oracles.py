@@ -15,12 +15,22 @@ for the batched 2-means, and a dense SVD for the principal-component
 projection, with the per-set numpy projection that the batched one
 replaced as its bit reference.
 
+A few are plain forms of what the package computes in bulk, kept here
+because only tests need them: the per-node dict loop over each node's edges
+for the transition tables (``reference_transition_tables``, their bit
+reference), the dense transition matrix and the dynamic-programming hitting
+times it gives (``transition_matrix``, ``exact_tht``), and the dense
+one-cluster count matrix with its Q statistic and gamma moments
+(``ClusterCounts``, ``q_statistic``, ``gamma_approx_params``).
+
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -29,13 +39,7 @@ import numpy as np
 import pytest
 from scipy import linalg, sparse
 
-from prism.stats import (
-    MIN_CATEGORY_MEAN,
-    ClusterCounts,
-    GammaApprox,
-    gamma_critical_value,
-    q_statistic,
-)
+from prism.stats import MIN_CATEGORY_MEAN, GammaApprox, gamma_critical_value, gamma_moments
 
 mpmath.mp.dps = 30
 
@@ -230,19 +234,24 @@ def gamma_isf_mpmath(alpha, shape, rate):
     return float((lo + hi) / 2)
 
 
+def multinomial_covariance(means, N):
+    """Covariance S of one member's count vector, multinomial with N trials
+    over the category probabilities ``means / N``."""
+    p = np.asarray(means, dtype=float) / N
+    return N * (np.diag(p) - np.outer(p, p))
+
+
 def block_deviation_covariance(means, N, m):
     """Full block covariance of the member-vs-mean count deviations."""
-    p = np.asarray(means, dtype=float) / N
-    S = N * (np.diag(p) - np.outer(p, p))
-    return np.kron(np.eye(m) - np.full((m, m), 1.0 / m), S)
+    return np.kron(np.eye(m) - np.full((m, m), 1.0 / m), multinomial_covariance(means, N))
 
 
-def genchi2_mc_quantile(weights, q, n_samples, rng):
-    """Monte-Carlo quantile of a weighted sum of independent chi-squared(1)
+def genchi2_mc_quantile(weights, df, q, n_samples, rng):
+    """Monte-Carlo quantile of a weighted sum of independent chi-squared(df)
     variables."""
     total = np.zeros(n_samples)
     for w in weights:
-        total += w * rng.chisquare(1, size=n_samples)
+        total += w * rng.chisquare(df, size=n_samples)
     return float(np.quantile(total, q))
 
 
@@ -355,11 +364,11 @@ def reference_binary_split(points):
     return np.flatnonzero(~assign), np.flatnonzero(assign)
 
 
-def reference_tables(h):
-    """Per-node categorical transition tables over (next node, label) pairs."""
-    nexts: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    cums: list[np.ndarray] = []
+def reference_transition_tables(h):
+    """The transition tables' ``indptr``, ``next``, ``label`` and ``cum``,
+    one node at a time: each (next node, label) pair's probability summed in
+    a dict in ascending edge order, then the row's cumulative sum."""
+    indptr, nexts, labels, cums = [0], [], [], []
     for v, eids in enumerate(node_edges(h)):
         probs: dict[tuple[int, int], float] = {}
         if eids:
@@ -379,14 +388,55 @@ def reference_tables(h):
             # stranded node: walks stay put without consuming a label
             probs[(v, -1)] = 1.0
         keys = sorted(probs)
-        p = np.array([probs[k] for k in keys])
-        cum = np.cumsum(p)
+        cum = np.cumsum([probs[k] for k in keys])
         cum /= cum[-1]
         cum[-1] = 1.0
-        nexts.append(np.array([k[0] for k in keys], dtype=np.int64))
-        labels.append(np.array([k[1] for k in keys], dtype=np.int64))
-        cums.append(cum)
-    return nexts, labels, cums
+        nexts += [k[0] for k in keys]
+        labels += [k[1] for k in keys]
+        cums += cum.tolist()
+        indptr.append(len(nexts))
+    return (
+        np.array(indptr, dtype=np.int64),
+        np.array(nexts, dtype=np.int64),
+        np.array(labels, dtype=np.int64),
+        np.array(cums, dtype=np.float64),
+    )
+
+
+def reference_tables(h):
+    """Per-node categorical transition tables over (next node, label) pairs:
+    each node's ``next``, ``label`` and ``cum`` rows."""
+    indptr, *flat = reference_transition_tables(h)
+    return [np.split(a, indptr[1:-1]) for a in flat]
+
+
+def transition_matrix(h):
+    """Dense single-step transition matrix of the walk process."""
+    indptr, nexts, _, cum = reference_transition_tables(h)
+    starts = indptr[:-1]
+    probs = np.diff(cum, prepend=0.0)
+    probs[starts] = cum[starts]
+    p = np.zeros((h.n_nodes, h.n_nodes))
+    np.add.at(p, (np.repeat(np.arange(h.n_nodes), np.diff(indptr)), nexts), probs)
+    return p
+
+
+def exact_tht(h, source, L):
+    """Exact truncated hitting times from ``source`` under the same walk
+    process, by dynamic programming; h[target] = L when unreachable in L
+    steps and 0 for the source itself."""
+    if not 0 <= source < h.n_nodes:
+        raise ValueError("source not in hypergraph")
+    if L < 1:
+        raise ValueError("L must be at least 1")
+    p = transition_matrix(h)
+    n = h.n_nodes
+    # column j holds h^l(i -> j) for all i; the diagonal is pinned to 0
+    hmat = np.zeros((n, n))
+    for _ in range(L):
+        hmat = 1.0 + p @ hmat
+        np.fill_diagonal(hmat, 0.0)
+    return hmat[source].copy()
 
 
 class ReferenceWalks(NamedTuple):
@@ -480,6 +530,39 @@ def reference_walks(h, source, cfg):
         if counts:
             signature_counts[target] = counts
     return ReferenceWalks(tht, tht_sd, hits, signature_counts)
+
+
+@dataclass(frozen=True)
+class ClusterCounts:
+    """Per-member counts over signature categories, plus the null category
+    in column 0: c0 = N - the sum of the others."""
+
+    members: tuple[int, ...]
+    categories: np.ndarray  # the kept columns' signature codes
+    counts: np.ndarray  # shape (len(members), len(categories) + 1), col 0 null
+    N: int
+    length: int
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        return self.counts.mean(axis=0)
+
+
+def q_statistic(cc):
+    """Sum over categories and members of squared deviations from the
+    cluster-mean counts."""
+    return float(((cc.counts - cc.means) ** 2).sum())
+
+
+def gamma_approx_params(cc):
+    """``stats.gamma_moments`` of a cluster, around its largest category."""
+    p = cc.means / cc.N
+    top = int(p.argmax())
+    rest = np.delete(p, top)
+    mu, sigma2 = gamma_moments(
+        len(cc.members), cc.N, p[top], rest.sum(), (rest**2).sum(), (rest**3).sum()
+    )
+    return GammaApprox(float(mu), float(sigma2))
 
 
 def reference_cluster_counts(members, marginals, N, length, min_category_mean=MIN_CATEGORY_MEAN):

@@ -20,25 +20,12 @@ import numpy as np
 import datasets
 import oracles
 from prism.cli import main
-from prism.clustering import prism_paths
+from prism.clustering import refine_sets
 from prism.hypergraph import diameter
 from prism.pipeline import RunConfig, get_communities
 from prism.spectral import SpectralConfig, hcluster
-from prism.stats import (
-    ClusterCounts,
-    gamma_approx_params,
-    gamma_critical_value,
-    path_symmetric,
-    theta_sym,
-)
-from prism.walks import (
-    WalkConfig,
-    WalkStats,
-    exact_tht,
-    optimal_walk_count,
-    run_walks,
-    topk_walk_count,
-)
+from prism.stats import SignatureTable, gamma_critical_value, path_symmetric, theta_sym
+from prism.walks import WalkConfig, WalkStats, optimal_walk_count, run_walks, topk_walk_count
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -133,18 +120,19 @@ def test_criterion_4_gamma_approximation_fidelity():
         pi /= pi.sum()
         N = 5000
         means = pi * N
-        cc = ClusterCounts(
+        cc = oracles.ClusterCounts(
             members=tuple(range(m)),
             categories=tuple((i,) for i in range(lam)),
             counts=np.tile(means, (m, 1)),
             N=N,
             length=1,
         )
-        crit = gamma_critical_value(gamma_approx_params(cc), 0.05)
-        block = oracles.block_deviation_covariance(means, N, m)
-        w = np.linalg.eigvalsh(block)
+        crit = gamma_critical_value(oracles.gamma_approx_params(cc), 0.05)
+        # the block covariance kron(I - J/m, S) has the eigenvalues of S,
+        # each m - 1 times: one chi-squared(m - 1) per eigenvalue of S
+        w = np.linalg.eigvalsh(oracles.multinomial_covariance(means, N))
         w = w[w > 1e-9]
-        q = oracles.genchi2_mc_quantile(w, 0.95, 10**6, rng)
+        q = oracles.genchi2_mc_quantile(w, m - 1, 0.95, 10**6, rng)
         worst = max(worst, abs(crit - q) / q)
     report(
         "4 gamma-approximation fidelity",
@@ -163,7 +151,7 @@ def test_criterion_5_epsilon_uncertainty_bound():
             L = max(1, diameter(h))
             N = optimal_walk_count(eps, max(1, h.n_labels), L)
             for source in range(h.n_nodes):
-                exact = exact_tht(h, source, L)
+                exact = oracles.exact_tht(h, source, L)
                 errs = np.zeros(h.n_nodes)
                 for rep in range(50):
                     st = run_walks(
@@ -199,7 +187,7 @@ def _scaling_stats(n, lam=32, n_profiles=8, N=4000, seed=0):
         tht=np.ones(n + 1),
         tht_sd=np.zeros(n + 1),
         hits=np.full(n + 1, N, dtype=np.int64),
-        signature_counts=sig_counts,
+        signatures=SignatureTable.from_counts(sig_counts),
     )
 
 
@@ -210,9 +198,9 @@ def test_criterion_6_complexity_scaling():
         stats = _scaling_stats(n)
         times = []
         for _ in range(5):
-            t0 = time.perf_counter()
-            prism_paths(list(range(n)), stats, alpha=0.01)
-            times.append(time.perf_counter() - t0)
+            t0 = time.process_time()
+            refine_sets([(stats, list(range(n)))], alpha=0.01)
+            times.append(time.process_time() - t0)
         med = sorted(times)[2]
         ratios[n] = med / (n * math.log(n))
     # best single constant c, then every point must lie within x1.5 of

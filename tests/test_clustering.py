@@ -10,14 +10,18 @@ from prism import clustering
 from prism.clustering import (
     binary_split,
     distance_sets,
-    partition_distance_symmetric,
-    prism_paths,
     project_rows,
     refine_sets,
     standardize_and_project,
     symmetry_clusters,
 )
-from prism.stats import PATH_TEST_COUNTS, CountRows, path_symmetry_report, theta_sym
+from prism.stats import (
+    PATH_TEST_COUNTS,
+    CountRows,
+    SignatureTable,
+    path_symmetry_report,
+    theta_sym,
+)
 from prism.walks import WalkConfig, WalkStats, run_walks
 
 
@@ -34,7 +38,7 @@ def stats_from_tht(tht, hits=None, N=1000, L=4, source=0):
         tht=tht,
         tht_sd=np.zeros(n),
         hits=np.asarray(hits, dtype=np.int64),
-        signature_counts={v: {} for v in range(n) if v != source},
+        signatures=SignatureTable.from_counts({}),
     )
 
 
@@ -53,13 +57,18 @@ def synthetic_count_stats(count_rows, N=2000, L=1, source=None):
         tht=np.ones(size),
         tht_sd=np.zeros(size),
         hits=np.full(size, N, dtype=np.int64),
-        signature_counts=sig_counts,
+        signatures=SignatureTable.from_counts(sig_counts),
     )
 
 
-def clusters(paths):
-    """The clusters of a ``prism_paths`` result, without their margins."""
-    return [cluster for cluster, _ in paths]
+def distance_groups(stats, alpha):
+    """The members of each distance set of one source."""
+    return [list(d.members) for d in distance_sets([stats], alpha)[0]]
+
+
+def clusters(stats, A, alpha):
+    """The clusters of one set's refinement, without their margins."""
+    return [cluster for cluster, _ in refine_sets([(stats, A)], alpha)[0]]
 
 
 def sides(second):
@@ -71,39 +80,39 @@ def test_distance_partition_gap_sweep():
     st = stats_from_tht([0.0, 1.0, 1.01, 2.0, 2.02, 3.5], N=1000, L=4)
     theta = theta_sym(0.01, 4, 1000)
     assert 0.02 < theta < 0.5
-    groups = partition_distance_symmetric(st, 0.01)
+    groups = distance_groups(st, 0.01)
     assert groups == [[1, 2], [3, 4], [5]]
 
 
 def test_distance_partition_all_equal_single_set():
     st = stats_from_tht([0.0, 2.0, 2.0, 2.0], N=1000, L=4)
-    assert partition_distance_symmetric(st, 0.01) == [[1, 2, 3]]
+    assert distance_groups(st, 0.01) == [[1, 2, 3]]
 
 
 def test_distance_partition_zero_threshold_splits_distinct_values():
     # L=1 makes the threshold exactly zero
     st = stats_from_tht([0.0, 1.0, 1.0, 0.9999], N=1000, L=1)
-    groups = partition_distance_symmetric(st, 0.01)
+    groups = distance_groups(st, 0.01)
     assert groups == [[3], [1, 2]]
 
 
 def test_distance_partition_drops_unreached_nodes():
     hits = [0, 1000, 0, 1000]
     st = stats_from_tht([0.0, 2.0, 4.0, 2.0], hits=hits, N=1000, L=4)
-    assert partition_distance_symmetric(st, 0.01) == [[1, 3]]
+    assert distance_groups(st, 0.01) == [[1, 3]]
 
 
 def test_distance_partition_keeps_hit_nodes_at_max_tht():
     # a node hit only at the final step has estimate L but is still reached
     hits = [0, 1000, 600]
     st = stats_from_tht([0.0, 4.0, 4.0], hits=hits, N=1000, L=4)
-    assert partition_distance_symmetric(st, 0.01) == [[1, 2]]
+    assert distance_groups(st, 0.01) == [[1, 2]]
 
 
 def test_distance_partition_physics_reference_sets(physics):
     b1 = physics.node_names.index("B1")
     st = run_walks(physics, b1, WalkConfig(L=4, N=3000, seed=0))
-    groups = partition_distance_symmetric(st, 0.01)
+    groups = distance_groups(st, 0.01)
     named = [sorted(physics.node_names[v] for v in g) for g in groups]
     assert named == [
         ["P1", "P2", "P3"],
@@ -146,7 +155,6 @@ def test_distance_sets_block_equals_each_source_alone(block, alpha):
     assert got == [distance_sets([s], alpha)[0] for s in block]
     for s, sets in zip(block, got):
         assert [list(d.members) for d in sets] == oracles.reference_distance_partition(s, theta)
-        assert [list(d.members) for d in sets] == partition_distance_symmetric(s, alpha)
         assert [d.tht for d in sets] == [float(s.tht[list(d.members)].mean()) for d in sets]
 
 
@@ -405,7 +413,7 @@ def test_binary_split_batch_equals_reference_per_group(groups):
 
 def test_prism_paths_singleton_passes_through():
     st = synthetic_count_stats([[100, 50]])
-    assert clusters(prism_paths([0], st, alpha=0.01)) == [[0]]
+    assert clusters(st, [0], 0.01) == [[0]]
 
 
 def test_prism_paths_returns_partition():
@@ -421,7 +429,7 @@ def test_prism_paths_returns_partition():
         full = np.append(p, 1 - p.sum())
         rows.append(rng.multinomial(2000, full)[:-1])
     st = synthetic_count_stats(rows)
-    part = clusters(prism_paths(list(range(12)), st, alpha=0.01))
+    part = clusters(st, list(range(12)), 0.01)
     flat = sorted(v for g in part for v in g)
     assert flat == list(range(12))
     # three latent profiles should be recovered exactly
@@ -433,20 +441,20 @@ def test_prism_paths_returns_partition():
 def test_prism_paths_identical_rows_stay_together():
     rows = [[200, 100, 50]] * 6
     st = synthetic_count_stats(rows)
-    assert clusters(prism_paths(list(range(6)), st, alpha=0.5)) == [list(range(6))]
+    assert clusters(st, list(range(6)), 0.5) == [list(range(6))]
 
 
 def test_prism_paths_rejects_source_in_set():
     st = synthetic_count_stats([[10, 10]], source=0)
     with pytest.raises(ValueError):
-        prism_paths([0], st, alpha=0.1)
+        refine_sets([(st, [0])], alpha=0.1)
 
 
 def test_prism_paths_physics_refinement(physics):
     b1 = physics.node_names.index("B1")
     st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
     ids = [physics.node_names.index(p) for p in ("P1", "P2", "P3")]
-    part = clusters(prism_paths(ids, st, alpha=0.01))
+    part = clusters(st, ids, 0.01)
     named = sorted(sorted(physics.node_names[v] for v in g) for g in part)
     assert named == [["P1", "P2"], ["P3"]]
 
@@ -458,7 +466,7 @@ def test_prism_paths_alpha_sweep(physics):
     by_alpha = {
         alpha: sorted(
             sorted(physics.node_names[v] for v in g)
-            for g in clusters(prism_paths(ids, st, alpha))
+            for g in clusters(st, ids, alpha)
         )
         for alpha in (1e-9, 0.01, 0.9999)
     }
@@ -472,7 +480,7 @@ def test_prism_paths_cluster_count_monotone_in_alpha(physics):
     st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
     reached = [v for v in range(physics.n_nodes) if v != b1]
     counts = [
-        len(clusters(prism_paths(reached, st, alpha)))
+        len(clusters(st, reached, alpha))
         for alpha in (1e-12, 1e-6, 0.01, 0.2, 0.9999)
     ]
     assert counts == sorted(counts)
@@ -534,12 +542,12 @@ def test_path_tests_equal_reference_report(case, N, alpha):
         tht=np.ones(m + 1),
         tht_sd=np.zeros(m + 1),
         hits=np.full(m + 1, N, dtype=np.int64),
-        signature_counts=cbm,
+        signatures=SignatureTable.from_counts(cbm),
     )
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clustering, "path_test", recording(clustering.path_test, calls))
-        paths = prism_paths(members, walk_stats, alpha)
+        (paths,) = refine_sets([(walk_stats, members)], alpha)
     # every group's test covers every length
     for group, entries in calls:
         want = oracles.reference_path_symmetry_report(cbm, group, N, L, alpha)
@@ -585,6 +593,7 @@ def test_refinement_does_not_depend_on_its_batch(physics):
     walked = [run_walks(physics, v, cfg) for v in range(physics.n_nodes)]
     together = symmetry_clusters(walked, alpha=0.01)
     assert together == [symmetry_clusters([st], alpha=0.01)[0] for st in walked]
-    sets = [(st, g) for st in walked for g in partition_distance_symmetric(st, 0.01)]
-    assert any(len(prism_paths(g, st, 0.01)) > 1 for st, g in sets)
-    assert refine_sets(sets, 0.01) == [prism_paths(g, st, 0.01) for st, g in sets]
+    sets = [(st, g) for st in walked for g in distance_groups(st, 0.01)]
+    alone = [refine_sets([pair], 0.01)[0] for pair in sets]
+    assert any(len(part) > 1 for part in alone)
+    assert refine_sets(sets, 0.01) == alone

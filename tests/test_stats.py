@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 
 import oracles
 import prism
+from oracles import ClusterCounts, gamma_approx_params, q_statistic
 from prism.stats import (
-    ClusterCounts,
     CountRows,
     GammaApprox,
     SignatureTable,
-    gamma_approx_params,
     gamma_critical_value,
     path_symmetric,
     path_symmetry_report,
     path_test,
-    q_statistic,
     t_inverse_survival,
     theta_sym,
 )

@@ -16,12 +16,10 @@ from prism.stats import CountRows
 from prism.walks import (
     EULER_GAMMA,
     WalkConfig,
-    exact_tht,
     optimal_walk_count,
     p_star,
     run_walks,
     topk_walk_count,
-    transition_matrix,
     walk_kept_bytes,
     walk_peak_bytes,
 )
@@ -107,7 +105,7 @@ def test_run_walks_star_matches_exact_oracle():
     # exactly 1 and must equal the dynamic-programming value
     h = datasets.graph(datasets.star_db(5))
     hub = h.node_names.index("hub")
-    exact = exact_tht(h, hub, 1)
+    exact = oracles.exact_tht(h, hub, 1)
     st = run_walks(h, hub, WalkConfig(L=1, N=4000, seed=3))
     for v in range(h.n_nodes):
         if v == hub:
@@ -120,7 +118,7 @@ def test_run_walks_star_l2_within_3_sigma():
     h = datasets.graph(datasets.star_db(4))
     hub = h.node_names.index("hub")
     L, N = 2, 6000
-    exact = exact_tht(h, hub, L)
+    exact = oracles.exact_tht(h, hub, L)
     st = run_walks(h, hub, WalkConfig(L=L, N=N, seed=9))
     for v in range(h.n_nodes):
         if v == hub:
@@ -175,7 +173,7 @@ def test_run_walks_tht_bounds():
 def test_run_walks_monte_carlo_rate():
     h = datasets.graph(datasets.triangle_db())
     L = 3
-    exact = exact_tht(h, 0, L)
+    exact = oracles.exact_tht(h, 0, L)
 
     def mean_abs_err(N, seeds):
         errs = []
@@ -193,37 +191,37 @@ def test_run_walks_monte_carlo_rate():
 
 def test_exact_tht_single_edge():
     h = datasets.graph(datasets.single_edge_db())
-    assert exact_tht(h, 0, 3)[1] == pytest.approx(1.0)
+    assert oracles.exact_tht(h, 0, 3)[1] == pytest.approx(1.0)
 
 
 def test_exact_tht_triangle_three_steps():
     h = datasets.graph(datasets.triangle_db())
-    vals = exact_tht(h, 0, 3)
+    vals = oracles.exact_tht(h, 0, 3)
     assert vals[h.node_names.index("b")] == pytest.approx(1.75)
     assert vals[h.node_names.index("c")] == pytest.approx(1.75)
 
 
 def test_exact_tht_source_is_zero():
     h = datasets.graph(datasets.physics_db())
-    assert exact_tht(h, 4, 4)[4] == 0.0
+    assert oracles.exact_tht(h, 4, 4)[4] == 0.0
 
 
 def test_exact_tht_unreachable_is_l():
     h = datasets.graph("Knows(a,b)\nKnows(c,d)\n")
-    vals = exact_tht(h, 0, 5)
+    vals = oracles.exact_tht(h, 0, 5)
     assert vals[h.node_names.index("c")] == pytest.approx(5.0)
 
 
 def test_transition_matrix_rows_sum_to_one():
     h = datasets.graph(datasets.physics_db())
-    p = transition_matrix(h)
+    p = oracles.transition_matrix(h)
     assert np.allclose(p.sum(axis=1), 1.0)
     assert (p >= 0).all()
 
 
 def test_cardinality_one_edge_is_self_loop():
     h = datasets.graph("Solo(a)\nKnows(a,b)\n")
-    p = transition_matrix(h)
+    p = oracles.transition_matrix(h)
     a = h.node_names.index("a")
     assert p[a, a] == pytest.approx(0.5)
 
@@ -323,6 +321,37 @@ def test_run_walks_equals_reference_walks(inputs):
     assert np.array_equal(got.tht_sd, want.tht_sd)
     assert np.array_equal(got.hits, want.hits)
     assert oracles.signature_dicts(got.signatures, want.signature_counts) == want.signature_counts
+
+
+@st.composite
+def table_hypergraphs(draw):
+    """Up to 40 nodes, some stranded, 1 to 4 labels and edges of cardinality
+    1 to 6, some repeated, so that one (next node, label) pair sums the
+    shares of several edges."""
+    n = draw(st.integers(1, 40))
+    n_labels = draw(st.integers(1, 4))
+    edge = st.tuples(
+        st.integers(0, n_labels - 1),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True).map(tuple),
+    )
+    edges = draw(st.lists(edge, max_size=60))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=10))
+    return LabeledHypergraph.build(
+        [f"v{i}" for i in range(n)], [f"l{i}" for i in range(n_labels)], edges
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_hypergraphs())
+@example(_hub())
+@example(_ring(300, 3, 200, seed=5))
+def test_transition_tables_equal_reference_loop(h):
+    # the vectorized build keeps every bit of the per-node dict loop
+    got = walks.transition_tables(h)
+    for name, want in zip(got._fields, oracles.reference_transition_tables(h)):
+        assert getattr(got, name).dtype == want.dtype, name
+        assert np.array_equal(getattr(got, name), want), name
 
 
 @settings(max_examples=100, deadline=None)
