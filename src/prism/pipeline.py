@@ -30,7 +30,8 @@ from .hypergraph import LabeledHypergraph, connected_components, diameter
 from .spectral import SpectralConfig, hcluster
 from .stats import MIN_CATEGORY_MEAN
 from .stats import path_symmetry_report  # noqa: F401  kept bound for bench/child.py's TRACED
-from .walks import WalkConfig, run_walks, topk_walk_count, walk_kept_bytes, walk_peak_bytes
+from .walks import WalkConfig, run_walks, table_peak_bytes, topk_walk_count
+from .walks import walk_kept_bytes, walk_peak_bytes
 
 SCHEMA_VERSION = 1
 WALK_MEMORY_BUDGET = 2 * 2**30  # bytes of walk buffers and walked sources a run may hold at once
@@ -136,11 +137,12 @@ def get_communities(
     """Mine path-symmetric concepts for every source node of every
     sub-hypergraph; deterministic for a fixed config, any thread count.
 
-    Before any walk starts, each piece is sized: its walks in flight
-    (``walk_peak_bytes`` per worker) and what each walked source keeps until
-    its block is clustered (``walk_kept_bytes``). A block is as many sources
-    as fit beside the walks under ``WALK_MEMORY_BUDGET``; a ValueError
-    refuses the run when not even one fits."""
+    Before any walk starts, each piece is sized: its transition tables
+    (``table_peak_bytes``), its walks in flight (``walk_peak_bytes`` per
+    worker) and what each walked source keeps until its block is clustered
+    (``walk_kept_bytes``). A block is as many sources as fit beside the
+    tables and walks under ``WALK_MEMORY_BUDGET``; a ValueError refuses the
+    run when not even one fits."""
     if timings is None:
         timings = {}
     if h.n_nodes == 0:
@@ -165,7 +167,7 @@ def get_communities(
         n_labels = max(1, sub.n_labels)
         N = topk_walk_count(cfg.epsilon, n_labels, L, cfg.k_top)
         workers = min(cfg.threads, sub.n_nodes)
-        walking = workers * walk_peak_bytes(sub.n_nodes, n_labels, N, L)
+        walking = workers * walk_peak_bytes(sub.n_nodes, n_labels, N, L) + table_peak_bytes(sub)
         kept = walk_kept_bytes(sub.n_nodes, n_labels, N, L)
         block = (WALK_MEMORY_BUDGET - walking) // kept
         if block < 1:

@@ -15,8 +15,8 @@ The engine runs all N walks of a source at once:
   moves every walker by one gather from its row's guide and one
   compare-and-advance over the row's cumulative probabilities (indexed
   search, exact because a row's bucket count is a power of two), the exact
-  ``searchsorted(side="right")`` of a per-row lookup. Rows whose guide is
-  capped finish the few walkers left by bisection.
+  ``searchsorted(side="right")`` of a per-row lookup. In the rare buckets
+  that hold more than one cum value, the walkers left step forward.
 - States are kept step-major. A state is a first hit when it is not the
   source and differs from every earlier state of its walk: L(L-1)/2 row
   compares, no sort, nothing sized N x n.
@@ -40,7 +40,7 @@ from .stats import SignatureTable
 EULER_GAMMA = 0.5772156649
 
 MAX_WALK_COUNT = 2**48
-GUIDE_BUCKETS_PER_ENTRY = 4  # the most guide buckets a transition row gets per entry
+GUIDE_BUCKETS_PER_ENTRY = 2  # the fewest guide buckets a transition row gets per entry
 
 
 def p_star(e: int, L: int) -> int:
@@ -85,28 +85,35 @@ def topk_walk_count(epsilon: float, e: int, L: int, k: int = 3) -> int:
 
 def walk_peak_bytes(n: int, n_labels: int, N: int, L: int) -> int:
     """Upper estimate of the peak allocation of one ``run_walks`` call, with
-    N walks of length L on n nodes and ``n_labels`` labels, calibrated
-    against tracemalloc (25-30 B per walk step on the benchmark databases,
-    where the estimate is 1.5-3x the measured peak): 24 B per walk step for
-    the step-major states and the first-hit keys, 32 B per distinct
-    (target, signature) entry, of which there are at most one per step and
-    p_star per target, 64 B per walk for the per-step vectors, 640 B per
-    node for the per-target statistics and transition tables, 128 B per
-    node for the tables' guide (16 B per row and 4 B per bucket, at most
-    ``GUIDE_BUCKETS_PER_ENTRY`` per table entry; 5-13 buckets per node on
-    the benchmark databases), and 64 KiB fixed."""
+    N walks of length L on n nodes and ``n_labels`` labels, beside the
+    transition tables (``table_peak_bytes``): 24 B per walk step for the
+    step-major states and the first-hit keys, 32 B per distinct (target,
+    signature) entry, at most one per step and p_star per target, 64 B per
+    walk for the per-step vectors, 64 B per node for the per-target
+    statistics, and 64 KiB fixed. With the tables it is 1.7-3.3x the
+    tracemalloc peak on the benchmark databases (22-31 B per walk step)."""
     steps = N * L
     signatures = min(steps, n * p_star(n_labels, L))
-    return 24 * steps + 32 * signatures + 64 * N + 768 * n + 2**16
+    return 24 * steps + 32 * signatures + 64 * N + 64 * n + 2**16
+
+
+def table_peak_bytes(h: LabeledHypergraph) -> int:
+    """Upper estimate of the peak allocation of building ``h``'s transition
+    tables, which then stay for every walk on ``h``: 96 B per (node, other
+    member) pair, c·(c-1) for an edge of c members (c for c = 1), and 128 B
+    per node; tracemalloc reads 65 B per pair on binary and ternary edges
+    and 77-87 B on edges of 300-1500 members."""
+    size = np.bincount(h.incidence.indices, minlength=h.n_edges)
+    return 96 * int(size @ np.maximum(size - 1, 1)) + 128 * h.n_nodes
 
 
 def walk_kept_bytes(n: int, n_labels: int, N: int, L: int) -> int:
     """Upper estimate of what one walked source keeps until its block is
     clustered: per distinct (target, signature) entry, of which there are
     at most min(N·L, n·p_star), 24 B in its signature table and 16 B in the
-    block's count rows, and per node 24 B for ``tht``, ``tht_sd`` and
-    ``hits`` and 48 B for its count row and 2-D projection."""
-    return 40 * min(N * L, n * p_star(n_labels, L)) + 72 * n
+    block's count rows, and per node 16 B for ``tht`` and ``hits`` and 48 B
+    for its count row and 2-D projection."""
+    return 40 * min(N * L, n * p_star(n_labels, L)) + 64 * n
 
 
 @dataclass(frozen=True)
@@ -137,13 +144,8 @@ class WalkStats:
     N: int
     L: int
     tht: np.ndarray
-    tht_sd: np.ndarray
     hits: np.ndarray
     signatures: SignatureTable = field(repr=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.tht)
 
 
 class TransitionTables(NamedTuple):
@@ -155,10 +157,10 @@ class TransitionTables(NamedTuple):
     entry (v, -1): walks stay put without consuming a label.
 
     Each row also has a guide table for inversion sampling (indexed search):
-    ``gsize[v]`` buckets, a power of two, at ``guide[gptr[v]:gptr[v + 1]]``,
-    where bucket b holds the row's first entry with cum > b / gsize[v].
-    ``width`` is the most cum values of one row strictly inside one bucket,
-    so the most entries a lookup ever advances past its bucket's entry.
+    ``gsize[v]`` buckets at ``guide[gptr[v]:gptr[v + 1]]``, where bucket b
+    holds the row's first entry with cum > b / gsize[v]. ``width`` is the
+    most cum values of one row strictly inside one bucket, so the most
+    entries a lookup ever advances past its bucket's entry.
     """
 
     indptr: np.ndarray
@@ -173,9 +175,35 @@ class TransitionTables(NamedTuple):
 
 def transition_tables(h: LabeledHypergraph) -> TransitionTables:
     """Build the transition tables of ``h``. Callers read ``h.walk_tables``,
-    which builds them once per hypergraph."""
-    indptr, nxt, label, cum = _rows(h)  # whose temporaries are freed before the guide is built
-    return TransitionTables(indptr, nxt, label, cum, *_guide(indptr, cum))
+    which builds them once per hypergraph.
+
+    The rows come first, from ``_rows``, whose temporaries are then freed.
+    A row of k entries gets G guide buckets, the smallest power of two of
+    at least ``GUIDE_BUCKETS_PER_ENTRY``·k, so a lookup advances past its
+    bucket's entry fewer than k/G <= 1/2 times on average, whatever the
+    probabilities (Chen & Asau 1974; Devroye 1986, §III.2.4). Scaling by a
+    power of two is exact, so bucket b's guide is the row start plus the
+    count of the row's entries with ceil(c·G) <= b, i.e. with cum c <= b / G.
+    """
+    indptr, nxt, label, cum = _rows(h)
+    lens = np.diff(indptr)
+    # x - 1 = m·2^e with m in [0.5, 1): 2^e is the smallest power of two >= x
+    bits = np.frexp(GUIDE_BUCKETS_PER_ENTRY * lens - 1)[1]
+    gptr = np.concatenate([[0], np.cumsum(1 << bits.astype(np.int64))])
+    gsize = np.ldexp(1.0, bits)
+    scaled = cum * np.repeat(gsize, lens)
+    up = np.ceil(scaled)
+    inside = scaled != up
+    del scaled
+    # the bucket of a cum value, or the one below a cum value on a boundary
+    bucket = np.repeat(gptr[:-1] - 1, lens)
+    bucket += up.astype(np.int64)
+    del up
+    width = int(np.bincount(bucket[inside], minlength=1).max())
+    below = np.bincount(bucket, minlength=gptr[-1])
+    guide = np.cumsum(below, dtype=np.int32 if len(cum) < 2**31 else np.int64)
+    guide -= below
+    return TransitionTables(indptr, nxt, label, cum, gptr, gsize, guide, width)
 
 
 def _rows(h: LabeledHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -225,42 +253,6 @@ def _rows(h: LabeledHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return indptr, nxt[first].astype(np.int64), lab[first], cum
 
 
-def _guide(indptr: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The guide tables of rows ``indptr`` over ``cum`` (``gptr``, ``gsize``,
-    ``guide`` and ``width`` of ``TransitionTables``).
-
-    A row gets the fewest buckets, a power of two, that are no wider than
-    the smallest gap between its consecutive cum values, so no bucket holds
-    two of them; but at most ``GUIDE_BUCKETS_PER_ENTRY`` per entry, and
-    then a bucket can hold more. Scaling by a power of two is exact, so
-    bucket b's guide is the row start plus the count of the row's entries
-    with ceil(c·G) <= b, i.e. with cum c <= b / G.
-    """
-    lens = np.diff(indptr)
-    gap = np.diff(cum, prepend=0.0)
-    gap[indptr[:-1]] = 1.0  # a one-entry row needs one bucket
-    # gap = m·2^e with m in [0.5, 1) is at least 2^(e-1) = 1/2^(1-e)
-    bits = np.minimum(
-        1 - np.frexp(np.minimum.reduceat(gap, indptr[:-1]))[1],
-        np.frexp(GUIDE_BUCKETS_PER_ENTRY * lens)[1] - 1,
-    )
-    gptr = np.concatenate([[0], np.cumsum(1 << bits.astype(np.int64))])
-    gsize = np.ldexp(1.0, bits)
-    scaled = cum * np.repeat(gsize, lens)
-    up = np.ceil(scaled)
-    inside = scaled != up
-    del scaled
-    # the bucket of a cum value, or the one below a cum value on a boundary
-    bucket = np.repeat(gptr[:-1] - 1, lens)
-    bucket += up.astype(np.int64)
-    del up
-    width = int(np.bincount(bucket[inside], minlength=1).max())
-    below = np.bincount(bucket, minlength=gptr[-1])
-    guide = np.cumsum(below, dtype=np.int32 if len(cum) < 2**31 else np.int64)
-    guide -= below
-    return gptr, gsize, guide, width
-
-
 def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per walker, the index of the first entry of its row with cum > u,
     i.e. the row start plus ``searchsorted(row's cum, u, side="right")``.
@@ -269,8 +261,7 @@ def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> n
     One gather from the guide gives the first entry with cum > b / G for the
     walker's bucket b = floor(u·G), exact as G is a power of two; one
     compare-and-advance finishes every row whose buckets hold at most one
-    cum value. Walkers still short of the entry, in buckets of rows whose
-    guide was capped, finish by bisecting the rest of their rows.
+    cum value, and walkers still short of the entry step forward.
     """
     bucket = tables.gptr[rows] + (u * tables.gsize[rows]).astype(np.int64)
     # int64 entries: gathers with int32 indices take about 3x as long
@@ -279,22 +270,10 @@ def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> n
         entry += tables.cum[entry] <= u
     if tables.width > 1:
         late = np.flatnonzero(tables.cum[entry] <= u)
-        entry[late] = _bisect(tables.cum, entry[late] + 1, tables.indptr[rows[late] + 1], u[late])
+        while len(late):
+            entry[late] += 1
+            late = late[tables.cum[entry[late]] <= u[late]]
     return entry
-
-
-def _bisect(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per element, the first index in [lo, hi) with cum > u, by one batched
-    bisection; cum[hi - 1] > u must hold. An element whose range has closed
-    sits on its answer, so rounds that other elements still need leave it
-    in place."""
-    # a range of m entries closes in m.bit_length() rounds
-    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-        mid = (lo + hi) >> 1
-        right = cum[mid] <= u
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    return lo
 
 
 def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
@@ -358,13 +337,7 @@ def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
     # sums of integer step counts stay exact in float64
     target = table.key // stride
     hits = np.bincount(target, weights=table.count, minlength=n).astype(np.int64)
-    missed = N - hits
-    steps = table.count * table.length
-    total = np.bincount(target, weights=steps, minlength=n) + missed * L
-    sumsq = np.bincount(target, weights=steps * table.length, minlength=n) + missed * L * L
-    tht = total / N
-    tht_sd = np.zeros(n)
-    if N > 1:
-        tht_sd = np.sqrt(np.maximum(0.0, (sumsq - total * total / N) / (N - 1)))
-    tht[source] = tht_sd[source] = 0.0
-    return WalkStats(source=source, N=N, L=L, tht=tht, tht_sd=tht_sd, hits=hits, signatures=table)
+    steps = np.bincount(target, weights=table.count * table.length, minlength=n)
+    tht = (steps + (N - hits) * L) / N
+    tht[source] = 0.0
+    return WalkStats(source=source, N=N, L=L, tht=tht, hits=hits, signatures=table)

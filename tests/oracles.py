@@ -19,14 +19,14 @@ A few are plain forms of what the package computes in bulk, kept here
 because only tests need them: the per-node dict loop over each node's edges
 for the transition tables (``reference_transition_tables``, their bit
 reference), the dense transition matrix and the dynamic-programming hitting
-times it gives (``transition_matrix``, ``exact_tht``), and the dense
+times it gives, with their second moments (``transition_matrix``,
+``exact_tht``, ``exact_tht_moments``), and the dense
 one-cluster count matrix with its Q statistic and gamma moments
 (``ClusterCounts``, ``q_statistic``, ``gamma_approx_params``).
 
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -425,23 +425,34 @@ def exact_tht(h, source, L):
     """Exact truncated hitting times from ``source`` under the same walk
     process, by dynamic programming; h[target] = L when unreachable in L
     steps and 0 for the source itself."""
+    return exact_tht_moments(h, source, L)[0]
+
+
+def exact_tht_moments(h, source, L):
+    """The first and second moments of the truncated hitting time
+    min(T, L) of every target from ``source``, by dynamic programming: a
+    walk that has not hit the target yet takes one step, so
+    m1 <- 1 + P m1 and, as (1 + X)^2 = 1 + 2X + X^2, m2 <- 1 + 2 P m1 + P m2
+    with the previous m1. Both are 0 for the source itself."""
     if not 0 <= source < h.n_nodes:
         raise ValueError("source not in hypergraph")
     if L < 1:
         raise ValueError("L must be at least 1")
     p = transition_matrix(h)
     n = h.n_nodes
-    # column j holds h^l(i -> j) for all i; the diagonal is pinned to 0
-    hmat = np.zeros((n, n))
+    # column j holds the moments from every i of the time to hit j; the
+    # diagonal is pinned to 0
+    m1, m2 = np.zeros((n, n)), np.zeros((n, n))
     for _ in range(L):
-        hmat = 1.0 + p @ hmat
-        np.fill_diagonal(hmat, 0.0)
-    return hmat[source].copy()
+        step = p @ m1
+        m1, m2 = 1.0 + step, 1.0 + 2.0 * step + p @ m2
+        np.fill_diagonal(m1, 0.0)
+        np.fill_diagonal(m2, 0.0)
+    return m1[source].copy(), m2[source].copy()
 
 
 class ReferenceWalks(NamedTuple):
     tht: np.ndarray
-    tht_sd: np.ndarray
     hits: np.ndarray
     signature_counts: dict  # target -> {label sequence: count}
 
@@ -506,7 +517,6 @@ def reference_walks(h, source, cfg):
         first_time[rows[fresh], col[fresh]] = t + 1
 
     tht = np.zeros(n)
-    tht_sd = np.zeros(n)
     hits = np.zeros(n, dtype=np.int64)
     signature_counts = {}
     for target in range(n):
@@ -517,10 +527,6 @@ def reference_walks(h, source, cfg):
         hits[target] = len(hit_rows)
         total = float(ft[hit_rows].sum() + (N - len(hit_rows)) * L)
         tht[target] = total / N
-        sumsq = float((ft[hit_rows] ** 2).sum() + (N - len(hit_rows)) * L * L)
-        if N > 1:
-            var = max(0.0, (sumsq - total * total / N) / (N - 1))
-            tht_sd[target] = math.sqrt(var)
         counts = {}
         for t in np.unique(ft[hit_rows]):
             sel = hit_rows[ft[hit_rows] == t]
@@ -529,7 +535,7 @@ def reference_walks(h, source, cfg):
                 counts[tuple(int(x) for x in row)] = int(c)
         if counts:
             signature_counts[target] = counts
-    return ReferenceWalks(tht, tht_sd, hits, signature_counts)
+    return ReferenceWalks(tht, hits, signature_counts)
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,6 @@ def _scaling_stats(n, lam=32, n_profiles=8, N=4000, seed=0):
         N=N,
         L=1,
         tht=np.ones(n + 1),
-        tht_sd=np.zeros(n + 1),
         hits=np.full(n + 1, N, dtype=np.int64),
         signatures=SignatureTable.from_counts(sig_counts),
     )
@@ -193,16 +192,15 @@ def _scaling_stats(n, lam=32, n_profiles=8, N=4000, seed=0):
 
 def test_criterion_6_complexity_scaling():
     sizes = (1000, 2000, 4000, 8000)
-    ratios = {}
-    for n in sizes:
-        stats = _scaling_stats(n)
-        times = []
-        for _ in range(5):
+    stats = {n: _scaling_stats(n) for n in sizes}
+    times = {n: [] for n in sizes}
+    # round-robin, so a slow spell of the host lands on every size
+    for _ in range(5):
+        for n in sizes:
             t0 = time.process_time()
-            refine_sets([(stats, list(range(n)))], alpha=0.01)
-            times.append(time.process_time() - t0)
-        med = sorted(times)[2]
-        ratios[n] = med / (n * math.log(n))
+            refine_sets([(stats[n], list(range(n)))], alpha=0.01)
+            times[n].append(time.process_time() - t0)
+    ratios = {n: sorted(times[n])[2] / (n * math.log(n)) for n in sizes}
     # best single constant c, then every point must lie within x1.5 of
     # c * n ln n (an O(n^3) algorithm would deviate by ~x7 here)
     c = math.exp(np.mean([math.log(r) for r in ratios.values()]))

@@ -36,7 +36,6 @@ def stats_from_tht(tht, hits=None, N=1000, L=4, source=0):
         N=N,
         L=L,
         tht=tht,
-        tht_sd=np.zeros(n),
         hits=np.asarray(hits, dtype=np.int64),
         signatures=SignatureTable.from_counts({}),
     )
@@ -55,7 +54,6 @@ def synthetic_count_stats(count_rows, N=2000, L=1, source=None):
         N=N,
         L=L,
         tht=np.ones(size),
-        tht_sd=np.zeros(size),
         hits=np.full(size, N, dtype=np.int64),
         signatures=SignatureTable.from_counts(sig_counts),
     )
@@ -540,7 +538,6 @@ def test_path_tests_equal_reference_report(case, N, alpha):
         N=N,
         L=L,
         tht=np.ones(m + 1),
-        tht_sd=np.zeros(m + 1),
         hits=np.full(m + 1, N, dtype=np.int64),
         signatures=SignatureTable.from_counts(cbm),
     )

@@ -1,11 +1,13 @@
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import prism
 from prism.cli import _build_parser
 
 SRC = Path(prism.__file__).resolve().parent
+BENCH = SRC.parent.parent / "bench"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -41,6 +43,43 @@ def test_exports_resolve_and_imports_are_used():
     assert missing == []
     unused = [hit for path in sorted(SRC.glob("*.py")) for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class or the
+    plain names it assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_top_level_name_is_read():
+    # a deletion leaves no name behind: every top-level function, class and
+    # constant of the package is read by some line of it, exported in
+    # __all__ or named by a benchmark script
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    read = {"__all__", *prism.__all__}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    for path in BENCH.glob("*.py"):
+        read.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unread = [
+        f"{name}:{node.lineno} {defined}"
+        for name, tree in sorted(trees.items())
+        for node in tree.body
+        for defined in _defined(node)
+        if defined not in read
+    ]
+    assert unread == []
 
 
 def test_readme_names_every_cli_option():

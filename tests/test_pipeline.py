@@ -22,7 +22,7 @@ from prism.pipeline import (
     parse_report,
 )
 from prism.relational import build_hypergraph, parse_database
-from prism.walks import walk_kept_bytes, walk_peak_bytes
+from prism.walks import table_peak_bytes, walk_kept_bytes, walk_peak_bytes
 
 
 def source_concepts(report, source):
@@ -303,7 +303,7 @@ def test_each_group_is_tested_once(two_departments, monkeypatch):
 def test_blocked_run_equals_unblocked(two_departments, monkeypatch, use_hcluster):
     # a budget that holds one piece's walks beside only two walked sources
     # splits every piece into blocks of a few sources; the report keeps its
-    # bytes
+    # bytes. The whole hypergraph's tables outweigh any piece's
     cfg = RunConfig(seed=5, use_hcluster=use_hcluster)
     whole = emit_report(get_communities(two_departments, cfg))
     pieces = parse_report(whole).subhypergraphs
@@ -312,6 +312,7 @@ def test_blocked_run_equals_unblocked(two_departments, monkeypatch, use_hcluster
         for sub in pieces
     ]
     budget = max(walk_peak_bytes(*size) + 2 * walk_kept_bytes(*size) for size in sized)
+    budget += table_peak_bytes(two_departments)
     blocks = []
     symmetry_clusters = pipeline.symmetry_clusters
 
