@@ -142,7 +142,9 @@ def get_communities(
     worker) and what each walked source keeps until its block is clustered
     (``walk_kept_bytes``). A block is as many sources as fit beside the
     tables and walks under ``WALK_MEMORY_BUDGET``; a ValueError refuses the
-    run when not even one fits."""
+    run when not even one fits. Pieces are sized one at a time, so a
+    block's walked sources go before the next block is walked, and a
+    piece's tables once its last block is."""
     if timings is None:
         timings = {}
     if h.n_nodes == 0:
@@ -167,7 +169,7 @@ def get_communities(
         n_labels = max(1, sub.n_labels)
         N = topk_walk_count(cfg.epsilon, n_labels, L, cfg.k_top)
         workers = min(cfg.threads, sub.n_nodes)
-        walking = workers * walk_peak_bytes(sub.n_nodes, n_labels, N, L) + table_peak_bytes(sub)
+        walking = workers * walk_peak_bytes(sub, N, L) + table_peak_bytes(sub)
         kept = walk_kept_bytes(sub.n_nodes, n_labels, N, L)
         block = (WALK_MEMORY_BUDGET - walking) // kept
         if block < 1:
@@ -198,6 +200,8 @@ def get_communities(
                 sources = range(lo, min(lo + block, sub.n_nodes))
                 walked = list(walk_map(lambda v: run_walks(sub, v, walk_cfg), sources))
                 reports += [_source_report(sub, p) for p in symmetry_clusters(walked, cfg.alpha)]
+                del walked
+            sub.__dict__.pop("walk_tables", None)
             source_time += time.perf_counter() - t_sources
             subs.append(
                 SubhypergraphReport(

@@ -6,24 +6,32 @@ self-loop step). Per-target statistics record only the first hit within each
 walk: its step count and the label sequence traversed up to it. Targets a
 walk never hits contribute the full length L to the hitting-time average.
 
-The engine runs all N walks of a source at once:
+The engine moves the N walks of a source as counts over the distinct paths
+they take:
 
 - Transition tables are flat CSR arrays (``TransitionTables``) with a
   guide table per row, built once per sub-hypergraph and cached on it
   (``LabeledHypergraph.walk_tables``).
-- Each step draws one ``rng.random(N)`` from the source's Philox stream and
-  moves every walker by one gather from its row's guide and one
-  compare-and-advance over the row's cumulative probabilities (indexed
-  search, exact because a row's bucket count is a power of two), the exact
-  ``searchsorted(side="right")`` of a per-row lookup. In the rare buckets
-  that hold more than one cum value, the walkers left step forward.
-- States are kept step-major. A state is a first hit when it is not the
-  source and differs from every earlier state of its walk: L(L-1)/2 row
-  compares, no sort, nothing sized N x n.
+- Walkers on one path are interchangeable, so each step splits every live
+  path's count over its row, Multinomial(count, row probabilities),
+  independently across paths: the joint law of N walkers drawn one by one
+  (``_split``). With W the widest row among the step's paths, the paths of
+  at least W walkers take one ``rng.multinomial`` call on their rows padded
+  to W, at most N cells; the walkers of the others draw one uniform each,
+  looked up through the guide tables (``table_lookup``), and equal
+  outcomes merge by one sort. A step costs O(N) at worst, and much less
+  once the walkers share few paths. Draws come in a fixed order from the
+  source's Philox stream.
+- A path is its current node, walker count, label prefix code and parent;
+  the paths of every step stay until the end. A path's node is a first hit
+  when it differs from every earlier node of its path, which L - 1 gathers
+  up the parents check for all paths at once: nothing is sized N x n or
+  N x L.
 - A first hit is one int64 key: target, length, then the labels so far as
   digits ``label + 1`` in base ``n_labels + 1``, ranked (order kept) before
-  a digit would overflow. One sort of the keys and one neighbour compare
-  count every (target, signature), the source's ``SignatureTable``.
+  a digit would overflow. One sort of the keys, each weighted by its
+  path's count, counts every (target, signature), the source's
+  ``SignatureTable``.
 """
 
 from __future__ import annotations
@@ -83,18 +91,34 @@ def topk_walk_count(epsilon: float, e: int, L: int, k: int = 3) -> int:
     return n
 
 
-def walk_peak_bytes(n: int, n_labels: int, N: int, L: int) -> int:
-    """Upper estimate of the peak allocation of one ``run_walks`` call, with
-    N walks of length L on n nodes and ``n_labels`` labels, beside the
-    transition tables (``table_peak_bytes``): 24 B per walk step for the
-    step-major states and the first-hit keys, 32 B per distinct (target,
-    signature) entry, at most one per step and p_star per target, 64 B per
-    walk for the per-step vectors, 64 B per node for the per-target
-    statistics, and 64 KiB fixed. With the tables it is 1.7-3.3x the
-    tracemalloc peak on the benchmark databases (22-31 B per walk step)."""
-    steps = N * L
-    signatures = min(steps, n * p_star(n_labels, L))
-    return 24 * steps + 32 * signatures + 64 * N + 64 * n + 2**16
+def walk_peak_bytes(h: LabeledHypergraph, N: int, L: int) -> int:
+    """Upper estimate of the peak allocation of one ``run_walks`` call on
+    ``h`` with N walks of length L, beside the transition tables
+    (``table_peak_bytes``). No row is wider than W, the most (node, other
+    member) pairs of one node (``_row_pairs``), so step t holds at most
+    P_t = min(N, W^t) paths. Per path of every step 96 B for what it keeps
+    until the first hits are counted; per path of the last, widest step
+    64 B for one step's draws (at most that many cells or walkers); 32 B
+    per distinct (target, signature) entry, at most one per path and p_star
+    per target; 64 B per node and 64 KiB fixed. With the tables it is
+    1.1-3.7x the tracemalloc peak on the test cases, 5.6-9.5x on the
+    benchmark databases and up to 90x where walkers share few paths (dept
+    k10 at epsilon 0.01)."""
+    n, n_labels = h.n_nodes, max(1, h.n_labels)
+    W = max(1, int(_row_pairs(h).max(initial=0)))
+    paths, total = 1, 0
+    for _ in range(L):
+        paths = min(N, paths * W)
+        total += paths
+    return 96 * total + 64 * paths + 32 * min(total, n * p_star(n_labels, L)) + 64 * n + 2**16
+
+
+def _row_pairs(h: LabeledHypergraph) -> np.ndarray:
+    """Per node, the (node, other member) pairs that its edges give its
+    transition row before equal pairs merge: max(c - 1, 1) for each of its
+    edges of c members."""
+    size = np.bincount(h.incidence.indices, minlength=h.n_edges)
+    return h.incidence @ np.maximum(size - 1, 1)
 
 
 def table_peak_bytes(h: LabeledHypergraph) -> int:
@@ -103,8 +127,7 @@ def table_peak_bytes(h: LabeledHypergraph) -> int:
     member) pair, c·(c-1) for an edge of c members (c for c = 1), and 128 B
     per node; tracemalloc reads 65 B per pair on binary and ternary edges
     and 77-87 B on edges of 300-1500 members."""
-    size = np.bincount(h.incidence.indices, minlength=h.n_edges)
-    return 96 * int(size @ np.maximum(size - 1, 1)) + 128 * h.n_nodes
+    return 96 * int(_row_pairs(h).sum()) + 128 * h.n_nodes
 
 
 def walk_kept_bytes(n: int, n_labels: int, N: int, L: int) -> int:
@@ -255,7 +278,8 @@ def _rows(h: LabeledHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per walker, the index of the first entry of its row with cum > u,
-    i.e. the row start plus ``searchsorted(row's cum, u, side="right")``.
+    i.e. the row start plus ``searchsorted(row's cum, u, side="right")``;
+    ``_split`` draws the walkers of its paths of fewer than W walkers so.
 
     It needs 0 <= u < 1: then the entry exists (the row's last cum is 1.0).
     One gather from the guide gives the first entry with cum > b / G for the
@@ -276,12 +300,82 @@ def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> n
     return entry
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``a`` starts."""
+    new = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return new.nonzero()[0]
+
+
+def _split(tables: TransitionTables, cur: np.ndarray, count: np.ndarray, rng: np.random.Generator):
+    """One step of the live paths at nodes ``cur`` with ``count`` walkers
+    each: every path's count splits over its transition row as
+    Multinomial(count, row probabilities), independently across paths.
+
+    With W the widest row among the paths, a path of at least W walkers is
+    split by one ``rng.multinomial`` call for all such paths, on their rows
+    padded to W with zero probabilities; as each has W or more walkers,
+    that is at most N cells. The padding comes before a row's entries:
+    numpy gives the last column whatever its binomials leave, so padding
+    after them could receive walkers through rounding. The walkers of every
+    other path then draw their uniforms in one ``rng.random`` call and a
+    ``table_lookup`` each, and equal (path, entry) outcomes are merged by
+    one sort. Returns the children as (parent path, entry, count > 0):
+    those of the multinomial branch, then the others, each in (parent,
+    entry) order."""
+    start, end = tables.indptr[cur], tables.indptr[cur + 1]
+    W = int((end - start).max())
+    if count.min() >= W:
+        return _multinomial_split(tables, start, end, count, W, rng)
+    big = count >= W
+    rows = big.nonzero()[0]
+    out = []
+    if len(rows):
+        parent, entry, drawn = _multinomial_split(tables, start[rows], end[rows], count[rows], W, rng)
+        out.append((rows[parent], entry, drawn))
+    rows = (~big).nonzero()[0]
+    start, n_walkers = start[rows], count[rows]
+    entry = table_lookup(tables, np.repeat(cur[rows], n_walkers), rng.random(n_walkers.sum()))
+    # (path rank, offset in its row) as one int64
+    entry += np.repeat(np.arange(0, W * len(rows), W) - start, n_walkers)
+    entry.sort()
+    first = _run_starts(entry)
+    rank, offset = np.divmod(entry[first], W)
+    out.append((rows[rank], offset + start[rank], np.diff(first, append=len(entry))))
+    if len(out) == 1:
+        return out[0]
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _multinomial_split(tables, start, end, count, W, rng):
+    """``_split``'s multinomial branch on the rows ``start:end``, none wider
+    than W, as (path, entry, count > 0) in (path, entry) order."""
+    if len(count) == 1:  # as wide as W: no padding, and no broadcasting
+        row = slice(start[0], end[0])
+        prob = tables.cum[row].copy()
+        prob[1:] -= tables.cum[start[0] : end[0] - 1]
+        drawn = rng.multinomial(count[0], prob)
+        taken = drawn.nonzero()[0]
+        return np.zeros_like(taken), taken + start[0], drawn[taken]
+    cells = end[:, None] + np.arange(-W, 0)
+    cum = tables.cum.take(cells, mode="clip")
+    cum[cells < start[:, None]] = 0.0  # the padding
+    prob = cum.copy()
+    prob[:, 1:] -= cum[:, :-1]
+    drawn = rng.multinomial(count, prob).ravel()
+    taken = drawn.nonzero()[0]
+    return taken // W, cells.ravel()[taken], drawn[taken]
+
+
 def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
     """Run N independent L-step walks from ``source`` and accumulate
     first-hit statistics for every other node.
 
-    Deterministic in (h, source, cfg): the random stream is derived from the
-    seed and the source id only.
+    Walkers on one path are interchangeable, so the walks move as counts
+    over the distinct paths taken so far (``_split``), which is the joint
+    law of N walkers drawn one by one. Deterministic in (h, source, cfg):
+    the random stream is derived from the seed and the source id only, and
+    it is read in a fixed order.
     """
     n = h.n_nodes
     if not 0 <= source < n:
@@ -297,42 +391,57 @@ def run_walks(h: LabeledHypergraph, source: int, cfg: WalkConfig) -> WalkStats:
     if N * base > span:
         raise ValueError("signature keys would overflow int64")
     stride = L * span
-    states = np.empty((L, N), dtype=np.min_scalar_type(n))
-    keys = np.empty(N * L, dtype=np.int64)
-    step_key = np.empty(N, dtype=np.int64)  # every walker's key at this step
-    events = 0
-    prefix = np.zeros(N, dtype=np.int64)
+    # the live paths: current node, walker count and label prefix code; the
+    # paths of every step stay, with their parents, for the first-hit test
+    cur = np.array([source])
+    count = np.array([N])
+    prefix = np.zeros(1, dtype=np.int64)
+    nodes, parents, counts, codes = [cur], [np.zeros(1, dtype=np.int64)], [], []
+    offset = 0  # where this step's paths start among those of every step
     top = 0  # an upper bound on prefix
-    cur = np.full(N, source, dtype=np.int64)
     for t in range(L):
-        entry = table_lookup(tables, cur, rng.random(N))
+        parent, entry, count = _split(tables, cur, count, rng)
         cur = tables.next[entry]
-        states[t] = cur
         if top * base + base > span:
             # the next digit could reach the span: rank the prefixes, which
             # keeps their order
             distinct, prefix = np.unique(prefix, return_inverse=True)
             top = len(distinct) - 1
-        prefix = prefix * base + tables.label[entry]
+        prefix = prefix[parent] * base + tables.label[entry]
         prefix += 1
         top = top * base + base - 1
-        fresh = cur != source
-        for s in range(t):
-            fresh &= states[s] != cur
-        np.multiply(cur, stride, out=step_key)
-        step_key += t * span
-        step_key += prefix
-        k = np.count_nonzero(fresh)
-        np.compress(fresh, step_key, out=keys[events : events + k])
-        events += k
-    del states, prefix, cur, fresh, step_key  # only the keys outlive the walks
+        parent += offset
+        offset += len(nodes[-1])
+        nodes.append(cur)
+        parents.append(parent)
+        counts.append(count)
+        codes.append(prefix)
+    del cur, count, prefix, parent, entry
 
-    keys = keys[:events]
-    keys.sort()
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    # a first hit differs from every earlier node of its path; the source's
+    # path is its own parent
+    node, parent = np.concatenate(nodes), np.concatenate(parents)
+    del nodes, parents
+    fresh = node != node[parent]
+    up = parent
+    for _ in range(L - 1):
+        up = parent[up]
+        fresh &= node != node[up]
+    del parent, up
+    fresh = fresh[1:]
+    keys = np.concatenate(codes)
+    keys += np.repeat(np.arange(0, L * span, span), [len(c) for c in codes])
+    keys = keys[fresh]
+    keys += node[1:][fresh] * stride
+    weights = np.concatenate(counts)[fresh]
+    del node, codes, counts, fresh
+    order = np.argsort(keys)
+    keys, weights = keys[order], weights[order]
+    del order
+    starts = _run_starts(keys)
     key = keys[starts]
-    table = SignatureTable(key, np.diff(starts, append=events), key % stride // span + 1, stride)
-    del keys, starts
+    table = SignatureTable(key, np.add.reduceat(weights, starts), key % stride // span + 1, stride)
+    del keys, weights, starts
 
     # sums of integer step counts stay exact in float64
     target = table.key // stride

@@ -154,6 +154,19 @@ def labeled_chain_db(length: int = 30) -> str:
     return "".join(f"{'ABC'[i % 3]}(n{i},n{i + 1})\n" for i in range(length))
 
 
+def layered_db(layers: int = 5, width: int = 40, n_labels: int = 50) -> str:
+    """Layers of ``width`` nodes, each node linked to every node of the next
+    layer by one of ``n_labels`` predicates in turn: diameter ``layers`` -
+    1, and rows of up to 2 * ``width`` entries whose walks rarely share a
+    label sequence, so their paths do not collapse."""
+    return "".join(
+        f"R{(i * width + j + a) % n_labels}(n{a}_{i},n{a + 1}_{j})\n"
+        for a in range(layers - 1)
+        for i in range(width)
+        for j in range(width)
+    )
+
+
 def bench_db(schema: str, k: int, seed: int) -> str:
     """The `.db` text of ``bench/generate.py`` for (schema, k, seed)."""
     path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"

@@ -6,9 +6,12 @@ the power-iteration eigensolver, exhaustive enumeration for sweep cuts and
 accumulation for the sparse graph layer, a per-edge loop over node sets for
 the majority split, a Python sort-and-sweep for the distance partition,
 mpmath special functions for the scipy-backed quantiles, a
-Monte-Carlo generalized chi-squared for the gamma approximation, and a
-per-node, per-target walk sampler with signature dicts for the vectorized
-walk engine and its signature table, a per-length dict-built count matrix
+Monte-Carlo generalized chi-squared for the gamma approximation, the exact
+law of first-hit signatures by enumerating every path of a small
+hypergraph and a per-walker, per-target walk sampler with signature dicts
+for the walk engine, which moves walker counts over paths, and its
+signature table (with a plain per-path loop, ``reference_path_walks``, as
+the engine's bit reference), a per-length dict-built count matrix
 with a k x k multinomial covariance in exact rational arithmetic for the
 path-symmetry test and its closed-form gamma moments, a one-group Lloyd loop
 for the batched 2-means, and a dense SVD for the principal-component
@@ -481,10 +484,12 @@ def signature_dicts(table, like=None):
 
 
 def reference_walks(h, source, cfg):
-    """``run_walks`` with a Python loop over the distinct current nodes of
-    every step, a dense N x n first-hit array and one ``np.unique`` per
-    target and length, keeping signature dicts. Same random stream, so
-    results must be equal."""
+    """The walk process one walker at a time: one uniform per walker and
+    step, with a Python loop over the distinct current nodes of every step,
+    a dense N x n first-hit array and one ``np.unique`` per target and
+    length, keeping signature dicts. ``run_walks`` moves walker counts
+    instead and reads the stream differently, so the two agree in law, not
+    in bits."""
     n = h.n_nodes
     if not 0 <= source < n:
         raise ValueError("source not in hypergraph")
@@ -536,6 +541,86 @@ def reference_walks(h, source, cfg):
         if counts:
             signature_counts[target] = counts
     return ReferenceWalks(tht, hits, signature_counts)
+
+
+def _first_hit_result(n, source, N, L, signature_counts):
+    """``ReferenceWalks`` from per-target signature dicts."""
+    tht, hits = np.zeros(n), np.zeros(n, dtype=np.int64)
+    for target, counts in signature_counts.items():
+        hits[target] = sum(counts.values())
+        steps = sum(len(sig) * c for sig, c in counts.items())
+        tht[target] = float(steps + (N - hits[target]) * L) / N
+    for target in range(n):
+        if target != source and target not in signature_counts:
+            tht[target] = float(L)
+    return ReferenceWalks(tht, hits, signature_counts)
+
+
+def reference_path_walks(h, source, cfg):
+    """``run_walks`` as a plain Python loop over the distinct paths of every
+    step, each a (node, labels, visited nodes, walker count), keeping
+    signature dicts. With W the widest row among a step's paths, each path
+    of at least W walkers, in order, makes one ``rng.multinomial`` call on
+    its row's probabilities with W - k zeros in front; then each other path,
+    in order, draws its walkers' uniforms and looks each up in its row's
+    cumulative probabilities. Children follow in that order, each path's by
+    entry. Same random stream, so results must be equal."""
+    n = h.n_nodes
+    if not 0 <= source < n:
+        raise ValueError("source not in hypergraph")
+    N, L = cfg.N, cfg.L
+    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(source,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    nexts, labels, cums = reference_tables(h)
+    paths = [(source, (), {source}, N)]
+    signature_counts = {}
+    for _ in range(L):
+        W = max(len(cums[v]) for v, *_ in paths)
+        children = []
+        for v, labs, seen, count in paths:
+            if count >= W:
+                k = len(cums[v])
+                probs = np.concatenate([np.zeros(W - k), np.diff(cums[v], prepend=0.0)])
+                drawn = rng.multinomial(count, probs)[W - k :]
+                children += [(v, labs, seen, j, int(c)) for j, c in enumerate(drawn) if c]
+        for v, labs, seen, count in paths:
+            if count < W:
+                j = np.searchsorted(cums[v], rng.random(count), side="right")
+                entries, counts = np.unique(j, return_counts=True)
+                children += [(v, labs, seen, j, c) for j, c in zip(entries.tolist(), counts.tolist())]
+        paths = []
+        for v, labs, seen, j, count in children:
+            nxt, sig = int(nexts[v][j]), labs + (int(labels[v][j]),)
+            if nxt not in seen:
+                counts = signature_counts.setdefault(nxt, {})
+                counts[sig] = counts.get(sig, 0) + count
+            paths.append((nxt, sig, seen | {nxt}, count))
+    return _first_hit_result(n, source, N, L, signature_counts)
+
+
+def exact_first_hits(h, source, L):
+    """The exact law of a walk's first hits from ``source``: per target, the
+    probability of each first-hit label sequence, found by enumerating
+    every path of L steps (a sequence of transition-table entries) with its
+    probability. A target's probabilities sum to its hit probability."""
+    if not 0 <= source < h.n_nodes:
+        raise ValueError("source not in hypergraph")
+    nexts, labels, cums = reference_tables(h)
+    probs = [np.diff(cum, prepend=0.0).tolist() for cum in cums]
+    law = {}
+
+    def extend(v, labs, seen, p):
+        if len(labs) == L:
+            return
+        for nxt, lab, q in zip(nexts[v].tolist(), labels[v].tolist(), probs[v]):
+            sig = labs + (lab,)
+            if nxt not in seen:
+                counts = law.setdefault(nxt, {})
+                counts[sig] = counts.get(sig, 0.0) + p * q
+            extend(nxt, sig, seen | {nxt}, p * q)
+
+    extend(source, (), frozenset([source]), 1.0)
+    return law
 
 
 @dataclass(frozen=True)

@@ -459,7 +459,7 @@ def test_prism_paths_physics_refinement(physics):
 
 def test_prism_paths_alpha_sweep(physics):
     b1 = physics.node_names.index("B1")
-    st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
+    st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=6))
     ids = [physics.node_names.index(p) for p in ("P1", "P2", "P3")]
     by_alpha = {
         alpha: sorted(

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from prism.pipeline import (
     parse_report,
 )
 from prism.relational import build_hypergraph, parse_database
-from prism.walks import table_peak_bytes, walk_kept_bytes, walk_peak_bytes
+from prism.walks import table_peak_bytes, walk_kept_bytes
 
 
 def source_concepts(report, source):
@@ -86,7 +87,7 @@ def test_get_communities_physics_source_b1(two_departments):
 
 
 def test_get_communities_department_variant_source_p4(department_variant):
-    report = get_communities(department_variant, RunConfig(seed=0))
+    report = get_communities(department_variant, RunConfig(seed=5))
     got = source_concepts(report, "P4")
     # P5 (the colleague), P3 (the student P4 does not teach) and the books
     # separate cleanly; P1, reachable only through P4 itself, is thinner in
@@ -305,13 +306,22 @@ def test_blocked_run_equals_unblocked(two_departments, monkeypatch, use_hcluster
     # splits every piece into blocks of a few sources; the report keeps its
     # bytes. The whole hypergraph's tables outweigh any piece's
     cfg = RunConfig(seed=5, use_hcluster=use_hcluster)
+    peaks = []
+    walk_peak = pipeline.walk_peak_bytes
+
+    def sizing(*args):
+        peaks.append(walk_peak(*args))
+        return peaks[-1]
+
+    monkeypatch.setattr(pipeline, "walk_peak_bytes", sizing)
     whole = emit_report(get_communities(two_departments, cfg))
     pieces = parse_report(whole).subhypergraphs
     sized = [
         (len(sub.nodes), max(1, len(sub.labels)), sub.walk_count, sub.walk_length)
         for sub in pieces
     ]
-    budget = max(walk_peak_bytes(*size) + 2 * walk_kept_bytes(*size) for size in sized)
+    assert len(peaks) == len(sized)
+    budget = max(peak + 2 * walk_kept_bytes(*size) for peak, size in zip(peaks, sized))
     budget += table_peak_bytes(two_departments)
     blocks = []
     symmetry_clusters = pipeline.symmetry_clusters
@@ -325,6 +335,35 @@ def test_blocked_run_equals_unblocked(two_departments, monkeypatch, use_hcluster
     assert emit_report(get_communities(two_departments, cfg)) == whole
     assert sum(blocks) == sum(len(sub.nodes) for sub in pieces)
     assert 2 in blocks and len(blocks) > len(pieces)
+
+
+def _disjoint_edges(k):
+    """k disjoint edges of 300 members each: k pieces of 89,700 table pairs."""
+    return LabeledHypergraph.build(
+        [f"v{i}" for i in range(300 * k)],
+        ["l0"],
+        [(0, tuple(range(300 * e, 300 * e + 300))) for e in range(k)],
+    )
+
+
+def test_get_communities_frees_each_piece_tables():
+    # the budget sizes one piece at a time, so a piece's transition tables
+    # go once its last block is walked: each further piece then adds its
+    # report to the peak, not its tables (one piece's tables were still
+    # held per earlier piece: 7.6, 13.4 and 17.5 MiB for 1, 2 and 3 pieces)
+    def peak(k):
+        h = _disjoint_edges(k)
+        tracemalloc.start()
+        try:
+            get_communities(h, RunConfig(epsilon=0.5, use_hcluster=False))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kept = sum(a.nbytes for a in _disjoint_edges(1).walk_tables if isinstance(a, np.ndarray))
+    one = peak(1)
+    assert peak(2) - one < kept
+    assert peak(3) - one < kept
 
 
 def test_bench_traced_attributes_resolve():
@@ -396,30 +435,49 @@ def test_cli_negative_seed_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "epsilon, budget",
-    [("0.1", 1), ("0.001", None), ("0.0005", None)],
+    "db_text, epsilon, budget",
+    [
+        (datasets.two_departments_db(), "0.1", 1),
+        (datasets.layered_db(), "0.001", None),
+        (datasets.layered_db(), "0.0005", None),
+    ],
     ids=["low-budget", "epsilon-0.001", "epsilon-0.0005"],
 )
-def test_cli_refuses_walks_over_memory_budget(tmp_path, capsys, monkeypatch, epsilon, budget):
-    # against the real 2 GiB budget, each piece of the toy database needs
-    # walks of length 4 per source: at epsilon 0.001, 15.0M of them, about
-    # 1.65 GiB at the 118 B per walk measured with tracemalloc, refused only
-    # because walk_peak_bytes estimates 2.24 GiB; at epsilon 0.0005, 60.2M,
-    # 6.6 GiB at the measured rate and 9.0 GiB estimated, which no tighter
-    # estimate brings under the budget. The spy keeps a run that is not
-    # refused from allocating any of it
+def test_cli_refuses_walks_over_memory_budget(
+    tmp_path, capsys, monkeypatch, db_text, epsilon, budget
+):
+    # against the real 2 GiB budget, the layered database (200 nodes, 50
+    # labels, rows of up to 80 entries) needs walks of length 4 whose paths
+    # hardly collapse: at epsilon 0.001, 64.0M of them, estimated at 16.9
+    # GiB per source (tracemalloc read 52 MiB against an estimate of 182 MiB
+    # at epsilon 0.01, 640k walks), and at epsilon 0.0005, 256M, estimated
+    # at 45.5 GiB. The spy keeps a run that is not refused from allocating
+    # any of it
     def refuse(*args, **kwargs):
         raise AssertionError("walks started")
 
     monkeypatch.setattr(pipeline, "run_walks", refuse)
     if budget is not None:
         monkeypatch.setattr(pipeline, "WALK_MEMORY_BUDGET", budget)
+    db = tmp_path / "db.db"
+    db.write_text(db_text)
+    out = tmp_path / "report.json"
+    argv = ["mine", "--db", str(db), "--epsilon", epsilon, "--no-hcluster", "--output", str(out)]
+    assert main(argv) == 1
+    assert f"epsilon {epsilon}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_mines_the_toy_database_at_epsilon_0001(tmp_path):
+    # its paths collapse: 15.0M walks of length 4 per source on rows of at
+    # most 5 entries take at most 5**4 paths, where one walker at a time
+    # took about 1.65 GiB and was refused
     db = tmp_path / "two.db"
     db.write_text(datasets.two_departments_db())
     out = tmp_path / "report.json"
-    assert main(["mine", "--db", str(db), "--epsilon", epsilon, "--output", str(out)]) == 1
-    assert f"epsilon {epsilon}" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["mine", "--db", str(db), "--epsilon", "0.001", "--output", str(out)]) == 0
+    report = parse_report(out.read_text())
+    assert {sub.walk_count for sub in report.subhypergraphs} >= {15_044_812}
 
 
 def test_cli_parse_error_exit_code(tmp_path):
@@ -439,55 +497,55 @@ def test_cli_missing_file_is_usage_error(tmp_path):
         (
             datasets.two_departments_db(),
             [],
-            "38be58d1f7ee0e1101f57cd84da8c305966836b791f7a13824167f6c5f650e15",
+            "5ecbd4df3a8f15de91cd4571dd442ce55d7f6262a1e7764ccd92fd0e3e3c670e",
         ),
         (
             datasets.two_departments_db(),
             ["--no-hcluster"],
-            "fd9a35d1a8adc1bb4dbbaa43d57d63c2cdf4ac754acddc261f20add2f5efc4a0",
+            "01bfbcd85c66f26f76b87f5e03e4e7e044758c89212ce38965493038efdf88e0",
         ),
         (
             datasets.two_components_db(),
             [],
-            "e04fff2edd9f4bc78a880a51b94ef756813135c30cc2638b22a81896a1139e15",
+            "72b58e84ca859218ff2513e66debcf38a8287fb4b78b0738529e4869a53ec9b2",
         ),
         (
             datasets.two_components_db(),
             ["--no-hcluster"],
-            "e4f34aacce2e21b8413aeda76a3dbf1f1c5cb9f51fe4cb53e1b4a9d876543fe5",
+            "5c235bf6000dab0876dd959a4733678571e0b0649b2e32b5c5eefd88d07b4529",
         ),
         (
             datasets.rich_schema_db(),
             [],
-            "022830900cde6cb0bbb39fee5e73585415779218c739d371ab40cd4073f69aad",
+            "ac49baa8da4014b92927e744fe135633b580c09926b88ceb8899595682dcb11e",
         ),
         (
             datasets.rich_schema_db(),
             ["--no-hcluster"],
-            "6fcb097a30feed70ffb97e263945d26f9a96fab6521755fb49f2bcc5e0f5a139",
+            "7eb612659287da3f3ef70a296b283a463ab28970c7b8c4f0124bcd6cdcc96c86",
         ),
         (
             # uncapped walks: L is the diameter, 30
             datasets.labeled_chain_db(30),
             ["--max-length", "0", "--no-hcluster", "--epsilon", "0.9"],
-            "e3e6962fada946bff4712167c8877854923bd18e146f19fc52060a262ec2c25a",
+            "41f448c70f18babab66df0553718a118b342dffd8e882826469260de930afe3b",
         ),
         (
             # N=2337 walks of L=30: thousands of signatures per distance set
             datasets.labeled_chain_db(30),
             ["--max-length", "0", "--no-hcluster", "--epsilon", "0.3"],
-            "c896be0dbd71deefce5e8b755eab3d615de725f08774f2f46a089793e9dec4e6",
+            "4f5589efa09848025d67d92d87564ed2145a064815a3233e2daf2280647bee27",
         ),
         (
             # the benchmark's 199-node dept databases: many sets fail whole
             datasets.bench_db("dept", 10, 2),
             [],
-            "d956c74f4ecd79aedcbb58383076e1eda42c2e2ba90fabefba7b9db21b252275",
+            "e986b985e890d1609f3af60b9bb503d5001112ef4fca5b3b4c67690d658f9361",
         ),
         (
             datasets.bench_db("dept", 10, 1),
             ["--no-hcluster"],
-            "5b2defea255510346e2eb4c740e9c0aca5dc6964c8ba79020d34c90520d45958",
+            "8a5807d9e7ece17e06526e2fc525883311e305bb69e8fbf69fa151a49056c9b8",
         ),
     ],
     ids=[

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -286,15 +287,13 @@ def walk_inputs(draw):
     return h, draw(st.integers(0, n - 1)), cfg
 
 
-@settings(max_examples=200, deadline=None)
-@given(walk_inputs())
 # L digits in base n_labels + 1 overflow a key in the first three, so the
 # label prefixes are ranked: 3 labels and L=30; 300 labels and L=8; one
 # label, where every prefix reaches its bound, with n * L = 2**12, which
 # puts the first ranking at length 51, where first hits are common
-@example((datasets.graph(datasets.labeled_chain_db(30)), 0, WalkConfig(L=30, N=400, seed=11)))
-@example((_ring(50, 300, 30, seed=3), 0, WalkConfig(L=8, N=3000, seed=11)))
-@example(
+WALK_EXAMPLES = [
+    (datasets.graph(datasets.labeled_chain_db(30)), 0, WalkConfig(L=30, N=400, seed=11)),
+    (_ring(50, 300, 30, seed=3), 0, WalkConfig(L=8, N=3000, seed=11)),
     (
         LabeledHypergraph.build(
             [f"v{i}" for i in range(64)],
@@ -303,11 +302,22 @@ def walk_inputs(draw):
         ),
         0,
         WalkConfig(L=64, N=200, seed=11),
-    )
-)
-# 12 steps on 5 nodes: every walk comes back to nodes it has seen
-@example((_ring(5, 2, 0, seed=4), 0, WalkConfig(L=12, N=500, seed=11)))
-def test_run_walks_equals_reference_walks(inputs):
+    ),
+    # 12 steps on 5 nodes: every walk comes back to nodes it has seen
+    (_ring(5, 2, 0, seed=4), 0, WalkConfig(L=12, N=500, seed=11)),
+]
+
+
+def _with_walk_examples(test):
+    for inputs in reversed(WALK_EXAMPLES):
+        test = example(inputs)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_inputs())
+@_with_walk_examples
+def test_run_walks_equals_reference_path_walks(inputs):
     h, source, cfg = inputs
     tables = h.walk_tables
     for v, (nexts, labels, cums) in enumerate(zip(*oracles.reference_tables(h))):
@@ -316,10 +326,172 @@ def test_run_walks_equals_reference_walks(inputs):
         assert np.array_equal(tables.label[row], labels)
         assert np.array_equal(tables.cum[row], cums)
     got = run_walks(h, source, cfg)
-    want = oracles.reference_walks(h, source, cfg)
+    want = oracles.reference_path_walks(h, source, cfg)
     assert np.array_equal(got.tht, want.tht)
     assert np.array_equal(got.hits, want.hits)
     assert oracles.signature_dicts(got.signatures, want.signature_counts) == want.signature_counts
+
+
+LAW_ALPHA = 1e-3  # the false-alarm rate of one law check, split over its targets
+
+
+def _pooled(counts, weight, floor):
+    """The rows of ``counts`` with the columns whose ``weight`` is below
+    ``floor`` summed into one, and that pool, if still below ``floor``,
+    added to the lightest other column."""
+    counts, weight = np.asarray(counts, dtype=float), np.asarray(weight, dtype=float)
+    rare = weight < floor
+    if rare.any():
+        counts = np.column_stack((counts[:, ~rare], counts[:, rare].sum(1)))
+        weight = np.append(weight[~rare], weight[rare].sum())
+        if weight[-1] < floor and len(weight) > 1:
+            counts[:, np.argmin(weight[:-1])] += counts[:, -1]
+            counts = counts[:, :-1]
+    return counts
+
+
+def _chi2_sf(observed, expected):
+    """Pearson's chi-squared survival probability of counts against
+    expected counts of the same total, categories expected below 5 pooled."""
+    o, e = _pooled([observed, expected], expected, 5)
+    if len(e) < 2:
+        return 1.0
+    return float(scipy_stats.chi2.sf(((o - e) ** 2 / e).sum(), len(e) - 1))
+
+
+def _decoded(h, st):
+    """A ``WalkStats``' signature table as per-target {labels: count} dicts,
+    read from the key layout ``target * stride + (length - 1) * span +
+    prefix``, the labels being the digits label + 1 in base n_labels + 1;
+    for walks too short for the prefixes to be ranked."""
+    table, base = st.signatures, h.n_labels + 1
+    span = table.stride // st.L
+    out = {}
+    for key, count, length in zip(*(a.tolist() for a in table[:3])):
+        target, prefix = divmod(key, table.stride)
+        prefix -= (length - 1) * span
+        labels = []
+        for _ in range(length):
+            prefix, digit = divmod(prefix, base)
+            labels.append(digit - 1)
+        assert prefix == 0
+        out.setdefault(target, {})[tuple(reversed(labels))] = count
+    return out
+
+
+def assert_first_hits_follow_law(h, source, L, N, seed):
+    # per target, the signature counts and the N - hits walks that miss it
+    # are one multinomial draw of N from the exact law; a target fails at
+    # LAW_ALPHA / targets, so a correct engine fails a check with
+    # probability at most about LAW_ALPHA
+    law = oracles.exact_first_hits(h, source, L)
+    st_ = run_walks(h, source, WalkConfig(L=L, N=N, seed=seed))
+    got = _decoded(h, st_)
+    assert source not in got and st_.hits[source] == 0
+    targets = [v for v in range(h.n_nodes) if v != source]
+    for v in targets:
+        probs, counts = law.get(v, {}), got.get(v, {})
+        assert set(counts) <= set(probs)
+        assert sum(counts.values()) == st_.hits[v]
+        sigs = sorted(probs)
+        p = [probs[s] for s in sigs] + [max(0.0, 1.0 - sum(probs.values()))]
+        o = [counts.get(s, 0) for s in sigs] + [N - st_.hits[v]]
+        assert _chi2_sf(o, N * np.array(p)) >= LAW_ALPHA / len(targets), v
+
+
+def _star(leaves):
+    """Node 0 joined to each of ``leaves`` leaves by a binary edge."""
+    return LabeledHypergraph.build(
+        [f"v{i}" for i in range(leaves + 1)], ["l0"], [(0, (0, i)) for i in range(1, leaves + 1)]
+    )
+
+
+def _dense(n, triples, seed):
+    """Every pair of n nodes in a binary edge, plus ternary edges of a
+    second label: wide rows of unequal probabilities."""
+    rng = random.Random(seed)
+    edges = [(0, (i, j)) for i in range(n) for j in range(i + 1, n)]
+    edges += [(1, tuple(rng.sample(range(n), 3))) for _ in range(triples)]
+    return LabeledHypergraph.build([f"v{i}" for i in range(n)], ["l0", "l1"], edges)
+
+
+@pytest.mark.parametrize(
+    "build, source, L, N",
+    [
+        (lambda: _ring(6, 2, 2, seed=6), 0, 4, 20_000),
+        (lambda: _star(5), 0, 3, 20_000),
+        (lambda: _star(5), 1, 3, 20_000),
+        # rows of 30 entries, 1/1189 to 40/41 apart: paths of many counts
+        (_hub, 0, 2, 20_000),
+        (_hub, 30, 2, 20_000),
+        # rows of up to 13 entries and few walkers per path from step 2 on:
+        # a third of the walker steps take the per-walker branch
+        (lambda: _dense(8, 8, seed=1), 0, 4, 2000),
+    ],
+    ids=["ring", "star-hub", "star-leaf", "hub", "hub-far", "dense"],
+)
+def test_run_walks_first_hits_follow_exact_law(build, source, L, N):
+    assert_first_hits_follow_law(build(), source, L, N=N, seed=7)
+
+
+@st.composite
+def small_walk_inputs(draw):
+    """Up to 8 nodes, 1 or 2 labels, up to 8 edges of cardinality 1 to 3,
+    a source and L up to 4: few enough paths to enumerate."""
+    n = draw(st.integers(1, 8))
+    n_labels = draw(st.integers(1, 2))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_labels - 1),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True).map(tuple),
+            ),
+            max_size=8,
+        )
+    )
+    h = LabeledHypergraph.build(
+        [f"v{i}" for i in range(n)], [f"l{i}" for i in range(n_labels)], edges
+    )
+    return h, draw(st.integers(0, n - 1)), draw(st.integers(1, 4))
+
+
+# derandomized, so that every run checks the same draws at the same seed
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(small_walk_inputs())
+def test_run_walks_first_hits_follow_exact_law_on_draws(inputs):
+    h, source, L = inputs
+    assert_first_hits_follow_law(h, source, L, N=5000, seed=7)
+
+
+def _two_sample_sf(a, b):
+    """Pearson's chi-squared survival probability that two count vectors of
+    equal totals over the same categories come from one law, categories
+    counted fewer than 10 times in all pooled."""
+    a, b = _pooled([a, b], np.add(a, b), 10)
+    if len(a) < 2:
+        return 1.0
+    e = (a + b) / 2
+    return float(scipy_stats.chi2.sf(((a - e) ** 2 / e + (b - e) ** 2 / e).sum(), len(a) - 1))
+
+
+@pytest.mark.parametrize("h, source, cfg", WALK_EXAMPLES, ids=["chain", "labels", "clique", "ring"])
+def test_run_walks_agrees_in_law_with_reference_walks(h, source, cfg):
+    # per target, the walks' first-hit lengths and misses, from run_walks
+    # and from the per-walker reference at another seed, are two draws of
+    # one multinomial law; LAW_ALPHA per case, split over the targets
+    got = run_walks(h, source, cfg)
+    want = oracles.reference_walks(h, source, WalkConfig(L=cfg.L, N=cfg.N, seed=cfg.seed + 1))
+    table = got.signatures
+    got_len = np.zeros((h.n_nodes, cfg.L + 1))
+    np.add.at(got_len, (table.key // table.stride, table.length), table.count)
+    want_len = np.zeros((h.n_nodes, cfg.L + 1))
+    for v, counts in want.signature_counts.items():
+        for sig, c in counts.items():
+            want_len[v, len(sig)] += c
+    got_len[:, 0], want_len[:, 0] = cfg.N - got.hits, cfg.N - want.hits
+    targets = [v for v in range(h.n_nodes) if v != source]
+    for v in targets:
+        assert _two_sample_sf(got_len[v], want_len[v]) >= LAW_ALPHA / len(targets), v
 
 
 @st.composite
@@ -426,7 +598,30 @@ def test_run_walks_memory_has_no_walks_by_nodes_array():
     assert st_.hits.sum() > 0
     assert peak < 16 * 2**20
     # the pipeline's memory budget check must not undercount this case
-    assert peak <= walk_peak_bytes(n, h.n_labels, cfg.N, cfg.L) + table_peak_bytes(h)
+    assert peak <= walk_peak_bytes(h, cfg.N, cfg.L) + table_peak_bytes(h)
+
+
+def test_run_walks_memory_does_not_grow_with_walks():
+    # 2**24 walks of 5 steps on a 5-node ring take at most 2**5 distinct
+    # paths; walkers one by one would need about 24 B per walk step, 2 GB
+    h = _ring(5, 1, 0, seed=1)
+    cfg = WalkConfig(L=5, N=2**24, seed=1)
+    tracemalloc.start()
+    try:
+        st_ = run_walks(h, 0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert peak <= walk_peak_bytes(h, cfg.N, cfg.L) + table_peak_bytes(h)
+    table = st_.signatures
+    target = table.key // table.stride
+    assert np.array_equal(np.bincount(target, weights=table.count, minlength=5), st_.hits)
+    # every walk's first step hits a neighbour of the source, and only the
+    # four other nodes are hit at all
+    assert table.count[table.length == 1].sum() == cfg.N
+    assert st_.hits[0] == 0 and np.all(st_.hits[1:] <= cfg.N)
+    assert st_.hits[1] + st_.hits[4] >= cfg.N
 
 
 @pytest.mark.parametrize(
@@ -443,8 +638,11 @@ def test_run_walks_memory_has_no_walks_by_nodes_array():
             200,
             2,
         ),
+        # a 2000-entry row among rows of one: every path padded to the
+        # widest row, or a table of n rows that wide, would not fit
+        (lambda: _star(2000), 686, 3),
     ],
-    ids=["walks", "labels", "wide-edge"],
+    ids=["walks", "labels", "wide-edge", "hub"],
 )
 def test_walk_peak_estimate_bounds_tracemalloc_peak(build, N, L):
     # as in the 10k-node case above, the tables are built inside the
@@ -456,7 +654,7 @@ def test_walk_peak_estimate_bounds_tracemalloc_peak(build, N, L):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= walk_peak_bytes(h.n_nodes, h.n_labels, N, L) + table_peak_bytes(h)
+    assert peak <= walk_peak_bytes(h, N, L) + table_peak_bytes(h)
 
 
 @pytest.mark.parametrize(
