@@ -18,7 +18,8 @@ each sum over a group's members (column means, keep masks, null columns,
 Q) and over its kept categories (the gamma moments, which have a closed
 form in the category probabilities, ``gamma_moments``) is an
 ``np.bincount`` over that group's entries in row order, so a group's
-outcome does not depend on the groups it is tested with.
+outcome does not depend on the groups it is tested with. Only positive
+counts are read: a member with no count in a kept column adds its mean^2.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from scipy import special
 Signature = tuple[int, ...]
 
 MIN_CATEGORY_MEAN = 5.0  # rarer categories fold into the null (path_test)
-PATH_TEST_COUNTS = 2**16  # counts per pass of path_test and CountRows.from_tables
+# counts per pass of path_test and CountRows.from_tables; entries of clustering.project_rows
+PATH_TEST_COUNTS = 2**16
 
 
 def t_inverse_survival(p: float, df: int) -> float:
@@ -232,7 +234,8 @@ def _path_moments(
     cr: CountRows, rows: np.ndarray, sizes: np.ndarray, N: int, L: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q and the null's gamma moments of each (group, length) cell, group
-    after group, longest length first (``path_test``)."""
+    after group, longest length first (``path_test``), from the rows'
+    positive counts alone."""
     n_groups, n_rows, cells = len(sizes), len(rows), len(sizes) * L
     group = np.repeat(np.arange(n_groups), sizes)
     head = rows[np.cumsum(sizes) - sizes]  # each group's first row
@@ -240,6 +243,7 @@ def _path_moments(
     col0 = np.cumsum(gwidth) - gwidth
     n_bins = int(gwidth.sum())
     bin_len = cr.col_len[np.repeat(cr.col0[head] - col0, gwidth) + np.arange(n_bins)]
+    members = np.repeat(sizes, gwidth)
     # every positive count of every row, row after row, binned by (group,
     # column): a bin sums its group's rows in row order, as .sum(axis=0) does
     nnz = cr.indptr[rows + 1] - cr.indptr[rows]
@@ -247,37 +251,28 @@ def _path_moments(
     bins = np.repeat(col0[group], nnz) + cr.col[e]
     x = cr.value[e]
     del e
-    mean = np.bincount(bins, x, n_bins) / np.repeat(sizes, gwidth)
+    mean = np.bincount(bins, x, n_bins) / members
     keep = (mean >= MIN_CATEGORY_MEAN) & (bin_len <= L)
-    kb = np.flatnonzero(keep)
-    per_group = np.bincount(np.repeat(np.arange(n_groups), gwidth)[kb], minlength=n_groups)
-    k0 = np.cumsum(per_group) - per_group
-    # each row's counts in its group's kept columns, zeros included, row
-    # after row: pair j of row r is kept column k0[group] + j; the counts of
-    # other columns land on a spare last pair
-    per_row = per_group[group]
-    pair0 = np.cumsum(per_row) - per_row
-    n_pairs = int(per_row.sum())
-    rank = np.cumsum(keep) - 1 - np.repeat(k0, gwidth)  # among the group's kept columns
-    pairs = np.zeros(n_pairs + 1)
-    pairs[np.where(keep[bins], np.repeat(pair0, nnz) + rank[bins], n_pairs)] = x
-    pairs = pairs[:n_pairs]
-    del bins, x
-    pair_col = np.repeat(k0[group] - pair0, per_row) + np.arange(n_pairs)
-    pair_cell = np.repeat(np.arange(n_rows) * L + L, per_row) - bin_len[kb][pair_col]
-    null = np.subtract(N, np.bincount(pair_cell, pairs, n_rows * L), dtype=float)
+    # from here on only the kept columns' positive counts: the zeros left
+    # out would add exactly 0 to each row's null column
+    kept = keep[bins]
+    cell = np.repeat(np.arange(n_rows) * L + L, nnz)[kept]
+    bins, x = bins[kept], x[kept]
+    null = np.subtract(N, np.bincount(cell - bin_len[bins], x, n_rows * L), dtype=float)
     if (null < 0).any():
         raise ValueError("per-member counts exceed the number of walks")
-    del pair_cell
-    pairs -= mean[kb][pair_col]
-    dev2 = np.bincount(pair_col, np.square(pairs, out=pairs), len(kb))
-    del pairs, pair_col
+    # a column's squared deviations: its positive counts', then mean^2 for
+    # each member without a count there
+    zeros = members - np.bincount(bins, minlength=n_bins)
+    x -= mean[bins]
+    dev2 = np.bincount(bins, np.square(x, out=x), n_bins) + zeros * np.square(mean)
+    kb = np.flatnonzero(keep)
     # cells are (group, length) pairs, longest length first
     kcell = np.repeat(np.arange(n_groups) * L + L, gwidth)[kb] - bin_len[kb]
     null_cell = np.repeat(group * L, L) + np.tile(np.arange(L), n_rows)
     null_mean = np.bincount(null_cell, null, cells) / np.repeat(sizes, L)
     p = mean[kb] / N
-    dev2, s1, s2, s3 = (np.bincount(kcell, w, cells) for w in (dev2, p, p * p, p * p * p))
+    dev2, s1, s2, s3 = (np.bincount(kcell, w, cells) for w in (dev2[kb], p, p * p, p * p * p))
     null -= null_mean[null_cell]
     q = dev2 + np.bincount(null_cell, np.square(null, out=null), cells)
     # a walk is at one node per step, so at one length the members' kept means
@@ -300,7 +295,8 @@ def path_test(
     included, and is compared with the critical value of the moment-matched
     gamma; a degenerate null means Q is necessarily 0, and the test passes
     when Q <= 1e-9. Whole groups are taken in passes of about
-    ``PATH_TEST_COUNTS`` counts, which bounds the temporaries.
+    ``PATH_TEST_COUNTS`` positive counts; a pass's temporaries are sized by
+    its counts, rows x lengths and columns, never rows x columns.
     """
     rows = np.asarray(rows, dtype=np.intp)
     sizes = np.asarray(sizes, dtype=np.intp)

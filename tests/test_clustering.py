@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 import oracles
-from prism import clustering
+from prism import clustering, stats
 from prism.clustering import (
     binary_split,
     distance_sets,
@@ -458,19 +459,26 @@ def test_prism_paths_physics_refinement(physics):
 
 
 def test_prism_paths_alpha_sweep(physics):
+    # at alpha near 1 every professor splits off at every seed; the full sweep
+    # (one cluster at 1e-9, {P1, P2} | {P3} at 0.01) is one random outcome,
+    # seen at 152 of 300 seeds, so its count over 40 seeds is checked against
+    # the central 99.8% of Binomial(40, 152/300)
     b1 = physics.node_names.index("B1")
-    st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=6))
     ids = [physics.node_names.index(p) for p in ("P1", "P2", "P3")]
-    by_alpha = {
-        alpha: sorted(
-            sorted(physics.node_names[v] for v in g)
-            for g in clusters(st, ids, alpha)
-        )
-        for alpha in (1e-9, 0.01, 0.9999)
-    }
-    assert by_alpha[1e-9] == [["P1", "P2", "P3"]]
-    assert by_alpha[0.01] == [["P1", "P2"], ["P3"]]
-    assert by_alpha[0.9999] == [["P1"], ["P2"], ["P3"]]
+    sweeps = 0
+    for seed in range(40):
+        st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=seed))
+        by_alpha = {
+            alpha: sorted(
+                sorted(physics.node_names[v] for v in g)
+                for g in clusters(st, ids, alpha)
+            )
+            for alpha in (1e-9, 0.01, 0.9999)
+        }
+        assert by_alpha[0.9999] == [["P1"], ["P2"], ["P3"]]
+        sweeps += by_alpha[1e-9] == [["P1", "P2", "P3"]] and by_alpha[0.01] == [["P1", "P2"], ["P3"]]
+    lo, hi = binom.interval(0.998, 40, 152 / 300)
+    assert lo <= sweeps <= hi
 
 
 def test_prism_paths_cluster_count_monotone_in_alpha(physics):
@@ -521,6 +529,9 @@ def recording(path_test, calls):
 )
 # the mean of (0,) is exactly MIN_CATEGORY_MEAN
 @example((1, [{(0,): 4, (1,): 30}, {(0,): 6, (1,): 2}]), 300, 0.3)
+# one member holds the kept column and the others are zero: their squared
+# deviations are the mean's square
+@example((1, [{(0,): 60}] + [{}] * 9), 600, 0.3)
 # no member has a count: nothing is kept and every null column is N
 @example((1, [{}, {}]), 200, 0.01)
 def test_path_tests_equal_reference_report(case, N, alpha):
@@ -585,12 +596,22 @@ def test_symmetry_clusters_deterministic(physics):
 def test_refinement_does_not_depend_on_its_batch(physics):
     # a source clustered alone equals the same source clustered with every
     # other source of its piece, and a set refined alone equals the same set
-    # refined beside every other set: entries compared with ==
+    # refined beside every other set: entries compared with ==. Then again
+    # with passes of 64 counts, where the batch's tests span more passes
     cfg = WalkConfig(L=4, N=1505, seed=2)
     walked = [run_walks(physics, v, cfg) for v in range(physics.n_nodes)]
-    together = symmetry_clusters(walked, alpha=0.01)
-    assert together == [symmetry_clusters([st], alpha=0.01)[0] for st in walked]
     sets = [(st, g) for st in walked for g in distance_groups(st, 0.01)]
-    alone = [refine_sets([pair], 0.01)[0] for pair in sets]
-    assert any(len(part) > 1 for part in alone)
-    assert refine_sets(sets, 0.01) == alone
+    moments, batch_passes = stats._path_moments, {}
+    for counts in (stats.PATH_TEST_COUNTS, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "PATH_TEST_COUNTS", counts)
+            mp.setattr(clustering, "PATH_TEST_COUNTS", counts)
+            together = symmetry_clusters(walked, alpha=0.01)
+            assert together == [symmetry_clusters([st], alpha=0.01)[0] for st in walked]
+            alone = [refine_sets([pair], 0.01)[0] for pair in sets]
+            assert any(len(part) > 1 for part in alone)
+            passes = []
+            mp.setattr(stats, "_path_moments", lambda *a: passes.append(a) or moments(*a))
+            assert refine_sets(sets, 0.01) == alone
+            batch_passes[counts] = len(passes)
+    assert batch_passes[64] > batch_passes[stats.PATH_TEST_COUNTS]

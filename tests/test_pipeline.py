@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 import datasets
 import oracles
@@ -87,11 +88,12 @@ def test_get_communities_physics_source_b1(two_departments):
 
 
 def test_get_communities_department_variant_source_p4(department_variant):
-    report = get_communities(department_variant, RunConfig(seed=5))
-    got = source_concepts(report, "P4")
-    # P5 (the colleague), P3 (the student P4 does not teach) and the books
-    # separate cleanly; P1, reachable only through P4 itself, is thinner in
-    # long paths than the shared students and splits off
+    # P5 (the colleague) and P3 (the student P4 does not teach) separate at
+    # every seed, and so does P1, reachable only through P4 itself and thinner
+    # in long paths than the shared students. The full partition below, with
+    # the books together and P2 among the shared students, is one random
+    # outcome, seen at 98 of 300 seeds, so its count over 40 seeds is checked
+    # against the central 99.8% of Binomial(40, 98/300)
     want = {
         frozenset({"P5"}),
         frozenset({"P1"}),
@@ -99,7 +101,13 @@ def test_get_communities_department_variant_source_p4(department_variant):
         frozenset({"P3"}),
         frozenset({"B1", "B2"}),
     }
-    assert got == want
+    hits = 0
+    for seed in range(40):
+        got = source_concepts(get_communities(department_variant, RunConfig(seed=seed)), "P4")
+        assert {frozenset({"P5"}), frozenset({"P3"}), frozenset({"P1"})} <= got
+        hits += got == want
+    lo, hi = binom.interval(0.998, 40, 98 / 300)
+    assert lo <= hits <= hi
 
 
 def test_get_communities_single_edge_singletons():
@@ -540,12 +548,12 @@ def test_cli_missing_file_is_usage_error(tmp_path):
             # the benchmark's 199-node dept databases: many sets fail whole
             datasets.bench_db("dept", 10, 2),
             [],
-            "e986b985e890d1609f3af60b9bb503d5001112ef4fca5b3b4c67690d658f9361",
+            "cbb09749e63decbeda8c954f8a8a7a21e703434cbaf0c3f3bf5612f70332b917",
         ),
         (
             datasets.bench_db("dept", 10, 1),
             ["--no-hcluster"],
-            "8a5807d9e7ece17e06526e2fc525883311e305bb69e8fbf69fa151a49056c9b8",
+            "77008afdd6f59ace69e51d27a5e8ddcf5cf303382017c4fcd8e24646f17decc1",
         ),
     ],
     ids=[

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,26 @@ def test_low_count_categories_fold_into_null():
         tests = path_test(cr, np.arange(2), [2], 1000, 1, 0.05)
         ((entry,),) = tests.entries()
         assert entry["q"] == q == q_statistic(cluster(per, N=1000))
+
+
+def test_path_test_memory_does_not_grow_with_rows_times_columns():
+    # 500 kept columns, each held by one of 4000 members at the mean of
+    # exactly MIN_CATEGORY_MEAN: a dense members x kept-columns block of
+    # float64 alone would take 15.3 MiB
+    m, k, N = 4000, 500, 20000
+    table = SignatureTable.from_counts({j: {(j,): N} for j in range(k)})
+    cr = CountRows.from_tables([(m, table, range(m))])
+    tracemalloc.start()
+    try:
+        tests = path_test(cr, np.arange(m), [m], N, 1, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # each column: one count 5 * (m - 1) above its mean 5, m - 1 zeros; the
+    # null: k members at 0 and m - k at N around a mean of N (m - k) / m
+    want = k * ((5 * (m - 1)) ** 2 + (m - 1) * 25) + k * 17500**2 + (m - k) * 2500**2
+    assert tests.q[0, 0] == want
 
 
 def test_path_symmetric_singleton_passes():
