@@ -9,13 +9,14 @@ every cluster passes the path-symmetry test. The projection eigendecomposes
 the smaller side of a set's count block: the columns' covariance when it has
 at least as many rows as live columns, else the rows' Gram matrix.
 
-The refinement runs over many sets at once, one bisection depth at a time:
-every group of a depth is tested in one ``path_test`` call and every failing
-group is bisected in one ``binary_split`` call, each computing a group from
-its own rows only, so a set's concepts do not depend on the sets refined
-beside it. A set is projected once, when it fails as a whole: the failing
-sets of one row count are standardized in one pass over all their columns,
-and each then takes one LAPACK ``syevd`` call.
+The refinement runs over a batch of sets (``CountRows.batches``) at once, one
+bisection depth at a time: each group of a depth is tested in one ``path_test``
+call and every failing group is bisected in one ``binary_split`` call, each
+computing a group from its own rows only, so a set's concepts do not depend on
+the sets refined beside it. A set is projected once, when it fails as a whole:
+the failing sets of one row count are standardized together, in passes of
+about ``PROJECT_CELLS`` dense cells, and each then takes one LAPACK ``syevd``
+call.
 """
 
 from __future__ import annotations
@@ -27,13 +28,16 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg
 
-from .stats import PATH_TEST_COUNTS, CountRows, PathTests, path_test, theta_sym
+from .stats import CountRows, PathTests, path_test, theta_sym
 from .stats import path_symmetric  # noqa: F401  kept bound for bench/child.py's TRACED
 from .walks import WalkStats
 
 VARIANCE_FLOOR = 1e-12
 GRAM_FLOOR = 1e-9  # share of the total variance below which a Gram-side direction is noise
 PROJ_DIM = 2  # principal components kept before each 2-means bisection
+# dense cells (rows × columns) per stripes array of project_rows: a batch
+# bounds positive counts, not the dense blocks its failing sets project from
+PROJECT_CELLS = 2**16
 _SYEVD, _SYEVD_LWORK = linalg.get_lapack_funcs(("syevd", "syevd_lwork"))
 
 
@@ -200,7 +204,7 @@ def project_rows(cr: CountRows, starts: Sequence[int], heights: Sequence[int]) -
 
     Sets of one row count are scattered straight from the CSR into one
     stripes array (see ``_project_stripes``), in passes of about
-    ``PATH_TEST_COUNTS`` entries, which bounds the temporaries.
+    ``PROJECT_CELLS`` dense cells, which bounds the temporaries.
     """
     starts = np.asarray(starts, dtype=np.intp)
     heights = np.asarray(heights, dtype=np.intp)
@@ -211,7 +215,7 @@ def project_rows(cr: CountRows, starts: Sequence[int], heights: Sequence[int]) -
     by_height = np.argsort(heights, kind="stable")
     h = heights[by_height]
     size = cr.width[starts[by_height]] * h
-    new = np.diff((np.cumsum(size) - size) // PATH_TEST_COUNTS, prepend=-1) != 0
+    new = np.diff((np.cumsum(size) - size) // PROJECT_CELLS, prepend=-1) != 0
     new[1:] |= h[1:] != h[:-1]
     cuts = np.flatnonzero(new).tolist()
     for i, j in zip(cuts, [*cuts[1:], len(h)]):
@@ -295,9 +299,9 @@ def refine_sets(
     length. Otherwise its signature counts are projected once (one
     ``project_rows`` call for every set that fails) and repeatedly bisected;
     each side is kept when it passes (or is a singleton) and bisected again
-    when it fails. All groups of one depth, across sets, are tested in one
-    ``path_test`` call and bisected in one ``binary_split`` call. Every
-    group is tested once, at every length.
+    when it fails. All groups of one depth of a batch of sets
+    (``CountRows.batches``) are tested in one ``path_test`` call and
+    bisected in one ``binary_split`` call; each group once, at every length.
     Each set's clusters are sorted by smallest member id.
     """
     members = [sorted(A) for _, A in sets]
@@ -307,41 +311,41 @@ def refine_sets(
     if len({(stats.N, stats.L) for stats, _ in sets}) > 1:
         raise ValueError("sets refined together need one walk count and length")
     partitions = [[(mem, ())] if len(mem) <= 1 else [] for mem in members]
-    owner = np.array([i for i, mem in enumerate(members) if len(mem) > 1], dtype=np.intp)
-    if not len(owner):
+    tested = np.array([i for i, mem in enumerate(members) if len(mem) > 1], dtype=np.intp)
+    if not len(tested):
         return partitions
-    cr = CountRows.from_tables(
-        [(sets[i][0].source, sets[i][0].signatures, members[i]) for i in owner]
-    )
-    N, L = sets[owner[0]][0].N, sets[owner[0]][0].L
-    sizes = np.array([len(members[i]) for i in owner], dtype=np.intp)
-    rows = np.arange(sizes.sum())
-    points = None
-    while len(owner):
-        tests = path_test(cr, rows, sizes, N, L, alpha)
-        ok = tests.passed.all(axis=1)
-        ends = np.cumsum(sizes).tolist()
-        targets = cr.target[rows].tolist()
-        margins = PathTests(*(a[ok] for a in tests)).entries()
-        for g, i, entries in zip(np.flatnonzero(ok).tolist(), owner[ok].tolist(), margins):
-            partitions[i].append((targets[ends[g] - sizes[g] : ends[g]], tuple(entries)))
-        if points is None:  # the first depth: project every set that fails whole
-            points = np.zeros((len(rows), PROJ_DIM))
-            first = np.cumsum(sizes) - sizes
-            points[np.repeat(~ok, sizes)] = project_rows(cr, first[~ok], sizes[~ok])
-        rows, sizes, owner = rows[np.repeat(~ok, sizes)], sizes[~ok], owner[~ok]
-        if not len(owner):
-            break
-        # each group's first side, then its second, each in row order
-        key = 2 * np.repeat(np.arange(len(sizes)), sizes) + binary_split(points[rows], sizes)
-        rows = rows[np.argsort(key, kind="stable")]
-        sizes = np.bincount(key, minlength=2 * len(sizes))
-        owner = np.repeat(owner, 2)
-        single = sizes == 1
-        alone = rows[(np.cumsum(sizes) - sizes)[single]]
-        for i, v in zip(owner[single].tolist(), cr.target[alone].tolist()):
-            partitions[i].append(([v], ()))
-        rows, sizes, owner = rows[np.repeat(~single, sizes)], sizes[~single], owner[~single]
+    N, L = sets[tested[0]][0].N, sets[tested[0]][0].L
+    count_sets = [(sets[i][0].source, sets[i][0].signatures, members[i]) for i in tested.tolist()]
+    for n_sets, cr in CountRows.batches(count_sets):
+        owner, tested = tested[:n_sets], tested[n_sets:]
+        sizes = np.array([len(members[i]) for i in owner], dtype=np.intp)
+        rows = np.arange(sizes.sum())
+        points = None
+        while len(owner):
+            tests = path_test(cr, rows, sizes, N, L, alpha)
+            ok = tests.passed.all(axis=1)
+            ends = np.cumsum(sizes).tolist()
+            targets = cr.target[rows].tolist()
+            margins = PathTests(*(a[ok] for a in tests)).entries()
+            for g, i, entries in zip(np.flatnonzero(ok).tolist(), owner[ok].tolist(), margins):
+                partitions[i].append((targets[ends[g] - sizes[g] : ends[g]], tuple(entries)))
+            if points is None:  # the first depth: project every set that fails whole
+                points = np.zeros((len(rows), PROJ_DIM))
+                first = np.cumsum(sizes) - sizes
+                points[np.repeat(~ok, sizes)] = project_rows(cr, first[~ok], sizes[~ok])
+            rows, sizes, owner = rows[np.repeat(~ok, sizes)], sizes[~ok], owner[~ok]
+            if not len(owner):
+                break
+            # each group's first side, then its second, each in row order
+            key = 2 * np.repeat(np.arange(len(sizes)), sizes) + binary_split(points[rows], sizes)
+            rows = rows[np.argsort(key, kind="stable")]
+            sizes = np.bincount(key, minlength=2 * len(sizes))
+            owner = np.repeat(owner, 2)
+            single = sizes == 1
+            alone = rows[(np.cumsum(sizes) - sizes)[single]]
+            for i, v in zip(owner[single].tolist(), cr.target[alone].tolist()):
+                partitions[i].append(([v], ()))
+            rows, sizes, owner = rows[np.repeat(~single, sizes)], sizes[~single], owner[~single]
     for part in partitions:
         part.sort(key=lambda cluster: cluster[0][0])
     return partitions

@@ -4,8 +4,8 @@ source, symmetry clustering, and report serialization.
 Each piece's sources are mined in blocks of as many as the walk memory
 budget holds, in two phases: walk every source of the block (on a thread
 pool when ``threads > 1``), keeping its ``WalkStats``, then cluster them all
-in one ``symmetry_clusters`` call, which refines every distance set of the
-block together, one bisection depth at a time.
+in one ``symmetry_clusters`` call, which refines the block's distance sets in
+batches of whole sets, one bisection depth at a time.
 
 The serialized report is deterministic for a fixed configuration: per-source
 random streams are derived from the seed alone, a set's refinement does not
@@ -22,6 +22,7 @@ import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -115,19 +116,22 @@ class ConceptReport:
     config: dict | None = None
 
 
-def _source_report(h: LabeledHypergraph, part: SymmetryPartition) -> SourceReport:
+def _source_report(names: np.ndarray, part: SymmetryPartition) -> SourceReport:
+    """``part`` with node ids read as names: one gather from ``names``, an object array."""
+    got = names[np.fromiter(chain(*part.concepts, part.unreached), np.intp)].tolist()
+    ends = [0, *accumulate(map(len, part.concepts))]
     entries = [
         ConceptEntry(
-            members=tuple(h.node_names[v] for v in concept),
+            members=tuple(got[a:b]),
             parent_tht=part.distance_sets[parent].tht,
             margins=margins,
         )
-        for concept, parent, margins in zip(part.concepts, part.concept_parents, part.margins)
+        for a, b, parent, margins in zip(ends, ends[1:], part.concept_parents, part.margins)
     ]
     return SourceReport(
-        source=h.node_names[part.source],
+        source=names[part.source],
         concepts=tuple(entries),
-        unreached=tuple(h.node_names[v] for v in part.unreached),
+        unreached=tuple(got[ends[-1] :]),
     )
 
 
@@ -196,10 +200,11 @@ def get_communities(
                 # built here, once: cached_property takes no lock from Python 3.12 on
                 sub.walk_tables
             reports: list[SourceReport] = []
+            names = np.array(sub.node_names, dtype=object)
             for lo in range(0, sub.n_nodes, block):
                 sources = range(lo, min(lo + block, sub.n_nodes))
                 walked = list(walk_map(lambda v: run_walks(sub, v, walk_cfg), sources))
-                reports += [_source_report(sub, p) for p in symmetry_clusters(walked, cfg.alpha)]
+                reports += [_source_report(names, p) for p in symmetry_clusters(walked, cfg.alpha)]
                 del walked
             sub.__dict__.pop("walk_tables", None)
             source_time += time.perf_counter() - t_sources

@@ -11,8 +11,9 @@ Signature counts arrive as a ``SignatureTable`` of sorted int64 (target,
 signature) keys, from the walk engine or from dicts. ``CountRows`` holds the
 member x signature count matrices of many node sets, one row per (source,
 member) with its positive counts in CSR form and columns sorted by (length,
-signature), each set read from its table by one ``searchsorted`` per
-member range and the columns of many sets ranked by one lexsort.
+signature); ``CountRows.batches`` builds them in batches of whole sets of
+about ``PATH_TEST_COUNTS`` counts, which bound the memory of the
+refinement's count rows and path tests.
 ``path_test`` tests many groups of those rows at every length in one pass:
 each sum over a group's members (column means, keep masks, null columns,
 Q) and over its kept categories (the gamma moments, which have a closed
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -34,7 +35,7 @@ from scipy import special
 Signature = tuple[int, ...]
 
 MIN_CATEGORY_MEAN = 5.0  # rarer categories fold into the null (path_test)
-# counts per pass of path_test and CountRows.from_tables; entries of clustering.project_rows
+# positive counts per batch of CountRows.batches: count rows and path tests follow one batch
 PATH_TEST_COUNTS = 2**16
 
 
@@ -104,58 +105,66 @@ class CountRows(NamedTuple):
     col_len: np.ndarray
 
     @classmethod
-    def from_tables(
+    def batches(
         cls, sets: Sequence[tuple[int, SignatureTable, Sequence[int]]]
-    ) -> "CountRows":
-        """The count matrices of one or more (source, table, members) sets,
-        matrix after matrix, with one row per member in the given order. Each
-        set finds its members' key ranges by one ``searchsorted`` each side.
-        Whole sets of about ``PATH_TEST_COUNTS`` counts a pass, which bounds
-        the temporaries, have their columns ranked by one lexsort of their
-        (set, code) pairs."""
+    ) -> Iterator[tuple[int, "CountRows"]]:
+        """The count matrices of (source, table, members) sets, matrix after
+        matrix with one row per member in the given order, in batches of
+        consecutive whole sets: each yields its number of sets and their
+        rows, with ``indptr`` from 0. A batch takes sets while their positive
+        counts stay within ``PATH_TEST_COUNTS``, so a larger set is a batch
+        alone. Each set finds its members' key ranges by one ``searchsorted``
+        each side, and a batch ranks its columns by one lexsort of its (set,
+        code) pairs; its temporaries go before it is yielded."""
         targets = [np.array(members, dtype=np.int64) for _, _, members in sets]
         tables = [table for _, table, _ in sets]
         lo, hi = (
             np.concatenate([np.searchsorted(tb.key, t * tb.stride) for tb, t in zip(tables, ts)])
             for ts in (targets, [t + 1 for t in targets])
         )
-        sizes = hi - lo
-        indptr = np.concatenate([[0], np.cumsum(sizes)])
-        heights = [len(t) for t in targets]
-        first_row = np.cumsum([0, *heights])
+        indptr = np.concatenate([[0], np.cumsum(hi - lo)])
+        del hi
+        first_row = np.cumsum([0, *map(len, targets)])
         bounds = indptr[first_row]  # each set's first count, then the total
-        col, value = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
-        widths, col_len = np.zeros(len(sets), np.intp), []
-        starts = np.flatnonzero(np.diff(bounds[:-1] // PATH_TEST_COUNTS, prepend=-1)).tolist()
-        for i, j in zip(starts, [*starts[1:], len(sets)]):
+        cuts, ends = [0], bounds.tolist()
+        for k in range(1, len(sets)):  # set k starts a batch if it would overflow the last
+            if ends[k + 1] - ends[cuts[-1]] > PATH_TEST_COUNTS:
+                cuts.append(k)
+        for i, j in zip(cuts, [*cuts[1:], len(sets)]):
             a, b, r0, r1 = bounds[i], bounds[j], first_row[i], first_row[j]
+            ptr = indptr[r0 : r1 + 1] - a
             # each count's position in its set's table
-            at = np.arange(b - a) + np.repeat(lo[r0:r1] - (indptr[r0:r1] - a), sizes[r0:r1])
+            at = np.arange(b - a) + np.repeat(lo[r0:r1] - ptr[:-1], np.diff(ptr))
             code, length = np.empty(b - a, np.int64), np.empty(b - a, np.intp)
+            col, value = np.empty(b - a, np.int32), np.empty(b - a)
             for k in range(i, j):
                 here = slice(bounds[k] - a, bounds[k + 1] - a)
                 np.remainder(tables[k].key[at[here]], tables[k].stride, out=code[here])
-                value[a:b][here] = tables[k].count[at[here]]
+                value[here] = tables[k].count[at[here]]
                 length[here] = tables[k].length[at[here]]
             owner = np.repeat(np.arange(j - i), np.diff(bounds[i : j + 1]))
             order = np.lexsort((code, owner))
             code = code[order]  # owner is ascending, so the sort leaves it in place
             first = np.ones(b - a, dtype=bool)
             first[1:] = (code[1:] != code[:-1]) | (owner[1:] != owner[:-1])
-            widths[i:j] = np.bincount(owner[first], minlength=j - i)
-            col[a:b][order] = np.cumsum(first) - 1 - (np.cumsum(widths[i:j]) - widths[i:j])[owner]
-            col_len.append(length[order[first]])
-        col0 = np.cumsum(widths) - widths
-        return cls(
-            np.repeat(np.array([source for source, _, _ in sets], dtype=np.int64), heights),
-            np.concatenate(targets),
-            np.repeat(widths, heights),
-            np.repeat(col0, heights),
-            indptr,
-            col,
-            value,
-            np.concatenate(col_len),
-        )
+            width = np.bincount(owner[first], minlength=j - i)
+            col0 = np.cumsum(width) - width
+            col[order] = np.cumsum(first) - 1 - col0[owner]
+            col_len, target = length[order[first]], np.concatenate(targets[i:j])
+            del at, code, length, owner, order, first
+            if j == len(sets):  # the block's row arrays go before its last batch is refined
+                del lo, indptr, targets
+            height = np.diff(first_row[i : j + 1])
+            yield j - i, cls(
+                np.repeat(np.array([s for s, _, _ in sets[i:j]], dtype=np.int64), height),
+                target,
+                np.repeat(width, height),
+                np.repeat(col0, height),
+                ptr,
+                col,
+                value,
+                col_len,
+            )
 
 
 @dataclass(frozen=True)
@@ -230,12 +239,25 @@ class PathTests(NamedTuple):
         ]
 
 
-def _path_moments(
-    cr: CountRows, rows: np.ndarray, sizes: np.ndarray, N: int, L: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q and the null's gamma moments of each (group, length) cell, group
-    after group, longest length first (``path_test``), from the rows'
-    positive counts alone."""
+def path_test(
+    cr: CountRows, rows: np.ndarray, sizes: np.ndarray, N: int, L: int, alpha: float
+) -> PathTests:
+    """Per-length test outcomes of many groups at once. Group g is the next
+    ``sizes[g]`` (at least 2) of ``rows``, rows of ``cr`` from one count
+    matrix.
+
+    At each length a group's categories are that length's signatures whose
+    mean count over the group is at least ``MIN_CATEGORY_MEAN``; the rest
+    fold into the null category, N minus the kept counts. Q sums the squared
+    deviations from the group means over members and categories, null
+    included, and is compared with the critical value of the moment-matched
+    gamma; a degenerate null means Q is necessarily 0, and the test passes
+    when Q <= 1e-9. One pass reads the rows' positive counts alone: its
+    temporaries are sized by those counts, rows x lengths and columns, never
+    rows x columns.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.intp)
     n_groups, n_rows, cells = len(sizes), len(rows), len(sizes) * L
     group = np.repeat(np.arange(n_groups), sizes)
     head = rows[np.cumsum(sizes) - sizes]  # each group's first row
@@ -278,45 +300,14 @@ def _path_moments(
     # a walk is at one node per step, so at one length the members' kept means
     # sum to at most N / m: the moments expand around the null's p >= 1/2
     m = np.repeat(sizes, L).astype(np.float64)
-    return q, *gamma_moments(m, N, null_mean / N, s1, s2, s3)
-
-
-def path_test(
-    cr: CountRows, rows: np.ndarray, sizes: np.ndarray, N: int, L: int, alpha: float
-) -> PathTests:
-    """Per-length test outcomes of many groups at once. Group g is the next
-    ``sizes[g]`` (at least 2) of ``rows``, rows of ``cr`` from one count
-    matrix.
-
-    At each length a group's categories are that length's signatures whose
-    mean count over the group is at least ``MIN_CATEGORY_MEAN``; the rest
-    fold into the null category, N minus the kept counts. Q sums the squared
-    deviations from the group means over members and categories, null
-    included, and is compared with the critical value of the moment-matched
-    gamma; a degenerate null means Q is necessarily 0, and the test passes
-    when Q <= 1e-9. Whole groups are taken in passes of about
-    ``PATH_TEST_COUNTS`` positive counts; a pass's temporaries are sized by
-    its counts, rows x lengths and columns, never rows x columns.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    sizes = np.asarray(sizes, dtype=np.intp)
-    ends = np.cumsum(sizes)
-    counts = np.cumsum(cr.indptr[rows + 1] - cr.indptr[rows])
-    first = np.flatnonzero(np.diff(counts[ends - 1] // PATH_TEST_COUNTS)) + 1
-    gcut = [0, *first.tolist(), len(sizes)]
-    rcut = [0, *ends[first - 1].tolist(), len(rows)]
-    passes = [
-        _path_moments(cr, rows[r0:r1], sizes[g0:g1], N, L)
-        for g0, g1, r0, r1 in zip(gcut, gcut[1:], rcut, rcut[1:])
-    ]
-    q, mu, sigma2 = (np.concatenate(a) for a in zip(*passes))
+    mu, sigma2 = gamma_moments(m, N, null_mean / N, s1, s2, s3)
     degenerate = GammaApprox(mu, sigma2).degenerate
-    critical = np.full(len(q), np.nan)
+    critical = np.full(cells, np.nan)
     critical[~degenerate] = gamma_critical_value(
         GammaApprox(mu[~degenerate], sigma2[~degenerate]), alpha
     )
     passed = np.where(degenerate, q <= 1e-9, q <= critical)
-    return PathTests(*(a.reshape(len(sizes), L) for a in (q, critical, passed)))
+    return PathTests(*(a.reshape(n_groups, L) for a in (q, critical, passed)))
 
 
 def path_symmetry_report(
@@ -332,7 +323,7 @@ def path_symmetry_report(
     if m <= 1:
         return []
     table = SignatureTable.from_counts(counts_by_member)
-    cr = CountRows.from_tables([(-1, table, sorted(members))])
+    ((_, cr),) = CountRows.batches([(-1, table, sorted(members))])
     return path_test(cr, np.arange(m), [m], N, L, alpha).entries()[0]
 
 

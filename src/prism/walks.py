@@ -77,7 +77,8 @@ def optimal_walk_count(epsilon: float, e: int, L: int) -> int:
 
 def topk_walk_count(epsilon: float, e: int, L: int, k: int = 3) -> int:
     """Walks needed so the k-th most probable path signature keeps relative
-    error at or below epsilon; always at least the hitting-time bound."""
+    error at or below epsilon; always at least the hitting-time bound. The
+    k are a source's top (target, signature) pairs, not each target's top k."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if k < 1:

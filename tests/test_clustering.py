@@ -17,7 +17,6 @@ from prism.clustering import (
     symmetry_clusters,
 )
 from prism.stats import (
-    PATH_TEST_COUNTS,
     CountRows,
     SignatureTable,
     path_symmetry_report,
@@ -201,7 +200,8 @@ def test_project_rows_bits_equal_per_set_reference():
     # the batched moments must round as the per-set numpy reductions did:
     # row counts around pairwise summation's 8-wide unroll and its 128 block,
     # sets sharing a row count, one live column, all-constant sets, wide and
-    # tall sets, and enough entries for several passes
+    # tall sets, and over four times as many dense cells as a projection
+    # pass holds, so several passes
     rng = np.random.default_rng(14)
     heights = [2, 3, 7, 8, 9, 16, 33, 64, 127, 128, 129, 140] * 3
     heights += rng.integers(2, 141, size=24).tolist()
@@ -221,7 +221,7 @@ def test_project_rows_bits_equal_per_set_reference():
     cr = dense_count_rows(blocks)
     sizes = np.array([len(b) for b in blocks])
     starts = np.cumsum(sizes) - sizes
-    assert (sizes * [b.shape[1] for b in blocks]).sum() > 4 * PATH_TEST_COUNTS
+    assert (sizes * [b.shape[1] for b in blocks]).sum() > 4 * clustering.PROJECT_CELLS
     want = [oracles.reference_standardize_and_project(b) for b in blocks]
     assert np.array_equal(project_rows(cr, starts, sizes), np.vstack(want))
     # a subset of the sets, out of row order, and each block alone
@@ -593,25 +593,81 @@ def test_symmetry_clusters_deterministic(physics):
     assert a == b
 
 
+def test_refinement_memory_follows_one_batch(monkeypatch):
+    # 32 sets of 800 counts in batches of 2048 counts, 16 batches: refining
+    # them all peaks near refining one batch's sets, where a block-wide
+    # CountRows (25600 counts, 300 KiB) alone would triple the peak
+    monkeypatch.setattr(stats, "PATH_TEST_COUNTS", 2048)
+    m, k, n_sets = 4, 200, 32
+    n, N = m * n_sets, 100 * k
+    counts = np.random.default_rng(5).multinomial(N, np.full(k, 1 / k), size=n)
+    st = synthetic_count_stats(counts, N=N)
+    sets = [(st, list(range(i, i + m))) for i in range(0, n, m)]
+
+    def peak(pairs):
+        tracemalloc.start()
+        try:
+            refine_sets(pairs, 0.01)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(list(CountRows.batches([(n, st.signatures, A) for _, A in sets]))) == 16
+    assert peak(sets) < 2 * peak(sets[:2])
+
+
+def test_projection_memory_follows_one_set_of_wide_sets():
+    # 6 sets of 64 members, each member with 64 signature columns of its own:
+    # 24576 counts, one batch, but 64 x 4096 dense cells per set, all failing
+    # and of one row count. Projecting them in one stripes array would take
+    # about six times one set's peak; cut by PROJECT_CELLS, each goes alone
+    m, w, n_sets, N = 64, 64, 6, 10**6
+    n = m * n_sets
+    counts = np.random.default_rng(3).integers(6 * m, 12 * m, size=(n, w))
+    own = {i: {(i * w + j,): int(c) for j, c in enumerate(row)} for i, row in enumerate(counts)}
+    st = WalkStats(
+        source=n,
+        N=N,
+        L=1,
+        tht=np.ones(n + 1),
+        hits=np.full(n + 1, N, dtype=np.int64),
+        signatures=SignatureTable.from_counts(own),
+    )
+    sets = [(st, list(range(i, i + m))) for i in range(0, n, m)]
+
+    def peak(pairs):
+        tracemalloc.start()
+        try:
+            parts = refine_sets(pairs, 0.01)
+            return tracemalloc.get_traced_memory()[1], parts
+        finally:
+            tracemalloc.stop()
+
+    assert len(list(CountRows.batches([(n, st.signatures, A) for _, A in sets]))) == 1
+    (one, (part,)), (every, parts) = peak(sets[:1]), peak(sets)
+    assert len(part) > 1 and parts[0] == part
+    assert every < 2 * one
+
+
 def test_refinement_does_not_depend_on_its_batch(physics):
     # a source clustered alone equals the same source clustered with every
     # other source of its piece, and a set refined alone equals the same set
     # refined beside every other set: entries compared with ==. Then again
-    # with passes of 64 counts, where the batch's tests span more passes
+    # with batches of 64 counts, where the sets span more batches and so
+    # more path_test calls
     cfg = WalkConfig(L=4, N=1505, seed=2)
     walked = [run_walks(physics, v, cfg) for v in range(physics.n_nodes)]
     sets = [(st, g) for st in walked for g in distance_groups(st, 0.01)]
-    moments, batch_passes = stats._path_moments, {}
+    test, batch_passes = clustering.path_test, {}
     for counts in (stats.PATH_TEST_COUNTS, 64):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stats, "PATH_TEST_COUNTS", counts)
-            mp.setattr(clustering, "PATH_TEST_COUNTS", counts)
             together = symmetry_clusters(walked, alpha=0.01)
             assert together == [symmetry_clusters([st], alpha=0.01)[0] for st in walked]
             alone = [refine_sets([pair], 0.01)[0] for pair in sets]
             assert any(len(part) > 1 for part in alone)
             passes = []
-            mp.setattr(stats, "_path_moments", lambda *a: passes.append(a) or moments(*a))
+            mp.setattr(clustering, "path_test", lambda *a: passes.append(a) or test(*a))
             assert refine_sets(sets, 0.01) == alone
             batch_passes[counts] = len(passes)
     assert batch_passes[64] > batch_passes[stats.PATH_TEST_COUNTS]

@@ -203,13 +203,61 @@ def test_gamma_critical_value_degenerate_raises():
         gamma_critical_value(GammaApprox(0.0, 0.0), 0.05)
 
 
+def test_count_row_batches_hold_whole_sets_within_the_bound(monkeypatch):
+    # sets of several sources' tables, members in any order, some sets far
+    # over the bound: the batches cover the sets in order, each within the
+    # bound unless it holds one set, and a set's rows equal its own build
+    monkeypatch.setattr(prism.stats, "PATH_TEST_COUNTS", 40)
+    rng = np.random.default_rng(21)
+    tables = []
+    for _ in range(3):
+        counts = {
+            v: {tuple(rng.integers(0, 3, size=k)): int(rng.integers(1, 50)) for k in (1, 2, 2, 3)}
+            for v in range(12)
+        }
+        tables.append(SignatureTable.from_counts(counts))
+    sets = [
+        (s, tables[s], rng.permutation(12)[: rng.integers(1, 13)].tolist())
+        for s in rng.integers(0, 3, size=30).tolist()
+    ]
+    batches = list(CountRows.batches(sets))
+    assert sum(n for n, _ in batches) == len(sets)
+    assert 1 < len(batches) < len(sets)
+    assert any(n > 1 for n, _ in batches)
+    assert any(n == 1 and cr.indptr[-1] > 40 for n, cr in batches)
+    done = 0
+    for n, cr in batches:
+        assert cr.indptr[0] == 0
+        assert n == 1 or cr.indptr[-1] <= 40
+        r0 = c0 = 0
+        for source, table, members in sets[done : done + n]:
+            ((_, one),) = CountRows.batches([(source, table, members)])
+            r1 = r0 + len(members)
+            a, b = cr.indptr[r0], cr.indptr[r1]
+            assert np.array_equal(cr.indptr[r0 : r1 + 1] - a, one.indptr)
+            assert cr.target[r0:r1].tolist() == members
+            for got, want in [
+                (cr.source[r0:r1], one.source),
+                (cr.width[r0:r1], one.width),
+                (cr.col0[r0:r1] - c0, one.col0),
+                (cr.col[a:b], one.col),
+                (cr.value[a:b], one.value),
+                (cr.col_len[c0 : c0 + one.width[0]], one.col_len),
+            ]:
+                assert np.array_equal(got, want)
+            r0, c0 = r1, c0 + one.width[0]
+        assert (r0, c0) == (len(cr.target), len(cr.col_len))
+        done += n
+
+
 def test_low_count_categories_fold_into_null():
     # (1,) at a mean of 1.5 folds: its counts join the null column, and
     # (0,) and the null (900, 896) each give 8; at a mean of exactly
     # MIN_CATEGORY_MEAN it is kept, adding 2, and the null (896, 890) gives 18
     for rare, q in [((2, 1), 16.0), ((4, 6), 28.0)]:
         per = [{(0,): 100, (1,): rare[0]}, {(0,): 104, (1,): rare[1]}]
-        cr = CountRows.from_tables([(2, SignatureTable.from_counts(dict(enumerate(per))), [0, 1])])
+        table = SignatureTable.from_counts(dict(enumerate(per)))
+        ((_, cr),) = CountRows.batches([(2, table, [0, 1])])
         tests = path_test(cr, np.arange(2), [2], 1000, 1, 0.05)
         ((entry,),) = tests.entries()
         assert entry["q"] == q == q_statistic(cluster(per, N=1000))
@@ -221,7 +269,7 @@ def test_path_test_memory_does_not_grow_with_rows_times_columns():
     # float64 alone would take 15.3 MiB
     m, k, N = 4000, 500, 20000
     table = SignatureTable.from_counts({j: {(j,): N} for j in range(k)})
-    cr = CountRows.from_tables([(m, table, range(m))])
+    ((_, cr),) = CountRows.batches([(m, table, range(m))])
     tracemalloc.start()
     try:
         tests = path_test(cr, np.arange(m), [m], N, 1, 0.05)

@@ -84,6 +84,27 @@ def test_topk_includes_tht_bound():
     assert n >= math.ceil(64 / (4 * 0.0025))
 
 
+def test_topk_walk_count_bounds_each_source_top_pairs_in_law():
+    # at N = topk_walk_count(eps, labels, L, 3), the 3 most probable
+    # (target, signature) pairs of a source's exact first-hit law keep a mean
+    # relative error (over the pairs and 30 seeds) of at most eps; the bound
+    # is over the source's whole law: a target's own top 3 can exceed it
+    worst = 0.0
+    for eps in (0.1, 0.2):
+        for h in datasets.small_fixture_graphs().values():
+            L = max(1, diameter(h))
+            N = topk_walk_count(eps, max(1, h.n_labels), L, 3)
+            for source in range(h.n_nodes):
+                law = oracles.exact_first_hits(h, source, L)
+                top = sorted(((p, v, s) for v, d in law.items() for s, p in d.items()))[-3:]
+                err = 0.0
+                for seed in range(30):
+                    got = _decoded(h, run_walks(h, source, WalkConfig(L=L, N=N, seed=seed)))
+                    err += sum(abs(got.get(v, {}).get(s, 0) / N - p) / p for p, v, s in top)
+                worst = max(worst, err / (30 * len(top)) / eps)
+    assert worst <= 1.0
+
+
 def test_walk_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(L=0, N=1)
@@ -671,7 +692,7 @@ def test_walk_kept_estimate_bounds_walked_source(n, n_labels, extra, N, L):
     for source in (0, n // 2):
         st_ = run_walks(h, source, WalkConfig(L=L, N=N, seed=1))
         reached = np.flatnonzero(st_.hits).tolist()
-        rows = CountRows.from_tables([(source, st_.signatures, reached)])
+        ((_, rows),) = CountRows.batches([(source, st_.signatures, reached)])
         kept = sum(a.nbytes for a in (*st_.signatures[:3], st_.tht, st_.hits, *rows))
         assert kept + 16 * len(reached) <= walk_kept_bytes(n, n_labels, N, L)
 
