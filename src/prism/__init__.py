@@ -32,7 +32,6 @@ from .relational import (
 )
 from .spectral import (
     ConvergenceError,
-    SpectralConfig,
     cheeger_sweep_cut,
     get_clusters,
     hcluster,
@@ -65,7 +64,6 @@ __all__ = [
     "LabeledHypergraph",
     "RelationalDatabase",
     "RunConfig",
-    "SpectralConfig",
     "SymmetryPartition",
     "WalkConfig",
     "WalkStats",

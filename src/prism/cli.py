@@ -45,8 +45,6 @@ def _build_parser() -> _Parser:
     mine.add_argument("--threads", type=int, default=1, help="parallel source workers")
     mine.add_argument("--output", default="-", help="report path ('-' for stdout)")
     mine.add_argument("--format", choices=("json", "tsv"), default="json")
-    mine.add_argument("--lambda2-max", type=float, default=0.8, help="spectral stopping threshold")
-    mine.add_argument("--n-min", type=int, default=8, help="minimum spectral cluster size")
     mine.add_argument("--top-k", type=int, default=3, help="most-probable paths held to the uncertainty target")
     mine.add_argument("--max-length", type=int, default=5, help="walk-length cap (0 disables the cap)")
     mine.add_argument("--no-hcluster", action="store_true", help="skip hierarchical pre-clustering")
@@ -67,8 +65,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         alpha=args.alpha,
         k_top=args.top_k,
-        lambda2_max=args.lambda2_max,
-        n_min=args.n_min,
         L_cap=None if args.max_length == 0 else args.max_length,
         seed=args.seed,
         threads=args.threads,

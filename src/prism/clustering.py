@@ -117,6 +117,8 @@ def _syevd_work(n: int) -> tuple[int, int]:
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``linalg.eigh(a, driver="evd")`` without its argument checks: the same
     one LAPACK ``syevd`` call, on the lower triangle, and the same bits.
+    ``linalg.eigh(..., check_finite=False)`` took 16.5 ms against 9.8 for
+    the 382 solves of dept k10 g1 flat, seed 1 (median of 9, one BLAS thread).
     ``np.linalg.eigh`` runs the same routine, but numpy's threaded OpenBLAS
     took ~15 ms per 32x32 call on a 2-core x86 machine."""
     lwork, liwork = _syevd_work(a.shape[0])

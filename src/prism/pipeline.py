@@ -28,7 +28,7 @@ import numpy as np
 
 from .clustering import PROJ_DIM, SymmetryPartition, symmetry_clusters
 from .hypergraph import LabeledHypergraph, connected_components, diameter
-from .spectral import SpectralConfig, hcluster
+from .spectral import LAMBDA2_MAX, N_MIN, hcluster
 from .stats import MIN_CATEGORY_MEAN
 from .stats import path_symmetry_report  # noqa: F401  kept bound for bench/child.py's TRACED
 from .walks import WalkConfig, run_walks, table_peak_bytes, topk_walk_count
@@ -43,8 +43,6 @@ class RunConfig:
     epsilon: float = 0.1
     alpha: float = 0.01
     k_top: int = 3
-    lambda2_max: float = 0.8
-    n_min: int = 8
     L_cap: int | None = 5
     seed: int = 0
     threads: int = 1
@@ -61,22 +59,18 @@ class RunConfig:
             raise ValueError("L_cap must be positive or None")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        self.spectral()  # lambda2_max and n_min are echoed even without hcluster
-
-    def spectral(self) -> SpectralConfig:
-        return SpectralConfig(lambda2_max=self.lambda2_max, n_min=self.n_min)
 
     def to_dict(self) -> dict:
         # threads is an execution detail with no effect on results, so it is
         # kept out of the echo and reports stay byte-identical across pools;
-        # proj_dim and min_category_mean are fixed constants, not settings
+        # proj_dim, lambda2_max, n_min and min_category_mean are constants
         return {
             "epsilon": self.epsilon,
             "alpha": self.alpha,
             "k_top": self.k_top,
             "proj_dim": PROJ_DIM,
-            "lambda2_max": self.lambda2_max,
-            "n_min": self.n_min,
+            "lambda2_max": LAMBDA2_MAX,
+            "n_min": N_MIN,
             "L_cap": self.L_cap,
             "seed": self.seed,
             "use_hcluster": self.use_hcluster,
@@ -158,7 +152,7 @@ def get_communities(
     pieces: list[LabeledHypergraph] = []
     for comp in connected_components(h):
         if cfg.use_hcluster and comp.n_nodes >= 2:
-            pieces.extend(hcluster(comp, cfg.spectral()))
+            pieces.extend(hcluster(comp))
         else:
             pieces.append(comp)
     timings["hcluster"] = time.perf_counter() - t0
@@ -274,6 +268,8 @@ def _from_json(tp, value):
 
 def parse_report(text: str) -> ConceptReport:
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError(f"report must be a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     return _from_json(ConceptReport, d)

@@ -1,15 +1,13 @@
 """Hierarchical bipartitioning of the clique-expanded graph.
 
 Recursive sweep cuts on the second eigenvector of the symmetric normalized
-Laplacian; recursion stops when the subgraph is already well connected
-(lambda2 above a threshold) or a proposed cut would create a side smaller
-than ``n_min``. Leaves come out as a label array, from which
-``majority_subhypergraph`` rebuilds sub-hypergraphs so no node or edge is lost.
+Laplacian; recursion stops when the subgraph is well connected (lambda2 above
+the constant ``LAMBDA2_MAX``) or a cut would leave a side under ``N_MIN``
+nodes. Leaves come out as a label array, from which ``majority_subhypergraph``
+rebuilds sub-hypergraphs so no node or edge is lost.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -19,6 +17,8 @@ from .hypergraph import LabeledHypergraph, majority_subhypergraph, to_weighted_g
 
 EIG_TOLERANCE = 1e-8  # residual ||L_sym v - lambda v|| that ends power iteration
 EIG_MAX_ITERS = 10000
+LAMBDA2_MAX = 0.8  # a subgraph whose lambda2 is above this is a leaf
+N_MIN = 8  # no cut may leave fewer nodes than this on a side
 
 
 class ConvergenceError(RuntimeError):
@@ -27,18 +27,6 @@ class ConvergenceError(RuntimeError):
 
 class DisconnectedGraphError(ValueError):
     """Operation requires a connected graph."""
-
-
-@dataclass(frozen=True)
-class SpectralConfig:
-    lambda2_max: float = 0.8
-    n_min: int = 8
-
-    def __post_init__(self):
-        if not 0 < self.lambda2_max <= 2:
-            raise ValueError("lambda2_max must be in (0, 2]")
-        if self.n_min < 2:
-            raise ValueError("n_min must be at least 2")
 
 
 def second_eigenpair(g: sparse.csr_array) -> tuple[float, np.ndarray]:
@@ -113,16 +101,16 @@ def cheeger_sweep_cut(g: sparse.csr_array, v2: np.ndarray) -> tuple[np.ndarray, 
     return np.sort(order[:best_k]), np.sort(order[best_k:]), float(phi[best_k - 1])
 
 
-def get_clusters(g: sparse.csr_array, cfg: SpectralConfig) -> np.ndarray:
+def get_clusters(g: sparse.csr_array) -> np.ndarray:
     """Recursive sweep-cut bipartition; returns the leaf label of every node.
 
     Disconnected subgraphs split into their components outright (a zero-cost
-    cut). A connected subgraph of fewer than ``2 * n_min`` nodes is a leaf
-    without an eigensolve, since no cut of it could leave ``n_min`` nodes on
+    cut). A connected subgraph of fewer than ``2 * N_MIN`` nodes is a leaf
+    without an eigensolve, since no cut of it could leave ``N_MIN`` nodes on
     both sides; it therefore cannot raise ``ConvergenceError``. Otherwise
-    recursion stops when lambda2 exceeds ``lambda2_max`` or the proposed cut
-    leaves a side smaller than ``n_min``. Leaves are numbered in order of
-    their smallest node id.
+    recursion stops when lambda2 exceeds ``LAMBDA2_MAX`` or the proposed cut
+    leaves a side smaller than ``N_MIN``. Both constants are read when the
+    function is called. Leaves are numbered in order of their smallest node id.
     """
     if g.shape[0] == 0:
         raise ValueError("graph must be non-empty")
@@ -140,15 +128,15 @@ def get_clusters(g: sparse.csr_array, cfg: SpectralConfig) -> np.ndarray:
             for ci in range(n_comp):
                 recurse(ids[comp == ci])
             return
-        if len(ids) < 2 * cfg.n_min:  # no cut of it leaves n_min nodes a side
+        if len(ids) < 2 * N_MIN:  # no cut of it leaves N_MIN nodes a side
             leaves.append(ids)
             return
         lam2, v2 = second_eigenpair(sub)
-        if lam2 > cfg.lambda2_max:
+        if lam2 > LAMBDA2_MAX:
             leaves.append(ids)
             return
         side, rest, _ = cheeger_sweep_cut(sub, v2)
-        if min(len(side), len(rest)) < cfg.n_min:
+        if min(len(side), len(rest)) < N_MIN:
             leaves.append(ids)
             return
         recurse(ids[side])
@@ -161,12 +149,12 @@ def get_clusters(g: sparse.csr_array, cfg: SpectralConfig) -> np.ndarray:
     return labels
 
 
-def hcluster(h: LabeledHypergraph, cfg: SpectralConfig) -> list[LabeledHypergraph]:
+def hcluster(h: LabeledHypergraph) -> list[LabeledHypergraph]:
     """Cut the hypergraph along sparse cuts of its clique expansion.
 
-    The leaf labels from ``get_clusters`` are turned back into
-    sub-hypergraphs by majority rule, conserving every node and edge.
+    The leaf labels from ``get_clusters`` (stop rules ``LAMBDA2_MAX`` and
+    ``N_MIN``) become sub-hypergraphs by majority rule, keeping every node and edge.
     """
     if h.n_nodes == 0:
         raise ValueError("hypergraph must be non-empty")
-    return majority_subhypergraph(h, get_clusters(to_weighted_graph(h), cfg))
+    return majority_subhypergraph(h, get_clusters(to_weighted_graph(h)))

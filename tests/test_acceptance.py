@@ -23,7 +23,7 @@ from prism.cli import main
 from prism.clustering import refine_sets
 from prism.hypergraph import diameter
 from prism.pipeline import RunConfig, get_communities
-from prism.spectral import SpectralConfig, hcluster
+from prism.spectral import hcluster
 from prism.stats import SignatureTable, gamma_critical_value, path_symmetric, theta_sym
 from prism.walks import WalkConfig, WalkStats, optimal_walk_count, run_walks, topk_walk_count
 
@@ -58,7 +58,7 @@ def test_criterion_2_toy_concept_recovery(classroom, two_departments):
         if {frozenset(c.members) for c in src.concepts} == want:
             good += 1
 
-    subs = hcluster(two_departments, SpectralConfig())
+    subs = hcluster(two_departments)
     diams = sorted(diameter(s) for s in subs)
     lost = two_departments.n_edges - sum(s.n_edges for s in subs)
     ok = good >= 18 and len(subs) == 2 and diams == [4, 4] and lost == 0

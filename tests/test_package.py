@@ -82,17 +82,34 @@ def test_every_top_level_name_is_read():
     assert unread == []
 
 
-def test_readme_names_every_cli_option():
-    # the README lists the flags by hand
-    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+README = SRC.parent.parent / "README.md"
+
+
+def _cli_options() -> set[str]:
+    """Every ``--`` option of every ``prism`` command, ``--help`` aside."""
     parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {
+    return {
         option
         for command in commands.choices.values()
         for action in command._actions
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     }
+
+
+def test_readme_names_every_cli_option():
+    # the README lists the flags by hand
+    readme = README.read_text(encoding="utf-8")
+    options = _cli_options()
     assert "--epsilon" in options
     assert sorted(o for o in options if o not in readme) == []
+
+
+def test_readme_cli_section_names_only_cli_options():
+    # the reverse: a flag the CLI lost must leave the README's CLI section too
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert "--epsilon" in named
+    assert sorted(named - _cli_options()) == []

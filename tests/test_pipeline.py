@@ -49,12 +49,6 @@ def test_runconfig_validation():
         RunConfig(alpha=0.0)
     with pytest.raises(ValueError):
         RunConfig(threads=0)
-    # the spectral settings are echoed in the report, so they are checked
-    # even when hcluster does not run
-    with pytest.raises(ValueError):
-        RunConfig(lambda2_max=float("nan"), use_hcluster=False)
-    with pytest.raises(ValueError):
-        RunConfig(n_min=1, use_hcluster=False)
 
 
 def test_get_communities_empty_input():
@@ -137,7 +131,7 @@ def test_get_communities_stranded_source(monkeypatch):
         [(0, (0, 1, 4)), (0, (0, 1)), (0, (1, 2)), (0, (2, 3)), (0, (3, 5)), (0, (5, 6))],
     )
     parts = np.array([0, 0, 0, 0, 1, 1, 1])
-    monkeypatch.setattr(pipeline, "hcluster", lambda comp, cfg: majority_subhypergraph(comp, parts))
+    monkeypatch.setattr(pipeline, "hcluster", lambda comp: majority_subhypergraph(comp, parts))
     report = get_communities(h, RunConfig(seed=4))
     stranded = report.subhypergraphs[1]
     assert stranded.nodes == ("v4", "v5", "v6")
@@ -219,6 +213,12 @@ def test_parse_report_requires_every_field_but_config(two_departments):
         parse_report(json.dumps(payload))
     with pytest.raises(ValueError):
         parse_report('{"schema_version":2,"subhypergraphs":[]}')
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+def test_parse_report_rejects_json_that_is_not_an_object(text):
+    with pytest.raises(ValueError, match="JSON object"):
+        parse_report(text)
 
 
 def test_emit_same_seed_byte_identical(two_departments):
@@ -423,14 +423,15 @@ def test_cli_usage_error_exit_code():
     assert main(["mine", "--db", "x.db", "--epsilon", "2.0"]) == 1
 
 
-def test_cli_nan_setting_without_hcluster_is_usage_error(tmp_path, capsys):
+def test_cli_spectral_flags_are_usage_errors(tmp_path, capsys):
+    # the spectral stop rules are constants, so prism mine has no flags for them
     db = tmp_path / "x.db"
     db.write_text(datasets.classroom_db())
     out = tmp_path / "report.json"
-    argv = ["mine", "--db", str(db), "--no-hcluster", "--lambda2-max", "nan"]
-    assert main(argv + ["--output", str(out)]) == 1
-    assert "lambda2_max" in capsys.readouterr().err
-    assert not out.exists()
+    for flag, value in (("--lambda2-max", "0.5"), ("--n-min", "4")):
+        assert main(["mine", "--db", str(db), flag, value, "--output", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_negative_seed_is_usage_error(tmp_path, capsys):

@@ -9,14 +9,11 @@ from prism.hypergraph import LabeledHypergraph, to_weighted_graph
 from prism.spectral import (
     EIG_TOLERANCE,
     DisconnectedGraphError,
-    SpectralConfig,
     cheeger_sweep_cut,
     get_clusters,
     hcluster,
     second_eigenpair,
 )
-
-CFG = SpectralConfig()
 
 
 def graph_from_pairs(n, pair_weights):
@@ -130,47 +127,49 @@ def test_sweep_cut_matches_brute_force_prefix_minimum():
 
 def test_get_clusters_stops_on_lambda2():
     g = complete_graph(5)  # lambda2 = 1.25 > 0.8
-    assert get_clusters(g, CFG).tolist() == [0] * 5
+    assert get_clusters(g).tolist() == [0] * 5
 
 
-def test_get_clusters_respects_n_min():
-    # two K5 blobs joined by one edge: the cut exists but sides of 5 < n_min=6
+def test_get_clusters_respects_n_min(monkeypatch):
+    # two K5 blobs joined by one edge: the cut exists but sides of 5 < N_MIN=6
     edges = [(i, j, 1.0) for i in range(5) for j in range(i + 1, 5)]
     edges += [(i, j, 1.0) for i in range(5, 10) for j in range(i + 1, 10)]
     edges += [(4, 5, 1.0)]
     g = graph_from_edges(10, edges)
-    cfg = SpectralConfig(n_min=6)
-    assert get_clusters(g, cfg).tolist() == [0] * 10
-    cfg_loose = SpectralConfig(n_min=5)
-    assert get_clusters(g, cfg_loose).tolist() == [0] * 5 + [1] * 5
+    monkeypatch.setattr(spectral, "N_MIN", 6)
+    assert get_clusters(g).tolist() == [0] * 10
+    monkeypatch.setattr(spectral, "N_MIN", 5)
+    assert get_clusters(g).tolist() == [0] * 5 + [1] * 5
 
 
 @pytest.mark.parametrize("n_min", [2, 3, 8])
 def test_get_clusters_small_connected_subgraph_is_a_leaf_without_eigensolve(n_min, monkeypatch):
-    # below 2 * n_min nodes no cut can leave n_min nodes on both sides, so
+    # below 2 * N_MIN nodes no cut can leave n_min nodes on both sides, so
     # the eigensolver is never reached and cannot fail
     def unreachable(g):
         raise spectral.ConvergenceError("stub eigensolver")
 
     monkeypatch.setattr(spectral, "second_eigenpair", unreachable)
-    cfg = SpectralConfig(n_min=n_min)
+    monkeypatch.setattr(spectral, "N_MIN", n_min)
     n = 2 * n_min - 1  # a path graph of n nodes, then of n + 1
     g = graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
-    assert get_clusters(g, cfg).tolist() == [0] * n
+    assert get_clusters(g).tolist() == [0] * n
     g = graph_from_edges(n + 1, [(i, i + 1, 1.0) for i in range(n)])
     with pytest.raises(spectral.ConvergenceError, match="stub"):
-        get_clusters(g, cfg)
+        get_clusters(g)
 
 
 def test_get_clusters_two_departments(two_departments):
     g = to_weighted_graph(two_departments)
-    labels = get_clusters(g, CFG)
+    labels = get_clusters(g)
     physics = {f"P{i}" for i in range(1, 9)} | {"B1", "B2"}
     # node 0 is P4, so physics is leaf 0
     assert labels.tolist() == [int(n not in physics) for n in two_departments.node_names]
 
 
-def test_get_clusters_partition_property():
+def test_get_clusters_partition_property(monkeypatch):
+    monkeypatch.setattr(spectral, "N_MIN", 2)
+    monkeypatch.setattr(spectral, "LAMBDA2_MAX", 0.5)
     rng = np.random.default_rng(11)
     for trial in range(10):
         n = int(rng.integers(2, 20))
@@ -179,7 +178,7 @@ def test_get_clusters_partition_property():
             j = int(rng.integers(0, i))
             edges[(j, i)] = 1.0
         g = graph_from_pairs(n, edges)
-        labels = get_clusters(g, SpectralConfig(n_min=2, lambda2_max=0.5))
+        labels = get_clusters(g)
         assert labels.shape == (n,)
         # leaves 0..k-1, numbered in order of their smallest node id
         leaves, first = np.unique(labels, return_index=True)
@@ -187,14 +186,15 @@ def test_get_clusters_partition_property():
         assert first.tolist() == sorted(first.tolist())
 
 
-def test_get_clusters_monotone_in_lambda2_max():
-    # a higher lambda2_max stops the recursion less often, so the leaf count
+def test_get_clusters_monotone_in_lambda2_max(monkeypatch):
+    # a higher LAMBDA2_MAX stops the recursion less often, so the leaf count
     # can only grow with it
     g = to_weighted_graph(datasets.graph(datasets.two_departments_db()))
+    monkeypatch.setattr(spectral, "N_MIN", 2)
     counts = []
     for lam_max in (0.2, 0.5, 0.8, 1.2, 2.0):
-        cfg = SpectralConfig(lambda2_max=lam_max, n_min=2)
-        counts.append(int(get_clusters(g, cfg).max()) + 1)
+        monkeypatch.setattr(spectral, "LAMBDA2_MAX", lam_max)
+        counts.append(int(get_clusters(g).max()) + 1)
     assert counts == sorted(counts)
     assert counts[0] >= 1 and counts[-1] >= counts[0]
 
@@ -202,7 +202,7 @@ def test_get_clusters_monotone_in_lambda2_max():
 def test_hcluster_two_departments(two_departments):
     from prism.hypergraph import diameter
 
-    subs = hcluster(two_departments, CFG)
+    subs = hcluster(two_departments)
     assert len(subs) == 2
     assert sorted(diameter(s) for s in subs) == [4, 4]
     assert sum(s.n_edges for s in subs) == two_departments.n_edges
@@ -210,12 +210,12 @@ def test_hcluster_two_departments(two_departments):
 
 def test_hcluster_single_edge_identity():
     h = datasets.graph(datasets.single_edge_db())
-    subs = hcluster(h, CFG)
+    subs = hcluster(h)
     assert len(subs) == 1
     assert subs[0].n_edges == h.n_edges
 
 
-def test_hcluster_disjoint_dense_components_split():
+def test_hcluster_disjoint_dense_components_split(monkeypatch):
     # two disjoint triangles: the free cut separates them, then each triangle
     # is well connected (lambda2 = 1.5) and survives whole
     h = LabeledHypergraph.build(
@@ -223,7 +223,8 @@ def test_hcluster_disjoint_dense_components_split():
         ("l",),
         [(0, (0, 1)), (0, (1, 2)), (0, (0, 2)), (0, (3, 4)), (0, (4, 5)), (0, (3, 5))],
     )
-    subs = hcluster(h, SpectralConfig(n_min=2))
+    monkeypatch.setattr(spectral, "N_MIN", 2)
+    subs = hcluster(h)
     assert len(subs) == 2
     assert sum(s.n_edges for s in subs) == h.n_edges
     from prism.hypergraph import connected_components
@@ -233,7 +234,9 @@ def test_hcluster_disjoint_dense_components_split():
     }
 
 
-def test_hcluster_losslessness_random():
+def test_hcluster_losslessness_random(monkeypatch):
+    monkeypatch.setattr(spectral, "N_MIN", 2)
+    monkeypatch.setattr(spectral, "LAMBDA2_MAX", 0.6)
     rng = np.random.default_rng(3)
     for trial in range(8):
         n = int(rng.integers(2, 14))
@@ -246,7 +249,7 @@ def test_hcluster_losslessness_random():
         h = LabeledHypergraph.build(
             tuple(f"v{i}" for i in range(n)), ("l",), edges
         )
-        subs = hcluster(h, SpectralConfig(n_min=2, lambda2_max=0.6))
+        subs = hcluster(h)
         assert sum(s.n_edges for s in subs) == h.n_edges
         covered = set()
         for s in subs:
