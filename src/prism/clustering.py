@@ -15,14 +15,13 @@ call and every failing group is bisected in one ``binary_split`` call, each
 computing a group from its own rows only, so a set's concepts do not depend on
 the sets refined beside it. A set is projected once, when it fails as a whole:
 the failing sets of one row count are standardized together, in passes of
-about ``PROJECT_CELLS`` dense cells, and each then takes one LAPACK ``syevd``
+about ``PROJECT_CELLS`` dense cells, and each then takes one ``linalg.eigh``
 call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +37,6 @@ PROJ_DIM = 2  # principal components kept before each 2-means bisection
 # dense cells (rows × columns) per stripes array of project_rows: a batch
 # bounds positive counts, not the dense blocks its failing sets project from
 PROJECT_CELLS = 2**16
-_SYEVD, _SYEVD_LWORK = linalg.get_lapack_funcs(("syevd", "syevd_lwork"))
 
 
 @dataclass(frozen=True)
@@ -107,27 +105,6 @@ def distance_sets(stats: Sequence[WalkStats], alpha: float) -> list[list[Distanc
     return out
 
 
-@cache
-def _syevd_work(n: int) -> tuple[int, int]:
-    """The workspace ``linalg.eigh(..., driver="evd")`` queries for order n."""
-    lwork, liwork, _ = _SYEVD_LWORK(n, compute_v=1, lower=1)
-    return int(lwork), int(liwork)
-
-
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``linalg.eigh(a, driver="evd")`` without its argument checks: the same
-    one LAPACK ``syevd`` call, on the lower triangle, and the same bits.
-    ``linalg.eigh(..., check_finite=False)`` took 16.5 ms against 9.8 for
-    the 382 solves of dept k10 g1 flat, seed 1 (median of 9, one BLAS thread).
-    ``np.linalg.eigh`` runs the same routine, but numpy's threaded OpenBLAS
-    took ~15 ms per 32x32 call on a 2-core x86 machine."""
-    lwork, liwork = _syevd_work(a.shape[0])
-    w, v, info = _SYEVD(a, compute_v=1, lower=1, lwork=lwork, liwork=liwork)
-    if info:
-        raise linalg.LinAlgError(f"syevd failed with info {info}")
-    return w, v
-
-
 def _project_stripes(
     stripes: np.ndarray, widths: Sequence[int], out: np.ndarray, first: Sequence[int]
 ) -> None:
@@ -145,8 +122,11 @@ def _project_stripes(
     count column has variance exactly 0 and any other about 1/n or more, so
     the live test decides alike in either order. Each matrix's standardized
     live columns ``x`` are then an F-ordered (n, w) view, and the rest is per
-    matrix: one LAPACK ``syevd`` call, the top ``PROJ_DIM`` directions and
-    ``x @ basis``.
+    matrix: one ``linalg.eigh`` call, the top ``PROJ_DIM`` directions and
+    ``x @ basis``. The solver is scipy's LAPACK ``syevd``: numpy's
+    ``np.linalg.eigh`` gives the same bits, but numpy's OpenBLAS threads it
+    from order 32 on, which doubled its CPU time with no gain in wall time
+    on a 2-core x86 machine.
     """
     n = stripes.shape[1]
     mean = stripes.sum(axis=1) / n
@@ -161,17 +141,17 @@ def _project_stripes(
             x = x_all[a:b].T
             if n < x.shape[1]:
                 # x xᵀ u = w u makes xᵀu / ‖xᵀu‖ a direction of variance
-                # w / (n - 1). The w sum to x.size, and syevd leaves each an
+                # w / (n - 1). The w sum to x.size, and eigh leaves each an
                 # error of about eps * x.size; xᵀu of a w that small points
                 # anywhere, even along the first direction, so the floor is a
                 # share of x.size
-                w, u = _eigh(x @ x.T)
+                w, u = linalg.eigh(x @ x.T, driver="evd")
                 order = np.argsort(w)[::-1][:PROJ_DIM]
                 order = order[w[order] > GRAM_FLOOR * x.size]
                 basis = x.T @ u[:, order]
                 basis /= np.linalg.norm(basis, axis=0)
             else:
-                eigvals, eigvecs = _eigh((x.T @ x) / (n - 1))
+                eigvals, eigvecs = linalg.eigh((x.T @ x) / (n - 1), driver="evd")
                 basis = eigvecs[:, np.argsort(eigvals)[::-1][:PROJ_DIM]]
             # fix component signs so projections are reproducible
             pivot = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]

@@ -265,7 +265,7 @@ def test_standardize_and_project_collinear_counts():
 def test_standardize_and_project_bits_equal_numpy_eigh():
     # the projection feeds 2-means, so report bytes depend on its exact bits;
     # a block with at least as many rows as live columns must give the bits
-    # of the np.linalg.eigh (syevd) version it replaced
+    # of one np.linalg.eigh of its own covariance, whatever the stripes layout
     rng = np.random.default_rng(7)
     for _ in range(50):
         m = int(rng.integers(2, 40))
