@@ -34,6 +34,7 @@ from .walks import WalkStats
 VARIANCE_FLOOR = 1e-12
 GRAM_FLOOR = 1e-9  # share of the total variance below which a Gram-side direction is noise
 PROJ_DIM = 2  # principal components kept before each 2-means bisection
+TIE_RTOL = 1e-9  # relative gap below which 2-means takes two distances as tied
 # dense cells (rows × columns) per stripes array of project_rows: a batch
 # bounds positive counts, not the dense blocks its failing sets project from
 PROJECT_CELLS = 2**16
@@ -220,10 +221,14 @@ def binary_split(points: np.ndarray, sizes: Sequence[int] | None = None) -> np.n
     Group g is the next ``sizes[g]`` (at least 2) rows of ``points``; by
     default all rows are one group. Per group, the seeds are a two-pass
     farthest pair (farthest point from the centroid, then the point farthest
-    from it), Lloyd iterations stop when the sides stop changing or after
-    100 rounds, and all ties resolve to the lowest index. Every centroid is
-    a ``np.bincount`` over one group's rows in row order, so a group splits
-    as it would alone.
+    from it), and Lloyd iterations stop when the sides stop changing or after
+    100 rounds. Distances within a relative ``TIE_RTOL`` are ties, so a split
+    does not hang on the projection's last bits: a farthest point is the
+    lowest index within ``TIE_RTOL`` of its group's maximum, and a point
+    goes to the second side only when it is nearer that centroid by more
+    than ``TIE_RTOL`` of the two distances' sum. Every centroid is a
+    ``np.bincount`` over one group's rows in row order, so a group splits as
+    it would alone.
     """
     points = np.asarray(points, dtype=np.float64)
     sizes = np.array([len(points)] if sizes is None else sizes, dtype=np.intp)
@@ -240,7 +245,8 @@ def binary_split(points: np.ndarray, sizes: Sequence[int] | None = None) -> np.n
         return ((points - centers[group]) ** 2).sum(axis=1)
 
     def first_argmax(v):
-        at = np.flatnonzero(v == np.maximum.reduceat(v, starts)[group])
+        top = np.maximum.reduceat(v, starts)[group]
+        at = np.flatnonzero(v >= top - TIE_RTOL * top)
         return at[np.diff(group[at], prepend=-1) > 0]
 
     spread = sq_dist(sums(group, n_groups) / sizes[:, None])
@@ -255,7 +261,7 @@ def binary_split(points: np.ndarray, sizes: Sequence[int] | None = None) -> np.n
         if not active.any():
             break
         d1, d2 = sq_dist(c1), sq_dist(c2)
-        new = d2 < d1  # ties stay with the first cluster
+        new = d2 < d1 - TIE_RTOL * (d1 + d2)  # near-ties stay with the first side
         second = np.bincount(group, new, n_groups)
         if (second == 0).any():
             new[first_argmax(d1)[second == 0]] = True

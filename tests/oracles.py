@@ -42,6 +42,7 @@ import numpy as np
 import pytest
 from scipy import linalg, sparse
 
+from prism.clustering import TIE_RTOL
 from prism.stats import MIN_CATEGORY_MEAN, GammaApprox, gamma_critical_value, gamma_moments
 
 mpmath.mp.dps = 30
@@ -339,26 +340,30 @@ def best_two_partition_sse(points):
 
 def reference_binary_split(points):
     """The 2-means bisection of one group: a two-pass farthest-pair seed,
-    at most 100 Lloyd rounds, ties to the first side and the lowest index.
-    Returns the two sides' row indices."""
+    at most 100 Lloyd rounds, distances within a relative ``TIE_RTOL`` tied,
+    ties to the first side and the lowest index. Returns the two sides' row
+    indices."""
+
+    def farthest(d):
+        return next(i for i, v in enumerate(d) if v >= d.max() - TIE_RTOL * d.max())
+
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     spread = ((points - points.mean(axis=0)) ** 2).sum(axis=1)
     if spread.max() <= 0:
         return np.array([0]), np.arange(1, n)
-    a = int(spread.argmax())
-    dist_a = ((points - points[a]) ** 2).sum(axis=1)
-    b = int(dist_a.argmax())
+    a = farthest(spread)
+    b = farthest(((points - points[a]) ** 2).sum(axis=1))
     c1, c2 = points[a].copy(), points[b].copy()
     assign = np.zeros(n, dtype=bool)
     for _ in range(100):
         d1 = ((points - c1) ** 2).sum(axis=1)
         d2 = ((points - c2) ** 2).sum(axis=1)
-        new_assign = d2 < d1
+        new_assign = d2 < d1 - TIE_RTOL * (d1 + d2)
         if not new_assign.any():
-            new_assign[int(d1.argmax())] = True
+            new_assign[farthest(d1)] = True
         elif new_assign.all():
-            new_assign[int(d2.argmax())] = False
+            new_assign[farthest(d2)] = False
         if (new_assign == assign).all():
             break
         assign = new_assign

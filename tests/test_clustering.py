@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+import datasets
 import oracles
 from prism import clustering, stats
 from prism.clustering import (
@@ -22,6 +23,7 @@ from prism.stats import (
     path_symmetry_report,
     theta_sym,
 )
+from prism.pipeline import RunConfig, get_communities
 from prism.walks import WalkConfig, WalkStats, run_walks
 
 
@@ -378,21 +380,34 @@ def test_binary_split_duplicate_points_deterministic():
     assert again[0].tolist() == [0] and again[1].tolist() == [1, 2, 3, 4]
 
 
+def ulp_jitter(points, seed):
+    """``points`` with each coordinate times 1 + k * 2**-52, k an integer in
+    [-8, 8] drawn from ``seed`` (a seed or a Generator): the same values up
+    to a few last bits."""
+    k = np.random.default_rng(seed).integers(-8, 9, size=np.shape(points))
+    return points * (1.0 + k * 2.0**-52)
+
+
 @st.composite
 def point_groups(draw):
     """Groups of 2-D points: grid points with many exact ties and
-    duplicates, or spread floats, one group sometimes all alike."""
+    duplicates, sometimes moved by a few ulps into near-ties, or spread
+    floats, one group sometimes all alike."""
     groups = []
     for _ in range(draw(st.integers(1, 6))):
         n = draw(st.integers(2, 40))
-        if draw(st.booleans()):
+        grid = draw(st.booleans())
+        if grid:
             coord = st.integers(-2, 2).map(float)
         else:
             coord = st.floats(-1e3, 1e3, allow_nan=False)
         pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
         if draw(st.integers(0, 5)) == 0:
             pts = [pts[0]] * n
-        groups.append(np.array(pts, dtype=float))
+        pts = np.array(pts, dtype=float)
+        if grid and draw(st.booleans()):
+            pts = ulp_jitter(pts, draw(st.integers(0, 2**32)))
+        groups.append(pts)
     return groups
 
 
@@ -408,6 +423,52 @@ def test_binary_split_batch_equals_reference_per_group(groups):
         left, right = oracles.reference_binary_split(pts)
         assert np.array_equal(got, np.isin(np.arange(len(pts)), right))
         assert np.array_equal(binary_split(pts), got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=40),
+    st.integers(0, 2**32),
+)
+def test_binary_split_ignores_last_bits(pts, seed):
+    # grid points tie exactly in real arithmetic and in nothing finer than
+    # about 1e-7 of a distance, so a few ulps either way must not move a
+    # point; a group with no spread is left out, as jitter gives it one
+    pts = np.array(pts, dtype=float)
+    if (pts == pts[0]).all():
+        return
+    assert np.array_equal(binary_split(ulp_jitter(pts, seed)), binary_split(pts))
+
+
+@pytest.mark.parametrize(
+    "db_text, use_hcluster",
+    [
+        (datasets.bench_db("dept", 10, 1), False),
+        (datasets.bench_db("dept", 10, 2), True),
+        (datasets.rich_schema_db(), False),
+    ],
+    ids=["dept-k10-g1-flat", "dept-k10-g2-hcluster", "rich"],
+)
+def test_concepts_do_not_hang_on_the_projection_last_bits(monkeypatch, db_text, use_hcluster):
+    # another BLAS or eigensolver may move the projected points by a few
+    # ulps; not one source's concepts may move with them
+    h = datasets.graph(db_text)
+    cfg = RunConfig(seed=123, use_hcluster=use_hcluster)
+
+    def concepts():
+        report = get_communities(h, cfg)
+        return {
+            (sub.id, src.source): [c.members for c in src.concepts]
+            for sub in report.subhypergraphs
+            for src in sub.sources
+        }
+
+    want = concepts()
+    rng = np.random.default_rng(9)
+    exact = clustering.project_rows
+    monkeypatch.setattr(clustering, "project_rows", lambda *a: ulp_jitter(exact(*a), rng))
+    got = concepts()
+    assert [key for key in want if got[key] != want[key]] == []
 
 
 def test_prism_paths_singleton_passes_through():

@@ -554,7 +554,7 @@ def test_cli_missing_file_is_usage_error(tmp_path):
         (
             datasets.bench_db("dept", 10, 1),
             ["--no-hcluster"],
-            "77008afdd6f59ace69e51d27a5e8ddcf5cf303382017c4fcd8e24646f17decc1",
+            "6c452b8726c7e01b0af7c4de8a2f1e1c371bf0791ee45bcbf97be6acdbe8866f",
         ),
     ],
     ids=[
