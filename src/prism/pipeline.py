@@ -249,9 +249,12 @@ def emit_report(report: ConceptReport, fmt: str = "json") -> str:
 def _from_json(tp, value):
     """Rebuild a value of annotated type ``tp`` from its JSON form, the
     inverse of ``emit_report``'s ``default=vars``: a report dataclass from
-    an object with its fields as keys, a ``tuple[X, ...]`` from a list. Only
-    a field whose default is None may be absent."""
+    an object with its fields as keys, a ``tuple[X, ...]`` from a list; a
+    ValueError names any other JSON type in their place. Only a field whose
+    default is None may be absent."""
     if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{tp.__name__} must be a JSON object, not {type(value).__name__}")
         hints = typing.get_type_hints(tp)
         return tp(
             **{
@@ -262,14 +265,14 @@ def _from_json(tp, value):
             }
         )
     if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{tp} must be a JSON list, not {type(value).__name__}")
         return tuple(_from_json(typing.get_args(tp)[0], item) for item in value)
     return value
 
 
 def parse_report(text: str) -> ConceptReport:
     d = json.loads(text)
-    if not isinstance(d, dict):
-        raise ValueError(f"report must be a JSON object, not {type(d).__name__}")
-    if d.get("schema_version") != SCHEMA_VERSION:
+    if isinstance(d, dict) and d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     return _from_json(ConceptReport, d)

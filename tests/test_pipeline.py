@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -221,6 +222,24 @@ def test_parse_report_rejects_json_that_is_not_an_object(text):
         parse_report(text)
 
 
+@pytest.mark.parametrize(
+    "subhypergraphs, wrong",
+    [
+        ("{}", "JSON list"),
+        ("7", "JSON list"),
+        ("[1]", "JSON object"),
+        ('[{"id":0,"nodes":"xy","n_edges":0,"labels":[],"diameter":0,'
+         '"walk_length":1,"walk_count":1,"sources":[]}]', "JSON list"),
+    ],
+    ids=["object-for-list", "number-for-list", "number-for-object", "string-for-list"],
+)
+def test_parse_report_rejects_a_value_of_the_wrong_json_type(subhypergraphs, wrong):
+    # a report value of another JSON type is refused by name, not parsed as
+    # an empty report or split into characters
+    with pytest.raises(ValueError, match=wrong):
+        parse_report(f'{{"schema_version":1,"subhypergraphs":{subhypergraphs}}}')
+
+
 def test_emit_same_seed_byte_identical(two_departments):
     cfg = RunConfig(seed=11)
     a = emit_report(get_communities(two_departments, cfg))
@@ -374,15 +393,39 @@ def test_get_communities_frees_each_piece_tables():
     assert peak(3) - one < kept
 
 
-def test_bench_traced_attributes_resolve():
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(name, monkeypatch):
+    """``bench/<name>.py``, loaded with ``bench`` on ``sys.path`` until the
+    test ends; registered in ``sys.modules`` for its dataclasses."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_traced_attributes_resolve(monkeypatch):
     # bench/child.py wraps these module attributes by name under --trace 1
-    path = Path(__file__).resolve().parent.parent / "bench" / "child.py"
-    spec = importlib.util.spec_from_file_location("bench_child", path)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+    child = _bench_module("child", monkeypatch)
     for module, attrs in child.TRACED.items():
         for attr in attrs:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_bench_trace_run_reports_its_layers(tmp_path, monkeypatch, capsys):
+    # one --trace 1 run over a single small dept database: the traced child
+    # must still mine, and the notes the runner sums must still arrive
+    run = _bench_module("run", monkeypatch)
+    monkeypatch.setattr(run, "WORK", tmp_path)
+    monkeypatch.setitem(run.WORKLOADS, "dept-hc", run.Workload("dept", 2, (1,), 0.1, True))
+    assert run.main(["--workload", "dept-hc", "--seed", "1", "--trace", "1"]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
+    for name in ("walks.source_runs", "clustering.bisect_calls", "stats.critical_value_calls"):
+        assert result["metrics"][name]["value"] > 0, name
 
 
 def test_cli_stats(tmp_path, capsys):

@@ -272,6 +272,19 @@ def _ring(n, n_labels, extra, seed):
     )
 
 
+def _random_hypergraph(n, n_labels, n_edges, seed):
+    """Random edges of cardinality 1 to 3, each with a random label; nodes
+    in no edge are stranded."""
+    rng = random.Random(seed)
+    edges = [
+        (rng.randrange(n_labels), tuple(rng.sample(range(n), rng.randint(1, 3))))
+        for _ in range(n_edges)
+    ]
+    return LabeledHypergraph.build(
+        [f"v{i}" for i in range(n)], [f"l{i}" for i in range(n_labels)], edges
+    )
+
+
 def _hub():
     """Node 0 in a 30-member edge and in 40 parallel binary edges to node 30:
     its row's probabilities, 1/1189 and 40/41, are three orders of magnitude
@@ -505,10 +518,25 @@ BENCH_DEPT_WALKS = [
 ]
 
 
+# 300 nodes, four labels and 450 unary, binary and ternary edges, walked at
+# L=5 from node 0, which reaches about 250 nodes. With one edge two hops
+# from node 0 doubled, 0 of 10 seeds passed at N=10000 and N=20000 and 9 of
+# 10 at N=5000; the unchanged engine passed all 10 at each N.
+RANDOM_WALKS = [(_random_hypergraph(300, 4, 450, seed=7), 0, WalkConfig(L=5, N=20_000, seed=11))]
+
+
 @pytest.mark.parametrize(
     "h, source, cfg",
-    WALK_EXAMPLES + BENCH_DEPT_WALKS,
-    ids=["chain", "labels", "clique", "ring", "bench-dept-professor", "bench-dept-book"],
+    WALK_EXAMPLES + BENCH_DEPT_WALKS + RANDOM_WALKS,
+    ids=[
+        "chain",
+        "labels",
+        "clique",
+        "ring",
+        "bench-dept-professor",
+        "bench-dept-book",
+        "random-300",
+    ],
 )
 def test_run_walks_agrees_in_law_with_reference_walks(h, source, cfg):
     # per target, the walks' first-hit lengths and misses, from run_walks
