@@ -124,10 +124,8 @@ def _project_stripes(
     the live test decides alike in either order. Each matrix's standardized
     live columns ``x`` are then an F-ordered (n, w) view, and the rest is per
     matrix: one ``linalg.eigh`` call, the top ``PROJ_DIM`` directions and
-    ``x @ basis``. The solver is scipy's LAPACK ``syevd``: numpy's
-    ``np.linalg.eigh`` gives the same bits, but numpy's OpenBLAS threads it
-    from order 32 on, which doubled its CPU time with no gain in wall time
-    on a 2-core x86 machine.
+    ``x @ basis``. ``np.linalg.eigh`` gives the same bits, but numpy's
+    OpenBLAS threads it from order 32 on: twice the CPU time, no faster.
     """
     n = stripes.shape[1]
     mean = stripes.sum(axis=1) / n
@@ -221,14 +219,11 @@ def binary_split(points: np.ndarray, sizes: Sequence[int] | None = None) -> np.n
     Group g is the next ``sizes[g]`` (at least 2) rows of ``points``; by
     default all rows are one group. Per group, the seeds are a two-pass
     farthest pair (farthest point from the centroid, then the point farthest
-    from it), and Lloyd iterations stop when the sides stop changing or after
-    100 rounds. Distances within a relative ``TIE_RTOL`` are ties, so a split
-    does not hang on the projection's last bits: a farthest point is the
-    lowest index within ``TIE_RTOL`` of its group's maximum, and a point
-    goes to the second side only when it is nearer that centroid by more
-    than ``TIE_RTOL`` of the two distances' sum. Every centroid is a
-    ``np.bincount`` over one group's rows in row order, so a group splits as
-    it would alone.
+    from it), Lloyd iterations stop when the sides stop changing or after
+    100 rounds, and squared distances within a relative ``TIE_RTOL`` tie,
+    so that no split hangs on a projection's last bits; ties go to the first
+    side and the lowest index. Every centroid is a ``np.bincount`` over one
+    group's rows in row order, so a group splits as it would alone.
     """
     points = np.asarray(points, dtype=np.float64)
     sizes = np.array([len(points)] if sizes is None else sizes, dtype=np.intp)
@@ -245,8 +240,7 @@ def binary_split(points: np.ndarray, sizes: Sequence[int] | None = None) -> np.n
         return ((points - centers[group]) ** 2).sum(axis=1)
 
     def first_argmax(v):
-        top = np.maximum.reduceat(v, starts)[group]
-        at = np.flatnonzero(v >= top - TIE_RTOL * top)
+        at = np.flatnonzero(v >= np.maximum.reduceat(v, starts)[group] * (1 - TIE_RTOL))
         return at[np.diff(group[at], prepend=-1) > 0]
 
     spread = sq_dist(sums(group, n_groups) / sizes[:, None])

@@ -249,9 +249,8 @@ def emit_report(report: ConceptReport, fmt: str = "json") -> str:
 def _from_json(tp, value):
     """Rebuild a value of annotated type ``tp`` from its JSON form, the
     inverse of ``emit_report``'s ``default=vars``: a report dataclass from
-    an object with its fields as keys, a ``tuple[X, ...]`` from a list; a
-    ValueError names any other JSON type in their place. Only a field whose
-    default is None may be absent."""
+    an object, a ``tuple[X, ...]`` from a list, any other JSON type there a
+    ValueError. Only a field whose default is None may be absent."""
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValueError(f"{tp.__name__} must be a JSON object, not {type(value).__name__}")

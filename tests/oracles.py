@@ -345,7 +345,7 @@ def reference_binary_split(points):
     indices."""
 
     def farthest(d):
-        return next(i for i, v in enumerate(d) if v >= d.max() - TIE_RTOL * d.max())
+        return next(i for i, v in enumerate(d) if v >= d.max() * (1 - TIE_RTOL))
 
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
