@@ -6,8 +6,8 @@ gap threshold coming from the distance-symmetry test; one lexsort sweeps
 every source of a block. Each group is then recursively bisected
 (standardized counts, 2-D principal-component projection, 2-means) until
 every cluster passes the path-symmetry test. The projection eigendecomposes
-the smaller side of a set's count block: the columns' covariance when it has
-at least as many rows as live columns, else the rows' Gram matrix.
+the smaller of x xᵀ and xᵀx, x a set's standardized count block, and keeps
+the signs LAPACK returns: negating a column of points moves no 2-means split.
 
 The refinement runs over a batch of sets (``CountRows.batches``) at once, one
 bisection depth at a time: each group of a depth is tested in one ``path_test``
@@ -32,7 +32,7 @@ from .stats import path_symmetric  # noqa: F401  kept bound for bench/child.py's
 from .walks import WalkStats
 
 VARIANCE_FLOOR = 1e-12
-GRAM_FLOOR = 1e-9  # share of the total variance below which a Gram-side direction is noise
+RANK_FLOOR = 1e-9  # share of the total variance below which a direction is rounding noise
 PROJ_DIM = 2  # principal components kept before each 2-means bisection
 TIE_RTOL = 1e-9  # relative gap below which 2-means takes two distances as tied
 # dense cells (rows × columns) per stripes array of project_rows: a batch
@@ -123,9 +123,10 @@ def _project_stripes(
     count column has variance exactly 0 and any other about 1/n or more, so
     the live test decides alike in either order. Each matrix's standardized
     live columns ``x`` are then an F-ordered (n, w) view, and the rest is per
-    matrix: one ``linalg.eigh`` call, the top ``PROJ_DIM`` directions and
-    ``x @ basis``. ``np.linalg.eigh`` gives the same bits, but numpy's
-    OpenBLAS threads it from order 32 on: twice the CPU time, no faster.
+    matrix: one ``linalg.eigh`` call, the top ``PROJ_DIM`` directions above
+    ``RANK_FLOOR`` and ``x @ basis``. ``np.linalg.eigh`` gives the same
+    bits, but numpy's OpenBLAS threads it from order 32 on: twice the CPU
+    time, no faster.
     """
     n = stripes.shape[1]
     mean = stripes.sum(axis=1) / n
@@ -138,23 +139,17 @@ def _project_stripes(
     for a, b, r in zip((ends - n_live).tolist(), ends.tolist(), first):
         if a < b:
             x = x_all[a:b].T
-            if n < x.shape[1]:
-                # x xᵀ u = w u makes xᵀu / ‖xᵀu‖ a direction of variance
-                # w / (n - 1). The w sum to x.size, and eigh leaves each an
-                # error of about eps * x.size; xᵀu of a w that small points
-                # anywhere, even along the first direction, so the floor is a
-                # share of x.size
-                w, u = linalg.eigh(x @ x.T, driver="evd")
-                order = np.argsort(w)[::-1][:PROJ_DIM]
-                order = order[w[order] > GRAM_FLOOR * x.size]
-                basis = x.T @ u[:, order]
+            wide = n < x.shape[1]
+            # x xᵀ and xᵀx share their nonzero eigenvalues, which sum to
+            # x.size, and eigh leaves each an error of about eps * x.size; the
+            # eigenvector of a w that small points anywhere, even along the
+            # first direction, so the floor is a share of x.size
+            w, v = linalg.eigh(x @ x.T if wide else x.T @ x, driver="evd")
+            order = np.argsort(w)[::-1][:PROJ_DIM]
+            basis = v[:, order[w[order] > RANK_FLOOR * x.size]]
+            if wide:  # x xᵀ u = w u makes xᵀu / ‖xᵀu‖ a direction of xᵀx
+                basis = x.T @ basis
                 basis /= np.linalg.norm(basis, axis=0)
-            else:
-                eigvals, eigvecs = linalg.eigh((x.T @ x) / (n - 1), driver="evd")
-                basis = eigvecs[:, np.argsort(eigvals)[::-1][:PROJ_DIM]]
-            # fix component signs so projections are reproducible
-            pivot = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
-            basis *= np.where(pivot < 0, -1.0, 1.0)
             out[r : r + n, : basis.shape[1]] = x @ basis
 
 
@@ -164,11 +159,10 @@ def standardize_and_project(counts: np.ndarray) -> np.ndarray:
 
     Constant columns (variance below a small floor) are dropped before
     standardization. A block with fewer rows than live columns takes its
-    directions from the rows' n x n Gram matrix instead of the columns'
-    covariance (the snapshot method, Sirovich 1987), and keeps only those
-    whose share of the total variance is above ``GRAM_FLOOR``. If fewer
-    than ``PROJ_DIM`` directions remain, the output is padded with zero
-    columns.
+    directions from the rows' n x n Gram matrix instead of the columns' w x w
+    one (the snapshot method, Sirovich 1987). Either side keeps only the
+    directions above ``RANK_FLOOR`` of the total variance, in the signs
+    LAPACK returns, and pads the output with zero columns to ``PROJ_DIM``.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.shape[0] < 2:

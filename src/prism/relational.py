@@ -38,7 +38,8 @@ class GroundAtom:
         if len(self.constants) < 1:
             raise ValueError("atom arity must be at least 1")
         for c in self.constants:
-            if not c or not _CONSTANT_RE.match(c):
+            # "//" would start a comment once the atom is written out
+            if not c or not _CONSTANT_RE.match(c) or "//" in c:
                 raise ValueError(f"invalid constant {c!r}")
 
     @property

@@ -351,13 +351,6 @@ def _split(tables: TransitionTables, cur: np.ndarray, count: np.ndarray, rng: np
 def _multinomial_split(tables, start, end, count, W, rng):
     """``_split``'s multinomial branch on the rows ``start:end``, none wider
     than W, as (path, entry, count > 0) in (path, entry) order."""
-    if len(count) == 1:  # as wide as W: no padding, and no broadcasting
-        row = slice(start[0], end[0])
-        prob = tables.cum[row].copy()
-        prob[1:] -= tables.cum[start[0] : end[0] - 1]
-        drawn = rng.multinomial(count[0], prob)
-        taken = drawn.nonzero()[0]
-        return np.zeros_like(taken), taken + start[0], drawn[taken]
     cells = end[:, None] + np.arange(-W, 0)
     cum = tables.cum.take(cells, mode="clip")
     cum[cells < start[:, None]] = 0.0  # the padding

@@ -275,9 +275,10 @@ def reference_standardize_and_project(counts):
     """The bit reference of ``clustering.standardize_and_project``: the
     one-block projection it replaced, which took each block's column
     moments with numpy's reductions over a dense block and eigendecomposed
-    with ``scipy.linalg.eigh(..., driver="evd")``. Constant columns drop out,
-    a wide block is projected from its Gram matrix, the tall rest from the
-    columns' covariance."""
+    with ``scipy.linalg.eigh(..., driver="evd")``. Constant columns drop out;
+    a wide block is projected from its Gram matrix x xᵀ, the tall rest from
+    xᵀx, each keeping the top two directions above 1e-9 of the eigenvalues'
+    total, with the signs LAPACK returns."""
     counts = np.asarray(counts, dtype=np.float64)
     n = counts.shape[0]
     var = counts.var(axis=0)
@@ -286,19 +287,13 @@ def reference_standardize_and_project(counts):
     if live.shape[1] == 0:
         return out
     x = (live - live.mean(axis=0)) / live.std(axis=0)
-    if n < x.shape[1]:
-        w, u = linalg.eigh(x @ x.T, driver="evd")
-        order = np.argsort(w)[::-1][:2]
-        order = order[w[order] > 1e-9 * x.size]
-        basis = x.T @ u[:, order]
+    wide = n < x.shape[1]
+    w, v = linalg.eigh(x @ x.T if wide else x.T @ x, driver="evd")
+    order = np.argsort(w)[::-1][:2]
+    basis = v[:, order[w[order] > 1e-9 * x.size]]
+    if wide:
+        basis = x.T @ basis
         basis /= np.linalg.norm(basis, axis=0)
-    else:
-        eigvals, eigvecs = linalg.eigh((x.T @ x) / (n - 1), driver="evd")
-        basis = eigvecs[:, np.argsort(eigvals)[::-1][:2]]
-    for col in range(basis.shape[1]):
-        pivot = np.argmax(np.abs(basis[:, col]))
-        if basis[pivot, col] < 0:
-            basis[:, col] = -basis[:, col]
     out[:, : basis.shape[1]] = x @ basis
     return out
 

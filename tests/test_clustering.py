@@ -256,7 +256,7 @@ def test_standardize_and_project_collinear_counts():
     pts = standardize_and_project(counts)
     total_var = pts.var(axis=0).sum()
     assert pts[:, 0].var() / total_var >= 0.999
-    assert np.allclose(pts[:, 1], 0.0, atol=1e-6)
+    assert np.all(pts[:, 1] == 0.0)
     # matches a dense PCA of the standardized matrix
     x = (counts - counts.mean(0)) / counts.std(0)
     cov = x.T @ x / (len(x) - 1)
@@ -267,7 +267,7 @@ def test_standardize_and_project_collinear_counts():
 def test_standardize_and_project_bits_equal_numpy_eigh():
     # the projection feeds 2-means, so report bytes depend on its exact bits;
     # a block with at least as many rows as live columns must give the bits
-    # of one np.linalg.eigh of its own covariance, whatever the stripes layout
+    # of one np.linalg.eigh of its own xᵀx, whatever the stripes layout
     rng = np.random.default_rng(7)
     for _ in range(50):
         m = int(rng.integers(2, 40))
@@ -275,11 +275,9 @@ def test_standardize_and_project_bits_equal_numpy_eigh():
         counts = rng.poisson(rng.uniform(0.5, 50.0, size=m), size=(n, m)).astype(float)
         live = counts[:, counts.var(axis=0) > 1e-12]
         x = (live - live.mean(axis=0)) / live.std(axis=0)
-        w, v = np.linalg.eigh((x.T @ x) / (n - 1))
-        basis = v[:, np.argsort(w)[::-1][:2]]
-        for col in range(basis.shape[1]):
-            if basis[np.argmax(np.abs(basis[:, col])), col] < 0:
-                basis[:, col] = -basis[:, col]
+        w, v = np.linalg.eigh(x.T @ x)
+        order = np.argsort(w)[::-1][:2]
+        basis = v[:, order[w[order] > 1e-9 * x.size]]
         want = np.zeros((n, 2))
         want[:, : basis.shape[1]] = x @ basis
         assert np.array_equal(standardize_and_project(counts), want)
@@ -320,13 +318,24 @@ def test_standardize_and_project_identical_rows_identical_points(shape):
     assert not np.array_equal(pts[0], pts[1])
 
 
-@pytest.mark.parametrize("m", [10, 1000, 20_000])
-def test_standardize_and_project_rank1_wide_second_column_is_zero(m):
-    # the Gram matrix's rounding noise grows with the column count; a noise
-    # direction kept by an absolute variance floor points along the first one
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        pytest.param(4, 10, id="10"),
+        pytest.param(4, 1000, id="1000"),
+        pytest.param(4, 20_000, id="20000"),
+        pytest.param(4, 4, id="tall-4x4"),
+        pytest.param(12, 3, id="tall-12x3"),
+        pytest.param(300, 40, id="tall-300x40"),
+    ],
+)
+def test_standardize_and_project_rank1_wide_second_column_is_zero(n, m):
+    # the product's rounding noise grows with the block's size; a noise
+    # direction kept by an absolute variance floor points anywhere, and on
+    # either side the rank floor must drop it
     base = np.linspace(-2.0, 3.0, m)
-    t = np.array([[0.0], [1.0], [2.0], [4.0]])
-    counts = 10 + t * base  # 4 rows, m - 1 live columns, rank-1 once standardized
+    t = np.r_[0.0, 1.0, 2.0, np.arange(4.0, n + 1)][:n, None]
+    counts = 10 + t * base  # n rows, rank-1 once standardized
     pts = standardize_and_project(counts)
     assert np.all(pts[:, 1] == 0.0)
     want, _ = oracles.reference_projection(counts, dim=1)
@@ -438,6 +447,21 @@ def test_binary_split_ignores_last_bits(pts, seed):
     if (pts == pts[0]).all():
         return
     assert np.array_equal(binary_split(ulp_jitter(pts, seed)), binary_split(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_groups(), st.tuples(st.booleans(), st.booleans()), st.booleans())
+def test_binary_split_ignores_column_signs(groups, flip, tiny):
+    # the projection keeps the component signs LAPACK returns: negating a
+    # column negates every sum and centroid and leaves every squared
+    # distance alike to the bit, so no point may move; a second column of
+    # rounding-noise scale stands for a direction the rank floor kept
+    points = np.vstack(groups)
+    if tiny:
+        points[:, 1] *= 1e-16
+    sizes = [len(g) for g in groups]
+    flipped = points * np.where(flip, -1.0, 1.0)
+    assert np.array_equal(binary_split(flipped, sizes), binary_split(points, sizes))
 
 
 @pytest.mark.parametrize(
