@@ -17,6 +17,7 @@ to a side channel instead of the report bytes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 import typing
@@ -246,6 +247,14 @@ def emit_report(report: ConceptReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+@functools.cache
+def _fields(tp) -> tuple[tuple[str, object, bool], ...]:
+    """Each field of report dataclass ``tp`` as (name, annotated type, may
+    be absent), looked up once per type, not once per object."""
+    hints = typing.get_type_hints(tp)
+    return tuple((f.name, hints[f.name], f.default is None) for f in dataclasses.fields(tp))
+
+
 def _from_json(tp, value):
     """Rebuild a value of annotated type ``tp`` from its JSON form, the
     inverse of ``emit_report``'s ``default=vars``: a report dataclass from
@@ -254,13 +263,10 @@ def _from_json(tp, value):
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValueError(f"{tp.__name__} must be a JSON object, not {type(value).__name__}")
-        hints = typing.get_type_hints(tp)
         return tp(
             **{
-                f.name: _from_json(
-                    hints[f.name], value.get(f.name) if f.default is None else value[f.name]
-                )
-                for f in dataclasses.fields(tp)
+                name: _from_json(hint, value.get(name) if optional else value[name])
+                for name, hint, optional in _fields(tp)
             }
         )
     if typing.get_origin(tp) is tuple:

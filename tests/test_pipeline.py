@@ -3,6 +3,7 @@ import importlib.util
 import json
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.stats import binom
 
 import datasets
 import oracles
-from prism import clustering, pipeline
+from prism import clustering, pipeline, spectral
 from prism.cli import main
 from prism.hypergraph import LabeledHypergraph, diameter, majority_subhypergraph
 from prism.pipeline import (
@@ -214,6 +215,20 @@ def test_parse_report_requires_every_field_but_config(two_departments):
         parse_report(json.dumps(payload))
     with pytest.raises(ValueError):
         parse_report('{"schema_version":2,"subhypergraphs":[]}')
+
+
+def test_parse_report_looks_up_each_report_type_once(two_departments, monkeypatch):
+    # a report of many sources and concepts reads each report dataclass's
+    # type hints once, not once per object
+    text = emit_report(get_communities(two_departments, RunConfig(seed=4)), "json")
+    looked_up = []
+    get_type_hints = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda tp: looked_up.append(tp) or get_type_hints(tp))
+    pipeline._fields.cache_clear()
+    assert emit_report(parse_report(text), "json") == text
+    assert sorted(tp.__name__ for tp in looked_up) == [
+        "ConceptEntry", "ConceptReport", "SourceReport", "SubhypergraphReport"
+    ]
 
 
 @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
@@ -537,6 +552,16 @@ def test_cli_parse_error_exit_code(tmp_path):
     db.write_text("not an atom at all(")
     assert main(["mine", "--db", str(db)]) == 2
     assert main(["stats", "--db", str(db)]) == 2
+
+
+def test_cli_eigensolver_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
+    # a power iteration cut off before its residual is reached is a numeric
+    # error, exit 3, not a crash or a usage error
+    monkeypatch.setattr(spectral, "EIG_MAX_ITERS", 1)
+    db = tmp_path / "toy.db"
+    db.write_text(datasets.two_departments_db())
+    assert main(["mine", "--db", str(db)]) == 3
+    assert "numeric error: eigensolver did not reach residual" in capsys.readouterr().err
 
 
 def test_cli_missing_file_is_usage_error(tmp_path):
