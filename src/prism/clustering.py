@@ -13,10 +13,10 @@ The refinement runs over a batch of sets (``CountRows.batches``) at once, one
 bisection depth at a time: each group of a depth is tested in one ``path_test``
 call and every failing group is bisected in one ``binary_split`` call, each
 computing a group from its own rows only, so a set's concepts do not depend on
-the sets refined beside it. A set is projected once, when it fails as a whole:
-the failing sets of one row count are standardized together, in passes of
-about ``PROJECT_CELLS`` dense cells, and each then takes one ``linalg.eigh``
-call.
+the sets refined beside it. A set is projected once, when it fails as a whole
+(a pair, which 2-means splits one and one, not at all): the failing sets of
+one row count are standardized together, in passes of about
+``PROJECT_CELLS`` dense cells, and each then takes one ``linalg.eigh`` call.
 """
 
 from __future__ import annotations
@@ -273,12 +273,14 @@ def refine_sets(
 
     A set is returned untouched when it passes the test at every exact
     length. Otherwise its signature counts are projected once (one
-    ``project_rows`` call for every set that fails) and repeatedly bisected;
-    each side is kept when it passes (or is a singleton) and bisected again
-    when it fails. All groups of one depth of a batch of sets
-    (``CountRows.batches``) are tested in one ``path_test`` call and
-    bisected in one ``binary_split`` call; each group once, at every length.
-    Each set's clusters are sorted by smallest member id.
+    ``project_rows`` call for every set of three or more rows that fails;
+    2-means splits two points one and one whatever they are, so a failing
+    pair is not projected) and repeatedly bisected; each side is kept when
+    it passes (or is a singleton) and bisected again when it fails. All
+    groups of one depth of a batch of sets (``CountRows.batches``) are
+    tested in one ``path_test`` call and bisected in one ``binary_split``
+    call; each group once, at every length. Each set's clusters are sorted
+    by smallest member id.
     """
     members = [sorted(A) for _, A in sets]
     for (stats, _), mem in zip(sets, members):
@@ -308,7 +310,9 @@ def refine_sets(
             if points is None:  # the first depth: project every set that fails whole
                 points = np.zeros((len(rows), PROJ_DIM))
                 first = np.cumsum(sizes) - sizes
-                points[np.repeat(~ok, sizes)] = project_rows(cr, first[~ok], sizes[~ok])
+                # 2-means splits any two points one and one, so a pair keeps zeros
+                wide = ~ok & (sizes > 2)
+                points[np.repeat(wide, sizes)] = project_rows(cr, first[wide], sizes[wide])
             rows, sizes, owner = rows[np.repeat(~ok, sizes)], sizes[~ok], owner[~ok]
             if not len(owner):
                 break

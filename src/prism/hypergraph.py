@@ -6,12 +6,13 @@ non-empty node set), indexed by one node-by-edge incidence matrix B (a
 components and the clique expansion to a weighted graph run on B and the
 node adjacency B @ B.T in ``scipy.sparse``/``csgraph``. A node partition is
 a label array, one part number per node, the form ``csgraph`` returns;
-``majority_subhypergraph`` is the one split of a hypergraph by a partition.
+``majority_subhypergraph`` is the one split of a hypergraph by a partition,
+and each piece it cuts records which of its nodes are its own part's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,12 +30,17 @@ class LabeledHypergraph:
 
     Node ids index ``node_names``; label ids index ``label_names``. Edge
     members are deduplicated but keep their first-occurrence order so the
-    originating ground atoms can be recovered.
+    originating ground atoms can be recovered. ``own`` holds, ascending,
+    the ids of the nodes a piece was cut for (``restrict``); its other
+    nodes are endpoints of its edges from other parts. It is None, every
+    node its own, for a hypergraph not cut from another, and it is not part
+    of equality: it says how a piece was cut, not what it is.
     """
 
     node_names: tuple[str, ...]
     label_names: tuple[str, ...]
     edges: tuple[Edge, ...]
+    own: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def build(
@@ -95,7 +101,8 @@ class LabeledHypergraph:
         return transition_tables(self)
 
     def restrict(self, edge_ids: list[int], keep_nodes: list[int]) -> "LabeledHypergraph":
-        """Sub-hypergraph of the given edges plus any isolated kept nodes.
+        """Sub-hypergraph of the given edges plus any isolated kept nodes;
+        the kept nodes are its ``own``.
 
         Node and label names are preserved; ids are re-indexed in ascending
         parent-id order so results are canonical. The parent's edges are
@@ -111,6 +118,7 @@ class LabeledHypergraph:
             node_names=tuple(self.node_names[v] for v in node_ids),
             label_names=tuple(self.label_names[l] for l in label_ids),
             edges=tuple((label_map[l], tuple(map(node_map.get, members))) for l, members in edges),
+            own=tuple(sorted({node_map[v] for v in keep_nodes})),
         )
 
 
@@ -156,7 +164,9 @@ def majority_subhypergraph(h: LabeledHypergraph, labels: np.ndarray) -> list[Lab
 
     Edges with no strict-majority part go to the part containing their lowest
     node id, so every edge survives in exactly one output. Output i keeps
-    part i's nodes plus any out-of-part endpoints of its assigned edges.
+    part i's nodes plus any out-of-part endpoints of its assigned edges;
+    part i's nodes are its ``own``, so every node is its own in exactly one
+    output, and those are the nodes ``get_communities`` mines as sources.
     """
     labels = np.asarray(labels)
     if labels.shape != (h.n_nodes,) or labels.dtype.kind not in "iu" or (labels < 0).any():

@@ -1,11 +1,15 @@
 """End-to-end mining: component split, hierarchical clustering, walks per
 source, symmetry clustering, and report serialization.
 
-Each piece's sources are mined in blocks of as many as the walk memory
-budget holds, in two phases: walk every source of the block (on a thread
-pool when ``threads > 1``), keeping its ``WalkStats``, then cluster them all
-in one ``symmetry_clusters`` call, which refines the block's distance sets in
-batches of whole sets, one bisection depth at a time.
+Each node is a source once, in the piece it is its own in
+(``LabeledHypergraph.own``): under hcluster its leaf's piece, which also
+keeps endpoints from other leaves as walk targets and concept members. The
+sources of the pieces of one connected component that share N and L are
+mined in blocks of as many as the walk memory budget holds, in two phases:
+walk every source of the block (on a thread pool when ``threads > 1``),
+keeping its ``WalkStats``, then cluster them all in one ``symmetry_clusters``
+call, which refines the block's distance sets in batches of whole sets, one
+bisection depth at a time.
 
 The serialized report is deterministic for a fixed configuration: per-source
 random streams are derived from the seed alone, a set's refinement does not
@@ -32,7 +36,7 @@ from .hypergraph import LabeledHypergraph, connected_components, diameter
 from .spectral import LAMBDA2_MAX, N_MIN, hcluster
 from .stats import MIN_CATEGORY_MEAN
 from .stats import path_symmetry_report  # noqa: F401  kept bound for bench/child.py's TRACED
-from .walks import WalkConfig, run_walks, table_peak_bytes, topk_walk_count
+from .walks import WalkConfig, WalkStats, run_walks, table_peak_bytes, topk_walk_count
 from .walks import walk_kept_bytes, walk_peak_bytes
 
 SCHEMA_VERSION = 1
@@ -133,17 +137,19 @@ def _source_report(names: np.ndarray, part: SymmetryPartition) -> SourceReport:
 def get_communities(
     h: LabeledHypergraph, cfg: RunConfig, timings: dict | None = None
 ) -> ConceptReport:
-    """Mine path-symmetric concepts for every source node of every
-    sub-hypergraph; deterministic for a fixed config, any thread count.
+    """Mine path-symmetric concepts for every node of ``h`` as a source, each
+    once, in the sub-hypergraph it is its own in; deterministic for a fixed
+    config, any thread count.
 
     Before any walk starts, each piece is sized: its transition tables
     (``table_peak_bytes``), its walks in flight (``walk_peak_bytes`` per
     worker) and what each walked source keeps until its block is clustered
-    (``walk_kept_bytes``). A block is as many sources as fit beside the
-    tables and walks under ``WALK_MEMORY_BUDGET``; a ValueError refuses the
-    run when not even one fits. Pieces are sized one at a time, so a
-    block's walked sources go before the next block is walked, and a
-    piece's tables once its last block is."""
+    (``walk_kept_bytes``); a ValueError refuses the run when not even one
+    source of some piece fits under ``WALK_MEMORY_BUDGET``. A block is
+    sources of the pieces of one connected component that share N and L,
+    walked piece after piece while the walks in flight of the piece being
+    walked, its tables included, and the sources held fit under the budget.
+    A piece's tables go once its last source is walked."""
     if timings is None:
         timings = {}
     if h.n_nodes == 0:
@@ -151,15 +157,16 @@ def get_communities(
 
     t0 = time.perf_counter()
     pieces: list[LabeledHypergraph] = []
-    for comp in connected_components(h):
-        if cfg.use_hcluster and comp.n_nodes >= 2:
-            pieces.extend(hcluster(comp))
-        else:
-            pieces.append(comp)
+    component: list[int] = []
+    for c, comp in enumerate(connected_components(h)):
+        cut = hcluster(comp) if cfg.use_hcluster and comp.n_nodes >= 2 else [comp]
+        pieces += cut
+        component += [c] * len(cut)
     timings["hcluster"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    plans: list[tuple[int, WalkConfig, int]] = []
+    plans: list[tuple[int, WalkConfig, int, int]] = []
+    blocks: dict[tuple[int, int, int], list[int]] = {}  # pieces by (component, N, L)
     for k, sub in enumerate(pieces):
         diam = diameter(sub)
         L = max(1, diam)
@@ -170,8 +177,7 @@ def get_communities(
         workers = min(cfg.threads, sub.n_nodes)
         walking = workers * walk_peak_bytes(sub, N, L) + table_peak_bytes(sub)
         kept = walk_kept_bytes(sub.n_nodes, n_labels, N, L)
-        block = (WALK_MEMORY_BUDGET - walking) // kept
-        if block < 1:
+        if walking + kept > WALK_MEMORY_BUDGET:
             raise ValueError(
                 f"epsilon {cfg.epsilon} needs {N} walks of length {L} per source on piece {k} "
                 f"({sub.n_nodes} nodes, {workers} at once): about "
@@ -183,42 +189,60 @@ def get_communities(
                 1, np.uint64
             )[0]
         )
-        plans.append((diam, WalkConfig(L=L, N=N, seed=sub_seed), block))
+        plans.append((diam, WalkConfig(L=L, N=N, seed=sub_seed), walking, kept))
+        blocks.setdefault((component[k], N, L), []).append(k)
 
-    subs: list[SubhypergraphReport] = []
-    source_time = 0.0
+    names = [np.array(sub.node_names, dtype=object) for sub in pieces]
+    reports: list[list[SourceReport]] = [[] for _ in pieces]
+    walked: list[WalkStats] = []
+    owner: list[int] = []  # the piece of each walked source
+
+    def cluster_walked():
+        for k, part in zip(owner, symmetry_clusters(walked, cfg.alpha)):
+            reports[k].append(_source_report(names[k], part))
+        walked.clear()
+        owner.clear()
+
+    t_sources = time.perf_counter()
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         walk_map = pool.map if cfg.threads > 1 else map
-        for k, (sub, (diam, walk_cfg, block)) in enumerate(zip(pieces, plans)):
-            t_sources = time.perf_counter()
-            if cfg.threads > 1:
-                # built here, once: cached_property takes no lock from Python 3.12 on
-                sub.walk_tables
-            reports: list[SourceReport] = []
-            names = np.array(sub.node_names, dtype=object)
-            for lo in range(0, sub.n_nodes, block):
-                sources = range(lo, min(lo + block, sub.n_nodes))
-                walked = list(walk_map(lambda v: run_walks(sub, v, walk_cfg), sources))
-                reports += [_source_report(names, p) for p in symmetry_clusters(walked, cfg.alpha)]
-                del walked
-            sub.__dict__.pop("walk_tables", None)
-            source_time += time.perf_counter() - t_sources
-            subs.append(
-                SubhypergraphReport(
-                    id=k,
-                    nodes=sub.node_names,
-                    n_edges=sub.n_edges,
-                    labels=sub.label_names,
-                    diameter=diam,
-                    walk_length=walk_cfg.L,
-                    walk_count=walk_cfg.N,
-                    sources=tuple(reports),
-                )
-            )
-    timings["mine"] = time.perf_counter() - t0
+        for block in blocks.values():
+            held = 0  # bytes the walked sources keep
+            for k in block:
+                sub, (_, walk_cfg, walking, kept) = pieces[k], plans[k]
+                if cfg.threads > 1:
+                    # built here, once: cached_property takes no lock from Python 3.12 on
+                    sub.walk_tables
+                todo = sub.own  # every piece is cut by majority_subhypergraph
+                while todo:
+                    fit = (WALK_MEMORY_BUDGET - walking - held) // kept
+                    if fit < 1:
+                        cluster_walked()
+                        held = 0
+                        continue
+                    sources, todo = todo[:fit], todo[fit:]
+                    walked += walk_map(lambda v: run_walks(sub, v, walk_cfg), sources)
+                    owner += [k] * len(sources)
+                    held += kept * len(sources)
+                sub.__dict__.pop("walk_tables", None)
+            cluster_walked()
     # walks, clustering and margin reports of every source
-    timings["sources"] = source_time
-    return ConceptReport(subhypergraphs=tuple(subs), config=cfg.to_dict())
+    timings["sources"] = time.perf_counter() - t_sources
+    subs = tuple(
+        SubhypergraphReport(
+            id=k,
+            nodes=sub.node_names,
+            n_edges=sub.n_edges,
+            labels=sub.label_names,
+            diameter=diam,
+            walk_length=walk_cfg.L,
+            walk_count=walk_cfg.N,
+            sources=tuple(sub_reports),
+        )
+        for k, (sub, (diam, walk_cfg, _, _), sub_reports) in enumerate(zip(pieces, plans, reports))
+    )
+    timings["mine"] = time.perf_counter() - t0
+    return ConceptReport(subhypergraphs=subs, config=cfg.to_dict())
 
 
 def emit_report(report: ConceptReport, fmt: str = "json") -> str:

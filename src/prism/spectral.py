@@ -154,6 +154,8 @@ def hcluster(h: LabeledHypergraph) -> list[LabeledHypergraph]:
 
     The leaf labels from ``get_clusters`` (stop rules ``LAMBDA2_MAX`` and
     ``N_MIN``) become sub-hypergraphs by majority rule, keeping every node and edge.
+    A piece's ``own`` nodes are its leaf's: the sources it mines. Its other
+    nodes, endpoints of its edges from other leaves, are only walked to.
     """
     if h.n_nodes == 0:
         raise ValueError("hypergraph must be non-empty")

@@ -464,6 +464,58 @@ def test_binary_split_ignores_column_signs(groups, flip, tiny):
     assert np.array_equal(binary_split(flipped, sizes), binary_split(points, sizes))
 
 
+@st.composite
+def point_pairs(draw):
+    """Groups of two finite 2-D points: any two, one point twice, two a few
+    ulps apart, or any of these with a zero column."""
+    groups = []
+    for _ in range(draw(st.integers(1, 6))):
+        coord = st.floats(-1e6, 1e6, allow_nan=False)
+        a = np.array(draw(st.tuples(coord, coord)))
+        kind = draw(st.sampled_from(["any", "equal", "ulps"]))
+        if kind == "any":
+            b = np.array(draw(st.tuples(coord, coord)))
+        elif kind == "equal":
+            b = a.copy()
+        else:
+            b = ulp_jitter(a, draw(st.integers(0, 2**32)))
+        pair = np.vstack([a, b])
+        zero = draw(st.sampled_from([None, 0, 1]))
+        if zero is not None:
+            pair[:, zero] = 0.0
+        groups.append(pair)
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_pairs())
+def test_binary_split_puts_one_of_two_points_on_each_side(groups):
+    # refine_sets leaves a failing pair unprojected, at zeros: that moves no
+    # concept only because any two points split one and one
+    second = binary_split(np.vstack(groups), [2] * len(groups))
+    assert second.reshape(-1, 2).sum(axis=1).tolist() == [1] * len(groups)
+
+
+def test_failing_pairs_are_not_projected(two_departments, monkeypatch):
+    heights, pair_clusters = [], []
+    project, refine = clustering.project_rows, clustering.refine_sets
+
+    def project_spy(cr, starts, sizes):
+        heights.extend(np.asarray(sizes).tolist())
+        return project(cr, starts, sizes)
+
+    def refine_spy(sets, alpha):
+        out = refine(sets, alpha)
+        pair_clusters.extend(len(part) for (_, A), part in zip(sets, out) if len(A) == 2)
+        return out
+
+    monkeypatch.setattr(clustering, "project_rows", project_spy)
+    monkeypatch.setattr(clustering, "refine_sets", refine_spy)
+    get_communities(two_departments, RunConfig(seed=123))
+    assert 2 in pair_clusters  # a pair failed and was split
+    assert heights and 2 not in heights
+
+
 @pytest.mark.parametrize(
     "db_text, use_hcluster",
     [

@@ -240,6 +240,17 @@ def test_majority_split_equals_reference(case):
 
 @settings(max_examples=100, deadline=None)
 @given(partitioned_hypergraphs())
+def test_majority_split_pieces_own_their_parts(case):
+    # a piece's own nodes are its part's; the rest are endpoints of its
+    # edges from other parts
+    h, labels = case
+    for i, piece in enumerate(majority_subhypergraph(h, labels)):
+        own = [piece.node_names[v] for v in piece.own]
+        assert own == [h.node_names[v] for v in np.flatnonzero(labels == i)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitioned_hypergraphs())
 def test_restrict_equals_build(case):
     # restrict builds its pieces without build's checks and deduplication
     h, labels = case

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 import datasets
@@ -122,6 +124,54 @@ def test_get_communities_coverage(two_departments):
                 sub.nodes
             )
             assert len(set(seen)) == len(seen)
+
+
+def assert_each_node_is_a_source_once(h, cfg):
+    report = get_communities(h, cfg)
+    sources = [src.source for sub in report.subhypergraphs for src in sub.sources]
+    assert sorted(sources) == sorted(h.node_names)
+    for sub in report.subhypergraphs:
+        assert {src.source for src in sub.sources} <= set(sub.nodes)
+    return report
+
+
+@pytest.mark.parametrize("use_hcluster", [True, False])
+@pytest.mark.parametrize("db_text", [datasets.two_departments_db(), datasets.rich_schema_db()],
+                         ids=["two-departments", "rich"])
+def test_sources_partition_the_nodes(db_text, use_hcluster):
+    # a piece mines its own leaf's nodes, not the endpoints it keeps from
+    # other leaves, so every node is mined once, as in a flat run
+    h = datasets.graph(db_text)
+    report = assert_each_node_is_a_source_once(h, RunConfig(seed=1, use_hcluster=use_hcluster))
+    n_nodes = sum(len(sub.nodes) for sub in report.subhypergraphs)
+    assert n_nodes > h.n_nodes if use_hcluster else n_nodes == h.n_nodes
+
+
+@st.composite
+def two_blob_hypergraphs(draw):
+    """Two connected blobs of 8-15 nodes each, edges of 1-3 members over two
+    labels, joined by one to three edges: a connected hypergraph of 16-30
+    nodes whose clique expansion has one sparse cut to find."""
+    blobs, edges, n = [], [], 0
+    for _ in range(2):
+        size = draw(st.integers(8, 15))
+        ids = list(range(n, n + size))
+        n += size
+        for i in range(1, size):  # a random spanning tree keeps the blob connected
+            edges.append((draw(st.integers(0, 1)), (ids[draw(st.integers(0, i - 1))], ids[i])))
+        member = st.sampled_from(ids)
+        more = st.tuples(st.integers(0, 1), st.lists(member, min_size=1, max_size=3, unique=True))
+        edges += [(label, tuple(m)) for label, m in draw(st.lists(more, max_size=size))]
+        blobs.append(ids)
+    bridge = st.tuples(st.integers(0, 1), st.sampled_from(blobs[0]), st.sampled_from(blobs[1]))
+    edges += [(label, (a, b)) for label, a, b in draw(st.lists(bridge, min_size=1, max_size=3))]
+    return LabeledHypergraph.build([f"v{i}" for i in range(n)], ["a", "b"], edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_blob_hypergraphs(), st.booleans())
+def test_sources_partition_the_nodes_of_random_hypergraphs(h, use_hcluster):
+    assert_each_node_is_a_source_once(h, RunConfig(epsilon=0.5, seed=3, use_hcluster=use_hcluster))
 
 
 def test_get_communities_stranded_source(monkeypatch):
@@ -299,20 +349,31 @@ def test_concept_margins_reflect_passing_tests(classroom):
 def test_each_group_is_tested_once(two_departments, monkeypatch):
     walked = []
     tested = []
+    row_tables = []  # the signature table of each row of the batch being refined
     run_walks, path_test = pipeline.run_walks, clustering.path_test
+    batches = clustering.CountRows.batches
 
     def walks_spy(h, source, cfg):
         stats = run_walks(h, source, cfg)
         walked.append((h, stats))
         return stats
 
+    def batches_spy(sets):
+        done = 0
+        for n_sets, cr in batches(sets):
+            row_tables[:] = [t for _, t, members in sets[done : done + n_sets] for _ in members]
+            done += n_sets
+            yield n_sets, cr
+
     def path_test_spy(cr, rows, sizes, *args):
-        # a block is walked whole before it is refined, so the groups of a
-        # batch belong to the piece walked last
-        h, _ = walked[-1]
+        # a block may hold the sources of several pieces, so each group is
+        # mapped to its piece through the walked stats its rows come from
+        piece = {id(stats.signatures): h for h, stats in walked}
         ends = np.cumsum(sizes)
         for g, size in enumerate(sizes):
             group = rows[ends[g] - size : ends[g]]
+            assert len({id(row_tables[r]) for r in group.tolist()}) == 1
+            h = piece[id(row_tables[group[0]])]
             assert len(set(cr.source[group].tolist())) == 1
             tested.append((id(h), int(cr.source[group[0]]), tuple(cr.target[group].tolist())))
         return path_test(cr, rows, sizes, *args)
@@ -322,6 +383,7 @@ def test_each_group_is_tested_once(two_departments, monkeypatch):
 
     monkeypatch.setattr(pipeline, "run_walks", walks_spy)
     monkeypatch.setattr(clustering, "path_test", path_test_spy)
+    monkeypatch.setattr(clustering.CountRows, "batches", batches_spy)
     monkeypatch.setattr(pipeline, "path_symmetry_report", refuse)
     report = get_communities(two_departments, RunConfig(seed=0))
     assert tested
@@ -375,7 +437,7 @@ def test_blocked_run_equals_unblocked(two_departments, monkeypatch, use_hcluster
     monkeypatch.setattr(pipeline, "WALK_MEMORY_BUDGET", budget)
     monkeypatch.setattr(pipeline, "symmetry_clusters", spy)
     assert emit_report(get_communities(two_departments, cfg)) == whole
-    assert sum(blocks) == sum(len(sub.nodes) for sub in pieces)
+    assert sum(blocks) == two_departments.n_nodes
     assert 2 in blocks and len(blocks) > len(pieces)
 
 
@@ -406,6 +468,28 @@ def test_get_communities_frees_each_piece_tables():
     one = peak(1)
     assert peak(2) - one < kept
     assert peak(3) - one < kept
+
+
+def test_one_block_clusters_the_pieces_of_a_component_after_their_tables_go(
+    two_departments, monkeypatch
+):
+    # both departments walk N=1505 walks of L=4: their 20 sources are
+    # clustered in one call, once each piece's tables are dropped
+    pieces, holding = [], []
+    hcluster, symmetry_clusters = pipeline.hcluster, pipeline.symmetry_clusters
+
+    def cut(comp):
+        pieces.extend(hcluster(comp))
+        return pieces
+
+    def spy(walked, alpha):
+        holding.append(["walk_tables" in vars(p) for p in pieces])
+        return symmetry_clusters(walked, alpha)
+
+    monkeypatch.setattr(pipeline, "hcluster", cut)
+    monkeypatch.setattr(pipeline, "symmetry_clusters", spy)
+    get_communities(two_departments, RunConfig(seed=0))
+    assert len(pieces) == 2 and holding == [[False, False]]
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -441,6 +525,8 @@ def test_bench_trace_run_reports_its_layers(tmp_path, monkeypatch, capsys):
     assert result["correct"] and result["failed"] == 0
     for name in ("walks.source_runs", "clustering.bisect_calls", "stats.critical_value_calls"):
         assert result["metrics"][name]["value"] > 0, name
+    # hcluster mines each node once
+    assert result["metrics"]["walks.source_runs_per_node"]["value"] == 1.0
 
 
 def test_cli_stats(tmp_path, capsys):
@@ -574,7 +660,7 @@ def test_cli_missing_file_is_usage_error(tmp_path):
         (
             datasets.two_departments_db(),
             [],
-            "5ecbd4df3a8f15de91cd4571dd442ce55d7f6262a1e7764ccd92fd0e3e3c670e",
+            "170b6b1ac1792685180d10812bd88d2bf00dc3a80c78b63f3ee99ecc1923bb2e",
         ),
         (
             datasets.two_departments_db(),
@@ -584,7 +670,7 @@ def test_cli_missing_file_is_usage_error(tmp_path):
         (
             datasets.two_components_db(),
             [],
-            "72b58e84ca859218ff2513e66debcf38a8287fb4b78b0738529e4869a53ec9b2",
+            "50eef042557eccf991048f01e7397a12e10457b675ef9d312f4622f3e3badf54",
         ),
         (
             datasets.two_components_db(),
@@ -594,7 +680,7 @@ def test_cli_missing_file_is_usage_error(tmp_path):
         (
             datasets.rich_schema_db(),
             [],
-            "ac49baa8da4014b92927e744fe135633b580c09926b88ceb8899595682dcb11e",
+            "a128edec1984ea682289b8d3828065279555df2c0b8d23bfe61bdc9c21f06577",
         ),
         (
             datasets.rich_schema_db(),
@@ -617,7 +703,7 @@ def test_cli_missing_file_is_usage_error(tmp_path):
             # the benchmark's 199-node dept databases: many sets fail whole
             datasets.bench_db("dept", 10, 2),
             [],
-            "cbb09749e63decbeda8c954f8a8a7a21e703434cbaf0c3f3bf5612f70332b917",
+            "1e4c0c6fb979138a2387bd255e943eacf77e81bdcb38d227857758c414782826",
         ),
         (
             datasets.bench_db("dept", 10, 1),
