@@ -37,16 +37,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="prism", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    cfg = RunConfig()  # the defaults of the tuning flags
     mine = sub.add_parser("mine", help="mine path-symmetric concepts from a database")
     mine.add_argument("--db", required=True, help="input ground-atom .db file")
-    mine.add_argument("--epsilon", type=float, default=0.1, help="walk-count uncertainty target")
-    mine.add_argument("--alpha", type=float, default=0.01, help="significance level of both symmetry tests")
-    mine.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    mine.add_argument("--threads", type=int, default=1, help="parallel source workers")
+    mine.add_argument("--epsilon", type=float, default=cfg.epsilon, help="walk-count uncertainty target")
+    mine.add_argument("--alpha", type=float, default=cfg.alpha, help="significance level of both symmetry tests")
+    mine.add_argument("--seed", type=int, default=cfg.seed, help="64-bit RNG seed")
+    mine.add_argument("--threads", type=int, default=cfg.threads, help="parallel source workers")
     mine.add_argument("--output", default="-", help="report path ('-' for stdout)")
     mine.add_argument("--format", choices=("json", "tsv"), default="json")
-    mine.add_argument("--top-k", type=int, default=3, help="most-probable paths held to the uncertainty target")
-    mine.add_argument("--max-length", type=int, default=5, help="walk-length cap (0 disables the cap)")
+    mine.add_argument("--top-k", type=int, default=cfg.k_top, help="most-probable paths held to the uncertainty target")
+    mine.add_argument("--max-length", type=int, default=cfg.L_cap or 0, help="walk-length cap (0 disables the cap)")
     mine.add_argument("--no-hcluster", action="store_true", help="skip hierarchical pre-clustering")
 
     stats = sub.add_parser("stats", help="print hypergraph summary for a database")

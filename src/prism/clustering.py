@@ -51,17 +51,16 @@ class DistanceSet:
 
 @dataclass(frozen=True)
 class SymmetryPartition:
-    """Distance-symmetric sets and their path-symmetric refinement for one
-    source node. ``concept_parents[i]`` is the distance set concept i came
-    from and ``margins[i]`` the per-length entries of the test that accepted
-    it (``()`` for a singleton). ``unreached`` holds nodes no walk ever hit."""
+    """The path-symmetric refinement of one source's distance-symmetric sets.
+    ``parent_tht[i]`` is the estimate of the distance set concept i came from
+    and ``margins[i]`` the per-length entries of the test that accepted it
+    (``()`` for a singleton). The concepts hold every node some walk hit, the
+    source aside, so the nodes in none of them are those no walk ever hit."""
 
     source: int
-    distance_sets: tuple[DistanceSet, ...]
     concepts: tuple[tuple[int, ...], ...]
-    concept_parents: tuple[int, ...]
+    parent_tht: tuple[float, ...]
     margins: tuple[tuple[dict, ...], ...]
-    unreached: tuple[int, ...]
 
 
 def distance_sets(stats: Sequence[WalkStats], alpha: float) -> list[list[DistanceSet]]:
@@ -293,7 +292,7 @@ def refine_sets(
     if not len(tested):
         return partitions
     N, L = sets[tested[0]][0].N, sets[tested[0]][0].L
-    count_sets = [(sets[i][0].source, sets[i][0].signatures, members[i]) for i in tested.tolist()]
+    count_sets = [(sets[i][0].signatures, members[i]) for i in tested.tolist()]
     for n_sets, cr in CountRows.batches(count_sets):
         owner, tested = tested[:n_sets], tested[n_sets:]
         sizes = np.array([len(members[i]) for i in owner], dtype=np.intp)
@@ -340,22 +339,12 @@ def symmetry_clusters(stats: Sequence[WalkStats], alpha: float) -> list[Symmetry
     out = []
     for st, ds in zip(stats, sets):
         concepts: list[tuple[int, ...]] = []
-        parents: list[int] = []
+        parent_tht: list[float] = []
         margins: list[tuple[dict, ...]] = []
-        for parent in range(len(ds)):
+        for d in ds:
             for cluster, entries in next(refined):
                 concepts.append(tuple(cluster))
-                parents.append(parent)
+                parent_tht.append(d.tht)
                 margins.append(entries)
-        unreached = np.flatnonzero(st.hits == 0)
-        out.append(
-            SymmetryPartition(
-                source=st.source,
-                distance_sets=tuple(ds),
-                concepts=tuple(concepts),
-                concept_parents=tuple(parents),
-                margins=tuple(margins),
-                unreached=tuple(unreached[unreached != st.source].tolist()),
-            )
-        )
+        out.append(SymmetryPartition(st.source, tuple(concepts), tuple(parent_tht), tuple(margins)))
     return out

@@ -116,22 +116,19 @@ class ConceptReport:
 
 
 def _source_report(names: np.ndarray, part: SymmetryPartition) -> SourceReport:
-    """``part`` with node ids read as names: one gather from ``names``, an object array."""
-    got = names[np.fromiter(chain(*part.concepts, part.unreached), np.intp)].tolist()
+    """``part`` with node ids read as names from ``names``, an object array.
+    The unreached nodes are the piece's nodes in no concept, the source
+    aside, in id order: one boolean mask over ``names``."""
+    members = np.fromiter(chain(*part.concepts), np.intp)
+    got = names[members].tolist()
     ends = [0, *accumulate(map(len, part.concepts))]
     entries = [
-        ConceptEntry(
-            members=tuple(got[a:b]),
-            parent_tht=part.distance_sets[parent].tht,
-            margins=margins,
-        )
-        for a, b, parent, margins in zip(ends, ends[1:], part.concept_parents, part.margins)
+        ConceptEntry(members=tuple(got[a:b]), parent_tht=tht, margins=margins)
+        for a, b, tht, margins in zip(ends, ends[1:], part.parent_tht, part.margins)
     ]
-    return SourceReport(
-        source=names[part.source],
-        concepts=tuple(entries),
-        unreached=tuple(got[ends[-1] :]),
-    )
+    placed = np.zeros(len(names), dtype=bool)
+    placed[members] = placed[part.source] = True
+    return SourceReport(names[part.source], tuple(entries), tuple(names[~placed].tolist()))
 
 
 def get_communities(
@@ -143,7 +140,7 @@ def get_communities(
 
     Before any walk starts, each piece is sized: its transition tables
     (``table_peak_bytes``), its walks in flight (``walk_peak_bytes`` per
-    worker) and what each walked source keeps until its block is clustered
+    worker) and what each walked source takes in its block
     (``walk_kept_bytes``); a ValueError refuses the run when not even one
     source of some piece fits under ``WALK_MEMORY_BUDGET``. A block is
     sources of the pieces of one connected component that share N and L,

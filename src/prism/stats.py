@@ -9,7 +9,7 @@ moment-matched gamma so no eigendecomposition is needed.
 
 Signature counts arrive as a ``SignatureTable`` of sorted int64 (target,
 signature) keys, from the walk engine or from dicts. ``CountRows`` holds the
-member x signature count matrices of many node sets, one row per (source,
+member x signature count matrices of many node sets, one row per (set,
 member) with its positive counts in CSR form and columns sorted by (length,
 signature); ``CountRows.batches`` builds them in batches of whole sets of
 about ``PATH_TEST_COUNTS`` counts, which bound the memory of the
@@ -87,15 +87,14 @@ class SignatureTable(NamedTuple):
 
 
 class CountRows(NamedTuple):
-    """The rows of several count matrices, one per (source, node set), with
-    their positive counts in CSR form. Row r is node ``target[r]`` seen from
-    the walks of ``source[r]``, in a matrix of ``width[r]`` columns, one per
-    signature code its members hit, ascending, which sorts the columns by
+    """The rows of several count matrices, one per (table, node set), with
+    their positive counts in CSR form: one row per (set, member). Row r is
+    node ``target[r]`` in a matrix of ``width[r]`` columns, one per signature
+    code its set's members hit, ascending, which sorts the columns by
     (length, signature); column j's signature length is
     ``col_len[col0[r] + j]``. Row r's entries ``indptr[r]:indptr[r + 1]``
     give each positive count's column and value, column by column."""
 
-    source: np.ndarray
     target: np.ndarray
     width: np.ndarray
     col0: np.ndarray
@@ -106,9 +105,9 @@ class CountRows(NamedTuple):
 
     @classmethod
     def batches(
-        cls, sets: Sequence[tuple[int, SignatureTable, Sequence[int]]]
+        cls, sets: Sequence[tuple[SignatureTable, Sequence[int]]]
     ) -> Iterator[tuple[int, "CountRows"]]:
-        """The count matrices of (source, table, members) sets, matrix after
+        """The count matrices of (table, members) sets, matrix after
         matrix with one row per member in the given order, in batches of
         consecutive whole sets: each yields its number of sets and their
         rows, with ``indptr`` from 0. A batch takes sets while their positive
@@ -116,8 +115,8 @@ class CountRows(NamedTuple):
         alone. Each set finds its members' key ranges by one ``searchsorted``
         each side, and a batch ranks its columns by one lexsort of its (set,
         code) pairs; its temporaries go before it is yielded."""
-        targets = [np.array(members, dtype=np.int64) for _, _, members in sets]
-        tables = [table for _, table, _ in sets]
+        targets = [np.array(members, dtype=np.int64) for _, members in sets]
+        tables = [table for table, _ in sets]
         lo, hi = (
             np.concatenate([np.searchsorted(tb.key, t * tb.stride) for tb, t in zip(tables, ts)])
             for ts in (targets, [t + 1 for t in targets])
@@ -156,7 +155,6 @@ class CountRows(NamedTuple):
                 del lo, indptr, targets
             height = np.diff(first_row[i : j + 1])
             yield j - i, cls(
-                np.repeat(np.array([s for s, _, _ in sets[i:j]], dtype=np.int64), height),
                 target,
                 np.repeat(width, height),
                 np.repeat(col0, height),
@@ -318,12 +316,12 @@ def path_symmetry_report(
     alpha: float,
 ) -> list[dict]:
     """Every per-length test outcome (``path_test``) of the members, longest
-    length first; counts given as dicts have no source, recorded as -1."""
+    length first."""
     m = len(members)
     if m <= 1:
         return []
     table = SignatureTable.from_counts(counts_by_member)
-    ((_, cr),) = CountRows.batches([(-1, table, sorted(members))])
+    ((_, cr),) = CountRows.batches([(table, sorted(members))])
     return path_test(cr, np.arange(m), [m], N, L, alpha).entries()[0]
 
 

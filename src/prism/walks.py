@@ -132,11 +132,11 @@ def table_peak_bytes(h: LabeledHypergraph) -> int:
 
 
 def walk_kept_bytes(n: int, n_labels: int, N: int, L: int) -> int:
-    """Upper estimate of what one walked source keeps until its block is
-    clustered: per distinct (target, signature) entry, of which there are
-    at most min(N·L, n·p_star), 24 B in its signature table and 16 B in the
-    block's count rows, and per node 16 B for ``tht`` and ``hits`` and 48 B
-    for its count row and 2-D projection."""
+    """Upper estimate of one walked source's memory: per distinct (target,
+    signature) entry, at most min(N·L, n·p_star) of them, 24 B in its table,
+    and 16 B per node for ``tht`` and ``hits``, kept until its block is
+    clustered; plus 16 B per entry and 48 B per node reserved for its count
+    rows and 2-D projection, which exist one batch of sets at a time."""
     return 40 * min(N * L, n * p_star(n_labels, L)) + 64 * n
 
 
@@ -208,7 +208,12 @@ def transition_tables(h: LabeledHypergraph) -> TransitionTables:
     probabilities (Chen & Asau 1974; Devroye 1986, §III.2.4). Scaling by a
     power of two is exact, so bucket b's guide is the row start plus the
     count of the row's entries with ceil(c·G) <= b, i.e. with cum c <= b / G.
-    """
+
+    The guides serve only walkers of paths with fewer than W walkers, about
+    124,000 in 216 calls on the bench's dept-flat database, but they stay:
+    byte-identical bisections took those lookups from 1.7-1.9 to 7.3-15 ms
+    a run, and dept-flat ``mine_s`` (3 alternating 20 s bench pairs, 2 cores) from
+    0.2248/0.2226/0.2207 to 0.2269/0.2413/0.2407 s."""
     indptr, nxt, label, cum = _rows(h)
     lens = np.diff(indptr)
     # x - 1 = m·2^e with m in [0.5, 1): 2^e is the smallest power of two >= x
@@ -280,7 +285,9 @@ def _rows(h: LabeledHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per walker, the index of the first entry of its row with cum > u,
     i.e. the row start plus ``searchsorted(row's cum, u, side="right")``;
-    ``_split`` draws the walkers of its paths of fewer than W walkers so.
+    ``_split`` draws the walkers of its paths of fewer than W walkers so,
+    through guide tables rather than a bisection (``transition_tables``
+    gives the measurements).
 
     It needs 0 <= u < 1: then the entry exists (the row's last cum is 1.0).
     One gather from the guide gives the first entry with cum > b / G for the

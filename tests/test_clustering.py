@@ -180,7 +180,6 @@ def dense_count_rows(blocks):
     rows = [r for b in blocks for r in b]
     nz = [np.flatnonzero(r) for r in rows]
     return CountRows(
-        source=np.zeros(len(rows), dtype=np.int64),
         target=np.arange(len(rows), dtype=np.int64),
         width=np.repeat(widths, heights),
         col0=np.repeat(np.cumsum(widths) - widths, heights),
@@ -716,10 +715,13 @@ def test_symmetry_clusters_end_to_end(physics):
         ["P4", "P5"],
         ["P6", "P7", "P8"],
     ]
-    assert part.unreached == ()
+    # the concepts cover every physics node except the source
+    covered = sorted(v for c in part.concepts for v in c)
+    assert covered == [v for v in range(physics.n_nodes) if v != b1]
     # every concept's parent is a distance set containing it
-    for concept, parent in zip(part.concepts, part.concept_parents):
-        assert set(concept) <= set(part.distance_sets[parent].members)
+    parents = {d.tht: d.members for d in distance_sets([st], 0.01)[0]}
+    for concept, tht in zip(part.concepts, part.parent_tht):
+        assert set(concept) <= set(parents[tht])
 
 
 def test_symmetry_clusters_deterministic(physics):
@@ -749,7 +751,7 @@ def test_refinement_memory_follows_one_batch(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert len(list(CountRows.batches([(n, st.signatures, A) for _, A in sets]))) == 16
+    assert len(list(CountRows.batches([(st.signatures, A) for _, A in sets]))) == 16
     assert peak(sets) < 2 * peak(sets[:2])
 
 
@@ -780,7 +782,7 @@ def test_projection_memory_follows_one_set_of_wide_sets():
         finally:
             tracemalloc.stop()
 
-    assert len(list(CountRows.batches([(n, st.signatures, A) for _, A in sets]))) == 1
+    assert len(list(CountRows.batches([(st.signatures, A) for _, A in sets]))) == 1
     (one, (part,)), (every, parts) = peak(sets[:1]), peak(sets)
     assert len(part) > 1 and parts[0] == part
     assert every < 2 * one

@@ -127,11 +127,37 @@ def test_get_communities_coverage(two_departments):
 
 
 def assert_each_node_is_a_source_once(h, cfg):
-    report = get_communities(h, cfg)
+    # a MonkeyPatch context, not the fixture, as hypothesis runs this per example
+    calls = []
+    run_walks = pipeline.run_walks
+
+    def walks_spy(sub, source, walk_cfg):
+        stats = run_walks(sub, source, walk_cfg)
+        calls.append((sub, stats))
+        return stats
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "run_walks", walks_spy)
+        report = get_communities(h, cfg)
+    walked = {sub.node_names[stats.source]: (sub, stats) for sub, stats in calls}
+    assert len(walked) == len(calls)
     sources = [src.source for sub in report.subhypergraphs for src in sub.sources]
     assert sorted(sources) == sorted(h.node_names)
     for sub in report.subhypergraphs:
         assert {src.source for src in sub.sources} <= set(sub.nodes)
+        for src in sub.sources:
+            piece, stats = walked[src.source]
+            assert piece.node_names == sub.nodes
+            # a source's unreached nodes are those no walk of it ever hit
+            never = [
+                name
+                for v, name in enumerate(piece.node_names)
+                if stats.hits[v] == 0 and v != stats.source
+            ]
+            assert src.unreached == tuple(never)
+            # concept members, unreached nodes and the source partition the piece
+            members = [m for c in src.concepts for m in c.members]
+            assert sorted([*members, *src.unreached, src.source]) == sorted(sub.nodes)
     return report
 
 
@@ -361,21 +387,21 @@ def test_each_group_is_tested_once(two_departments, monkeypatch):
     def batches_spy(sets):
         done = 0
         for n_sets, cr in batches(sets):
-            row_tables[:] = [t for _, t, members in sets[done : done + n_sets] for _ in members]
+            row_tables[:] = [t for t, members in sets[done : done + n_sets] for _ in members]
             done += n_sets
             yield n_sets, cr
 
     def path_test_spy(cr, rows, sizes, *args):
         # a block may hold the sources of several pieces, so each group is
-        # mapped to its piece through the walked stats its rows come from
-        piece = {id(stats.signatures): h for h, stats in walked}
+        # mapped to its piece and source through the walked stats its rows
+        # come from
+        walker = {id(stats.signatures): (h, stats.source) for h, stats in walked}
         ends = np.cumsum(sizes)
         for g, size in enumerate(sizes):
             group = rows[ends[g] - size : ends[g]]
             assert len({id(row_tables[r]) for r in group.tolist()}) == 1
-            h = piece[id(row_tables[group[0]])]
-            assert len(set(cr.source[group].tolist())) == 1
-            tested.append((id(h), int(cr.source[group[0]]), tuple(cr.target[group].tolist())))
+            h, source = walker[id(row_tables[group[0]])]
+            tested.append((id(h), source, tuple(cr.target[group].tolist())))
         return path_test(cr, rows, sizes, *args)
 
     def refuse(*args, **kwargs):
@@ -551,6 +577,14 @@ def test_cli_mine_writes_report(tmp_path):
     assert payload["schema_version"] == 1
     assert payload["config"]["seed"] == 7
     assert len(payload["subhypergraphs"]) == 1
+
+
+def test_cli_mine_defaults_are_the_run_config_defaults(tmp_path):
+    db = tmp_path / "toy.db"
+    db.write_text(datasets.classroom_db())
+    out = tmp_path / "report.json"
+    assert main(["mine", "--db", str(db), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == RunConfig().to_dict()
 
 
 def test_cli_mine_tsv(tmp_path, capsys):

@@ -217,7 +217,7 @@ def test_count_row_batches_hold_whole_sets_within_the_bound(monkeypatch):
         }
         tables.append(SignatureTable.from_counts(counts))
     sets = [
-        (s, tables[s], rng.permutation(12)[: rng.integers(1, 13)].tolist())
+        (tables[s], rng.permutation(12)[: rng.integers(1, 13)].tolist())
         for s in rng.integers(0, 3, size=30).tolist()
     ]
     batches = list(CountRows.batches(sets))
@@ -230,14 +230,13 @@ def test_count_row_batches_hold_whole_sets_within_the_bound(monkeypatch):
         assert cr.indptr[0] == 0
         assert n == 1 or cr.indptr[-1] <= 40
         r0 = c0 = 0
-        for source, table, members in sets[done : done + n]:
-            ((_, one),) = CountRows.batches([(source, table, members)])
+        for table, members in sets[done : done + n]:
+            ((_, one),) = CountRows.batches([(table, members)])
             r1 = r0 + len(members)
             a, b = cr.indptr[r0], cr.indptr[r1]
             assert np.array_equal(cr.indptr[r0 : r1 + 1] - a, one.indptr)
             assert cr.target[r0:r1].tolist() == members
             for got, want in [
-                (cr.source[r0:r1], one.source),
                 (cr.width[r0:r1], one.width),
                 (cr.col0[r0:r1] - c0, one.col0),
                 (cr.col[a:b], one.col),
@@ -257,7 +256,7 @@ def test_low_count_categories_fold_into_null():
     for rare, q in [((2, 1), 16.0), ((4, 6), 28.0)]:
         per = [{(0,): 100, (1,): rare[0]}, {(0,): 104, (1,): rare[1]}]
         table = SignatureTable.from_counts(dict(enumerate(per)))
-        ((_, cr),) = CountRows.batches([(2, table, [0, 1])])
+        ((_, cr),) = CountRows.batches([(table, [0, 1])])
         tests = path_test(cr, np.arange(2), [2], 1000, 1, 0.05)
         ((entry,),) = tests.entries()
         assert entry["q"] == q == q_statistic(cluster(per, N=1000))
@@ -269,7 +268,7 @@ def test_path_test_memory_does_not_grow_with_rows_times_columns():
     # float64 alone would take 15.3 MiB
     m, k, N = 4000, 500, 20000
     table = SignatureTable.from_counts({j: {(j,): N} for j in range(k)})
-    ((_, cr),) = CountRows.batches([(m, table, range(m))])
+    ((_, cr),) = CountRows.batches([(table, range(m))])
     tracemalloc.start()
     try:
         tests = path_test(cr, np.arange(m), [m], N, 1, 0.05)

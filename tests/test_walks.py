@@ -734,7 +734,7 @@ def test_walk_kept_estimate_bounds_walked_source(n, n_labels, extra, N, L):
     for source in (0, n // 2):
         st_ = run_walks(h, source, WalkConfig(L=L, N=N, seed=1))
         reached = np.flatnonzero(st_.hits).tolist()
-        ((_, rows),) = CountRows.batches([(source, st_.signatures, reached)])
+        ((_, rows),) = CountRows.batches([(st_.signatures, reached)])
         kept = sum(a.nbytes for a in (*st_.signatures[:3], st_.tht, st_.hits, *rows))
         assert kept + 16 * len(reached) <= walk_kept_bytes(n, n_labels, N, L)
 
