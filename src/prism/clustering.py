@@ -17,11 +17,13 @@ the sets refined beside it. A set is projected once, when it fails as a whole
 (a pair, which 2-means splits one and one, not at all): the failing sets of
 one row count are standardized together, in passes of about
 ``PROJECT_CELLS`` dense cells, and each then takes one ``linalg.eigh`` call.
+
+Results are plain tuples: a source's distance sets are (members, mean
+estimate) pairs and its concepts (members, parent estimate, margins) triples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +32,8 @@ from scipy import linalg
 from .stats import CountRows, PathTests, path_test, theta_sym
 from .stats import path_symmetric  # noqa: F401  kept bound for bench/child.py's TRACED
 from .walks import WalkStats
+
+Concept = tuple[tuple[int, ...], float, tuple[dict, ...]]  # (members, parent estimate, margins)
 
 VARIANCE_FLOOR = 1e-12
 RANK_FLOOR = 1e-9  # share of the total variance below which a direction is rounding noise
@@ -40,32 +44,13 @@ TIE_RTOL = 1e-9  # relative gap below which 2-means takes two distances as tied
 PROJECT_CELLS = 2**16
 
 
-@dataclass(frozen=True)
-class DistanceSet:
-    """Nodes whose hitting-time estimates are pairwise-mergeable, with the
-    set's representative (mean) estimate."""
-
-    members: tuple[int, ...]
-    tht: float
-
-
-@dataclass(frozen=True)
-class SymmetryPartition:
-    """The path-symmetric refinement of one source's distance-symmetric sets.
-    ``parent_tht[i]`` is the estimate of the distance set concept i came from
-    and ``margins[i]`` the per-length entries of the test that accepted it
-    (``()`` for a singleton). The concepts hold every node some walk hit, the
-    source aside, so the nodes in none of them are those no walk ever hit."""
-
-    source: int
-    concepts: tuple[tuple[int, ...], ...]
-    parent_tht: tuple[float, ...]
-    margins: tuple[tuple[dict, ...], ...]
-
-
-def distance_sets(stats: Sequence[WalkStats], alpha: float) -> list[list[DistanceSet]]:
+def distance_sets(
+    stats: Sequence[WalkStats], alpha: float
+) -> list[list[tuple[tuple[int, ...], float]]]:
     """Group each source's reached nodes by sweeping its sorted hitting-time
     estimates; every source shares N and L, so one merge threshold serves.
+    Each source's sets come as (members, mean estimate) pairs, in ascending
+    estimate order.
 
     A new set starts whenever the gap between consecutive estimates of one
     source exceeds the threshold. Nodes with zero hits, and the source, are
@@ -98,10 +83,10 @@ def distance_sets(stats: Sequence[WalkStats], alpha: float) -> list[list[Distanc
         at = np.flatnonzero(size == m)
         mean[at] = tht[first[at, None] + np.arange(m)].mean(axis=1)
     members = node.tolist()
-    out: list[list[DistanceSet]] = [[] for _ in stats]
+    out: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in stats]
     bounds = zip(first.tolist(), (first + size).tolist())
     for s, (a, b), t in zip(source[first].tolist(), bounds, mean.tolist()):
-        out[s].append(DistanceSet(tuple(members[a:b]), t))
+        out[s].append((tuple(members[a:b]), t))
     return out
 
 
@@ -330,21 +315,20 @@ def refine_sets(
     return partitions
 
 
-def symmetry_clusters(stats: Sequence[WalkStats], alpha: float) -> list[SymmetryPartition]:
+def symmetry_clusters(stats: Sequence[WalkStats], alpha: float) -> list[list[Concept]]:
     """Full two-stage clustering for each of several sources that share N
     and L: distance sets of all of them in one pass, then the path-symmetric
-    refinement of all of them together."""
+    refinement of all of them together. Each source's concepts come as
+    (members, parent estimate, margins) triples, distance set after distance
+    set. The concepts hold every node some walk hit, the source aside, so the
+    nodes in none of them are those no walk ever hit."""
     sets = distance_sets(stats, alpha)
-    refined = iter(refine_sets([(st, d.members) for st, ds in zip(stats, sets) for d in ds], alpha))
+    refined = iter(refine_sets([(st, m) for st, ds in zip(stats, sets) for m, _ in ds], alpha))
     out = []
-    for st, ds in zip(stats, sets):
-        concepts: list[tuple[int, ...]] = []
-        parent_tht: list[float] = []
-        margins: list[tuple[dict, ...]] = []
-        for d in ds:
+    for ds in sets:
+        concepts: list[Concept] = []
+        for _, tht in ds:
             for cluster, entries in next(refined):
-                concepts.append(tuple(cluster))
-                parent_tht.append(d.tht)
-                margins.append(entries)
-        out.append(SymmetryPartition(st.source, tuple(concepts), tuple(parent_tht), tuple(margins)))
+                concepts.append((tuple(cluster), tht, entries))
+        out.append(concepts)
     return out

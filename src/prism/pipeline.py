@@ -27,11 +27,11 @@ import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain, islice
 
 import numpy as np
 
-from .clustering import PROJ_DIM, SymmetryPartition, symmetry_clusters
+from .clustering import PROJ_DIM, Concept, symmetry_clusters
 from .hypergraph import LabeledHypergraph, connected_components, diameter
 from .spectral import LAMBDA2_MAX, N_MIN, hcluster
 from .stats import MIN_CATEGORY_MEAN
@@ -115,20 +115,20 @@ class ConceptReport:
     config: dict | None = None
 
 
-def _source_report(names: np.ndarray, part: SymmetryPartition) -> SourceReport:
-    """``part`` with node ids read as names from ``names``, an object array.
-    The unreached nodes are the piece's nodes in no concept, the source
-    aside, in id order: one boolean mask over ``names``."""
-    members = np.fromiter(chain(*part.concepts), np.intp)
-    got = names[members].tolist()
-    ends = [0, *accumulate(map(len, part.concepts))]
-    entries = [
-        ConceptEntry(members=tuple(got[a:b]), parent_tht=tht, margins=margins)
-        for a, b, tht, margins in zip(ends, ends[1:], part.parent_tht, part.margins)
-    ]
+def _source_report(names: np.ndarray, source: int, concepts: list[Concept]) -> SourceReport:
+    """The report of ``source``'s concepts (``symmetry_clusters``), node ids
+    read as names from ``names``, an object array. The unreached nodes are
+    the piece's nodes in no concept, the source aside, in id order: one
+    boolean mask over ``names``."""
+    members = np.fromiter(chain.from_iterable(c for c, _, _ in concepts), np.intp)
+    got = iter(names[members].tolist())
+    entries = tuple(
+        ConceptEntry(members=tuple(islice(got, len(c))), parent_tht=tht, margins=margins)
+        for c, tht, margins in concepts
+    )
     placed = np.zeros(len(names), dtype=bool)
-    placed[members] = placed[part.source] = True
-    return SourceReport(names[part.source], tuple(entries), tuple(names[~placed].tolist()))
+    placed[members] = placed[source] = True
+    return SourceReport(names[source], entries, tuple(names[~placed].tolist()))
 
 
 def get_communities(
@@ -195,8 +195,8 @@ def get_communities(
     owner: list[int] = []  # the piece of each walked source
 
     def cluster_walked():
-        for k, part in zip(owner, symmetry_clusters(walked, cfg.alpha)):
-            reports[k].append(_source_report(names[k], part))
+        for k, st, concepts in zip(owner, walked, symmetry_clusters(walked, cfg.alpha)):
+            reports[k].append(_source_report(names[k], st.source, concepts))
         walked.clear()
         owner.clear()
 

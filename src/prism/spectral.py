@@ -9,6 +9,8 @@ rebuilds sub-hypergraphs so no node or edge is lost.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
@@ -46,22 +48,23 @@ def second_eigenpair(g: sparse.csr_array) -> tuple[float, np.ndarray]:
     deg = g.sum(axis=1)
     inv_sqrt_deg = 1.0 / np.sqrt(deg)
     trivial = np.sqrt(deg)
-    trivial /= np.linalg.norm(trivial)
+    trivial /= math.sqrt(trivial @ trivial)
 
     rng = np.random.Generator(np.random.Philox(0xC0FFEE))
     x = rng.standard_normal(n)
     x -= trivial * (trivial @ x)
-    x /= np.linalg.norm(x)
+    x /= math.sqrt(x @ x)
 
     lam = 0.0
     for _ in range(EIG_MAX_ITERS):
         lx = x - inv_sqrt_deg * (g @ (inv_sqrt_deg * x))  # L_sym x
         lam = float(x @ lx)
-        if np.linalg.norm(lx - lam * x) <= EIG_TOLERANCE:
+        r = lx - lam * x
+        if math.sqrt(r @ r) <= EIG_TOLERANCE:
             break
         y = 2.0 * x - lx  # (2I - L_sym) x
         y -= trivial * (trivial @ y)
-        ny = np.linalg.norm(y)
+        ny = math.sqrt(y @ y)
         if ny > 1e-300:
             x = y / ny
     else:

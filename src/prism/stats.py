@@ -26,7 +26,6 @@ counts are read: a member with no count in a kept column adds its mean^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -165,27 +164,6 @@ class CountRows(NamedTuple):
             )
 
 
-@dataclass(frozen=True)
-class GammaApprox:
-    """Moment-matched gamma for the null distribution of the Q statistic."""
-
-    mu: float
-    sigma2: float
-
-    @property
-    def degenerate(self):
-        """Whether the moments admit no gamma; elementwise on arrays."""
-        return np.logical_or(self.mu <= 0, self.sigma2 <= 0)
-
-    @property
-    def shape(self) -> float:
-        return self.mu**2 / self.sigma2
-
-    @property
-    def rate(self) -> float:
-        return self.mu / self.sigma2
-
-
 def gamma_moments(m: int, N: int, p, s1, s2, s3):
     """Mean and variance of Q under the null for m members whose counts are
     multinomial, N trials over category probabilities p_i (estimated by the
@@ -202,16 +180,17 @@ def gamma_moments(m: int, N: int, p, s1, s2, s3):
     return mu, sigma2
 
 
-def gamma_critical_value(g: GammaApprox, alpha: float):
-    """x with GammaSurvival(x; shape, rate) = alpha; an array of them when
-    ``g`` holds arrays of moments."""
-    if np.any(g.degenerate):
+def gamma_critical_value(mu, sigma2, alpha: float):
+    """x with GammaSurvival(x; shape, rate) = alpha for the gamma of mean
+    ``mu`` and variance ``sigma2`` (shape mu^2 / sigma2, rate mu / sigma2);
+    elementwise on arrays of moments."""
+    if np.any((mu <= 0) | (sigma2 <= 0)):
         raise ValueError("degenerate gamma approximation has no critical value")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     # multiplying by the scale, not dividing by the rate, matches
     # scipy.stats.gamma.isf bit for bit
-    crit = special.gammainccinv(g.shape, alpha) * (1.0 / g.rate)
+    crit = special.gammainccinv(mu**2 / sigma2, alpha) * (1.0 / (mu / sigma2))
     return crit if np.ndim(crit) else float(crit)
 
 
@@ -299,11 +278,9 @@ def path_test(
     # sum to at most N / m: the moments expand around the null's p >= 1/2
     m = np.repeat(sizes, L).astype(np.float64)
     mu, sigma2 = gamma_moments(m, N, null_mean / N, s1, s2, s3)
-    degenerate = GammaApprox(mu, sigma2).degenerate
+    degenerate = (mu <= 0) | (sigma2 <= 0)
     critical = np.full(cells, np.nan)
-    critical[~degenerate] = gamma_critical_value(
-        GammaApprox(mu[~degenerate], sigma2[~degenerate]), alpha
-    )
+    critical[~degenerate] = gamma_critical_value(mu[~degenerate], sigma2[~degenerate], alpha)
     passed = np.where(degenerate, q <= 1e-9, q <= critical)
     return PathTests(*(a.reshape(n_groups, L) for a in (q, critical, passed)))
 

@@ -18,10 +18,10 @@ they take:
   (``_split``). With W the widest row among the step's paths, the paths of
   at least W walkers take one ``rng.multinomial`` call on their rows padded
   to W, at most N cells; the walkers of the others draw one uniform each,
-  looked up through the guide tables (``table_lookup``), and equal
-  outcomes merge by one sort. A step costs O(N) at worst, and much less
-  once the walkers share few paths. Draws come in a fixed order from the
-  source's Philox stream.
+  looked up through the guide tables (``table_lookup``: one gather and on
+  average at most 1.5 compares each), and equal outcomes merge by one
+  sort. A step costs O(N) at worst, and much less once the walkers share
+  few paths. Draws come in a fixed order from the source's Philox stream.
 - A path is its current node, walker count, label prefix code and parent;
   the paths of every step stay until the end. A path's node is a first hit
   when it differs from every earlier node of its path, which L - 1 gathers
@@ -182,9 +182,7 @@ class TransitionTables(NamedTuple):
 
     Each row also has a guide table for inversion sampling (indexed search):
     ``gsize[v]`` buckets at ``guide[gptr[v]:gptr[v + 1]]``, where bucket b
-    holds the row's first entry with cum > b / gsize[v]. ``width`` is the
-    most cum values of one row strictly inside one bucket, so the most
-    entries a lookup ever advances past its bucket's entry.
+    holds the row's first entry with cum > b / gsize[v].
     """
 
     indptr: np.ndarray
@@ -194,7 +192,6 @@ class TransitionTables(NamedTuple):
     gptr: np.ndarray
     gsize: np.ndarray  # float64, so that u * gsize[v] is exact
     guide: np.ndarray  # int32 below 2**31 entries
-    width: int
 
 
 def transition_tables(h: LabeledHypergraph) -> TransitionTables:
@@ -220,19 +217,15 @@ def transition_tables(h: LabeledHypergraph) -> TransitionTables:
     bits = np.frexp(GUIDE_BUCKETS_PER_ENTRY * lens - 1)[1]
     gptr = np.concatenate([[0], np.cumsum(1 << bits.astype(np.int64))])
     gsize = np.ldexp(1.0, bits)
-    scaled = cum * np.repeat(gsize, lens)
-    up = np.ceil(scaled)
-    inside = scaled != up
-    del scaled
+    up = np.ceil(cum * np.repeat(gsize, lens))
     # the bucket of a cum value, or the one below a cum value on a boundary
     bucket = np.repeat(gptr[:-1] - 1, lens)
     bucket += up.astype(np.int64)
     del up
-    width = int(np.bincount(bucket[inside], minlength=1).max())
     below = np.bincount(bucket, minlength=gptr[-1])
     guide = np.cumsum(below, dtype=np.int32 if len(cum) < 2**31 else np.int64)
     guide -= below
-    return TransitionTables(indptr, nxt, label, cum, gptr, gsize, guide, width)
+    return TransitionTables(indptr, nxt, label, cum, gptr, gsize, guide)
 
 
 def _rows(h: LabeledHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -291,20 +284,16 @@ def table_lookup(tables: TransitionTables, rows: np.ndarray, u: np.ndarray) -> n
 
     It needs 0 <= u < 1: then the entry exists (the row's last cum is 1.0).
     One gather from the guide gives the first entry with cum > b / G for the
-    walker's bucket b = floor(u·G), exact as G is a power of two; one
-    compare-and-advance finishes every row whose buckets hold at most one
-    cum value, and walkers still short of the entry step forward.
+    walker's bucket b = floor(u·G), exact as G is a power of two; then every
+    walker whose entry has cum <= u advances one entry, until none is left.
     """
     bucket = tables.gptr[rows] + (u * tables.gsize[rows]).astype(np.int64)
     # int64 entries: gathers with int32 indices take about 3x as long
     entry = tables.guide[bucket].astype(np.int64)
-    if tables.width:
-        entry += tables.cum[entry] <= u
-    if tables.width > 1:
-        late = np.flatnonzero(tables.cum[entry] <= u)
-        while len(late):
-            entry[late] += 1
-            late = late[tables.cum[entry[late]] <= u[late]]
+    late = np.flatnonzero(tables.cum[entry] <= u)
+    while len(late):
+        entry[late] += 1
+        late = late[tables.cum[entry[late]] <= u[late]]
     return entry
 
 

@@ -43,7 +43,7 @@ import pytest
 from scipy import linalg, sparse
 
 from prism.clustering import TIE_RTOL
-from prism.stats import MIN_CATEGORY_MEAN, GammaApprox, gamma_critical_value, gamma_moments
+from prism.stats import MIN_CATEGORY_MEAN, gamma_critical_value, gamma_moments
 
 mpmath.mp.dps = 30
 
@@ -646,14 +646,15 @@ def q_statistic(cc):
 
 
 def gamma_approx_params(cc):
-    """``stats.gamma_moments`` of a cluster, around its largest category."""
+    """``stats.gamma_moments`` of a cluster, around its largest category, as
+    (mu, sigma2)."""
     p = cc.means / cc.N
     top = int(p.argmax())
     rest = np.delete(p, top)
     mu, sigma2 = gamma_moments(
         len(cc.members), cc.N, p[top], rest.sum(), (rest**2).sum(), (rest**3).sum()
     )
-    return GammaApprox(float(mu), float(sigma2))
+    return float(mu), float(sigma2)
 
 
 def reference_cluster_counts(members, marginals, N, length, min_category_mean=MIN_CATEGORY_MEAN):
@@ -712,14 +713,15 @@ def reference_gamma_approx(cc):
     """Mean and variance of Q under the null from the full single-member
     covariance S: mu = (m-1) tr(S), sigma2 = 2 (m-1) sum(S^2), the trace of
     the block covariance of the deviation vector and twice the trace of its
-    square, each evaluated exactly and rounded once."""
+    square, each evaluated exactly and rounded once; (0.0, 0.0) for a
+    singleton."""
     m = len(cc.members)
     if m <= 1:
-        return GammaApprox(0.0, 0.0)
+        return 0.0, 0.0
     a, scale = count_covariance(cc)
     mu = (m - 1) * scale * sum(a[i][i] for i in range(len(a)))
     sigma2 = 2 * (m - 1) * scale * scale * sum(x * x for row in a for x in row)
-    return GammaApprox(float(mu), float(sigma2))
+    return float(mu), float(sigma2)
 
 
 def reference_path_symmetry_report(counts_by_member, members, N, L, alpha):
@@ -739,11 +741,11 @@ def reference_path_symmetry_report(counts_by_member, members, N, L, alpha):
         marginals = by_length[length]
         cc = reference_cluster_counts(members, marginals, N, length)
         q = q_statistic(cc)
-        g = reference_gamma_approx(cc)
-        if g.degenerate:
+        mu, sigma2 = reference_gamma_approx(cc)
+        if mu <= 0 or sigma2 <= 0:
             out.append({"length": length, "q": q, "critical": None, "passed": q <= 1e-9})
         else:
-            crit = gamma_critical_value(g, alpha)
+            crit = gamma_critical_value(mu, sigma2, alpha)
             out.append({"length": length, "q": q, "critical": crit, "passed": q <= crit})
     return out
 

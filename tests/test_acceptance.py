@@ -127,7 +127,7 @@ def test_criterion_4_gamma_approximation_fidelity():
             N=N,
             length=1,
         )
-        crit = gamma_critical_value(oracles.gamma_approx_params(cc), 0.05)
+        crit = gamma_critical_value(*oracles.gamma_approx_params(cc), 0.05)
         # the block covariance kron(I - J/m, S) has the eigenvalues of S,
         # each m - 1 times: one chi-squared(m - 1) per eigenvalue of S
         w = np.linalg.eigvalsh(oracles.multinomial_covariance(means, N))

@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ def synthetic_count_stats(count_rows, N=2000, L=1, source=None):
 
 def distance_groups(stats, alpha):
     """The members of each distance set of one source."""
-    return [list(d.members) for d in distance_sets([stats], alpha)[0]]
+    return [list(members) for members, _ in distance_sets([stats], alpha)[0]]
 
 
 def clusters(stats, A, alpha):
@@ -154,8 +156,8 @@ def test_distance_sets_block_equals_each_source_alone(block, alpha):
     got = distance_sets(block, alpha)
     assert got == [distance_sets([s], alpha)[0] for s in block]
     for s, sets in zip(block, got):
-        assert [list(d.members) for d in sets] == oracles.reference_distance_partition(s, theta)
-        assert [d.tht for d in sets] == [float(s.tht[list(d.members)].mean()) for d in sets]
+        assert [list(m) for m, _ in sets] == oracles.reference_distance_partition(s, theta)
+        assert [t for _, t in sets] == [float(s.tht[list(m)].mean()) for m, _ in sets]
 
 
 def test_distance_set_means_keep_their_bits_at_every_size():
@@ -167,9 +169,33 @@ def test_distance_set_means_keep_their_bits_at_every_size():
         tht = np.concatenate([[0.0], 2.0 + rng.uniform(0.0, 0.01, size=n)])
         block.append(stats_from_tht(tht, N=1000, L=4))
     got = distance_sets(block, 0.01)
-    for walked, (d,) in zip(block, got):
-        assert d.members == tuple(range(1, len(walked.tht)))
-        assert d.tht == float(walked.tht[list(d.members)].mean())
+    for walked, ((members, tht),) in zip(block, got):
+        assert members == tuple(range(1, len(walked.tht)))
+        assert tht == float(walked.tht[list(members)].mean())
+
+
+@settings(max_examples=25, deadline=None)
+@given(walk_blocks(), st.sampled_from([0.01, 0.3]), st.data())
+def test_each_distance_set_is_partitioned_by_its_concepts(block, alpha, data):
+    # every reached node hits one of two length-1 signatures in half the
+    # walks, so mixed sets split; grouped by parent estimate, in order, each
+    # source's concepts partition exactly its distance sets
+    n = len(block[0].tht)
+    label = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    block = [
+        dataclasses.replace(
+            s,
+            signatures=SignatureTable.from_counts(
+                {v: {(label[v],): s.N // 2} for v in np.flatnonzero(s.hits > 0).tolist()}
+            ),
+        )
+        for s in block
+    ]
+    for sets, concepts in zip(distance_sets(block, alpha), symmetry_clusters(block, alpha)):
+        groups = [(tht, list(g)) for tht, g in groupby(concepts, key=lambda c: c[1])]
+        assert [tht for tht, _ in groups] == [tht for _, tht in sets]
+        for (members, _), (_, group) in zip(sets, groups):
+            assert sorted(v for c, _, _ in group for v in c) == list(members)
 
 
 def dense_count_rows(blocks):
@@ -706,8 +732,8 @@ def test_path_tests_equal_reference_report(case, N, alpha):
 def test_symmetry_clusters_end_to_end(physics):
     b1 = physics.node_names.index("B1")
     st = run_walks(physics, b1, WalkConfig(L=4, N=1505, seed=2))
-    (part,) = symmetry_clusters([st], alpha=0.01)
-    named = sorted(sorted(physics.node_names[v] for v in c) for c in part.concepts)
+    (concepts,) = symmetry_clusters([st], alpha=0.01)
+    named = sorted(sorted(physics.node_names[v] for v in c) for c, _, _ in concepts)
     assert named == [
         ["B2"],
         ["P1", "P2"],
@@ -716,11 +742,11 @@ def test_symmetry_clusters_end_to_end(physics):
         ["P6", "P7", "P8"],
     ]
     # the concepts cover every physics node except the source
-    covered = sorted(v for c in part.concepts for v in c)
+    covered = sorted(v for c, _, _ in concepts for v in c)
     assert covered == [v for v in range(physics.n_nodes) if v != b1]
     # every concept's parent is a distance set containing it
-    parents = {d.tht: d.members for d in distance_sets([st], 0.01)[0]}
-    for concept, tht in zip(part.concepts, part.parent_tht):
+    parents = {tht: members for members, tht in distance_sets([st], 0.01)[0]}
+    for concept, tht, _ in concepts:
         assert set(concept) <= set(parents[tht])
 
 

@@ -14,7 +14,7 @@ from prism.hypergraph import LabeledHypergraph, diameter, to_weighted_graph
 from prism.pipeline import ConceptReport, RunConfig, emit_report
 from prism.relational import GroundAtom
 from prism.spectral import get_clusters, hcluster, second_eigenpair
-from prism.stats import GammaApprox, gamma_critical_value, t_inverse_survival, theta_sym
+from prism.stats import gamma_critical_value, t_inverse_survival, theta_sym
 from prism.walks import WalkConfig, optimal_walk_count, run_walks, topk_walk_count
 
 EMPTY = LabeledHypergraph.build([], [], [])
@@ -65,7 +65,7 @@ GUARDS = {
     "theta-alpha": (lambda: theta_sym(1.0, 3, 10), "alpha must be in (0, 1)"),
     "theta-N": (lambda: theta_sym(0.01, 3, 1), "N must be at least 2"),
     "gamma-alpha": (
-        lambda: gamma_critical_value(GammaApprox(mu=2.0, sigma2=4.0), 0.0),
+        lambda: gamma_critical_value(2.0, 4.0, 0.0),
         "alpha must be in (0, 1)",
     ),
     "topk-epsilon": (lambda: topk_walk_count(1.0, 2, 3), "epsilon must be in (0, 1)"),

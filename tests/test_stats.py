@@ -16,7 +16,6 @@ import prism
 from oracles import ClusterCounts, gamma_approx_params, q_statistic
 from prism.stats import (
     CountRows,
-    GammaApprox,
     SignatureTable,
     gamma_critical_value,
     path_symmetric,
@@ -74,9 +73,9 @@ def test_import_leaves_scipy_stats_unloaded():
 )
 def test_quantiles_equal_scipy_stats_exactly(shape, rate, alpha, p, df):
     # report critical values must keep the bytes of the scipy.stats quantiles
-    g = GammaApprox(mu=shape / rate, sigma2=shape / rate**2)
-    want = scipy.stats.gamma.isf(alpha, g.shape, scale=1.0 / g.rate)
-    assert gamma_critical_value(g, alpha) == want
+    mu, sigma2 = shape / rate, shape / rate**2
+    want = scipy.stats.gamma.isf(alpha, mu**2 / sigma2, scale=1.0 / (mu / sigma2))
+    assert gamma_critical_value(mu, sigma2, alpha) == want
     assert t_inverse_survival(p, df) == scipy.stats.t.isf(p, df)
 
 
@@ -110,18 +109,16 @@ def test_q_statistic_two_members_hand_value():
 
 
 def test_gamma_params_degenerate_singleton():
-    g = gamma_approx_params(cluster([{(0,): 50}], N=100))
-    assert g.degenerate
-    assert (g.mu, g.sigma2) == (0.0, 0.0)
+    assert gamma_approx_params(cluster([{(0,): 50}], N=100)) == (0.0, 0.0)
 
 
 def test_gamma_params_two_member_hand_value():
     cc = cluster([{(0,): 50}, {(0,): 50}], N=100)
-    g = gamma_approx_params(cc)
-    assert g.mu == pytest.approx(50.0)
-    assert g.sigma2 == pytest.approx(5000.0)
-    assert g.shape == pytest.approx(0.5)
-    assert g.rate == pytest.approx(0.01)
+    mu, sigma2 = gamma_approx_params(cc)
+    assert mu == pytest.approx(50.0)
+    assert sigma2 == pytest.approx(5000.0)
+    assert mu**2 / sigma2 == pytest.approx(0.5)
+    assert mu / sigma2 == pytest.approx(0.01)
 
 
 def test_gamma_params_match_block_eigenvalues():
@@ -139,11 +136,11 @@ def test_gamma_params_match_block_eigenvalues():
             N=N,
             length=1,
         )
-        g = gamma_approx_params(cc)
+        mu, sigma2 = gamma_approx_params(cc)
         block = oracles.block_deviation_covariance(means, N, m)
         w = np.linalg.eigvalsh(block)
-        assert g.mu == pytest.approx(w.sum(), rel=1e-9, abs=1e-9)
-        assert g.sigma2 == pytest.approx(2 * (w**2).sum(), rel=1e-9, abs=1e-9)
+        assert mu == pytest.approx(w.sum(), rel=1e-9, abs=1e-9)
+        assert sigma2 == pytest.approx(2 * (w**2).sum(), rel=1e-9, abs=1e-9)
 
 
 @st.composite
@@ -172,35 +169,35 @@ def test_gamma_params_match_reference_covariance(case):
     N, rows = case
     counts = np.array([[N - sum(r), *r] for r in rows], dtype=float)
     cc = ClusterCounts(tuple(range(len(rows))), np.arange(counts.shape[1] - 1), counts, N, 1)
-    got, want = gamma_approx_params(cc), oracles.reference_gamma_approx(cc)
-    assert got.mu == pytest.approx(want.mu, rel=1e-10, abs=0)
-    assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-10, abs=0)
+    mu, sigma2 = gamma_approx_params(cc)
+    want_mu, want_sigma2 = oracles.reference_gamma_approx(cc)
+    assert mu == pytest.approx(want_mu, rel=1e-10, abs=0)
+    assert sigma2 == pytest.approx(want_sigma2, rel=1e-10, abs=0)
 
 
 def test_gamma_critical_value_exponential_closed_form():
-    g = GammaApprox(mu=1.0, sigma2=1.0)  # shape 1, rate 1
-    for alpha in (0.5, 0.1, 0.01):
-        assert gamma_critical_value(g, alpha) == pytest.approx(
+    for alpha in (0.5, 0.1, 0.01):  # shape 1, rate 1
+        assert gamma_critical_value(1.0, 1.0, alpha) == pytest.approx(
             math.log(1 / alpha), abs=1e-8
         )
 
 
 def test_gamma_critical_value_large_shape_near_mean():
-    g = GammaApprox(mu=50.0, sigma2=1.0)  # shape 2500
-    assert gamma_critical_value(g, 0.5) == pytest.approx(50.0, rel=0.02)
+    # shape 2500
+    assert gamma_critical_value(50.0, 1.0, 0.5) == pytest.approx(50.0, rel=0.02)
 
 
 def test_gamma_critical_value_matches_mpmath():
-    g = GammaApprox(mu=7.0, sigma2=3.5)
+    mu, sigma2 = 7.0, 3.5
     for alpha in (0.3, 0.05, 0.01):
-        assert gamma_critical_value(g, alpha) == pytest.approx(
-            oracles.gamma_isf_mpmath(alpha, g.shape, g.rate), abs=1e-6
+        assert gamma_critical_value(mu, sigma2, alpha) == pytest.approx(
+            oracles.gamma_isf_mpmath(alpha, mu**2 / sigma2, mu / sigma2), abs=1e-6
         )
 
 
 def test_gamma_critical_value_degenerate_raises():
     with pytest.raises(ValueError):
-        gamma_critical_value(GammaApprox(0.0, 0.0), 0.05)
+        gamma_critical_value(0.0, 0.0, 0.05)
 
 
 def test_count_row_batches_hold_whole_sets_within_the_bound(monkeypatch):
@@ -376,6 +373,5 @@ def test_q_non_negative_and_zero_iff_identical(rows):
 
 def test_monotone_in_alpha_critical_value():
     cc = cluster([{(0,): 50}, {(0,): 60}], N=1000)
-    g = gamma_approx_params(cc)
-    crit = [gamma_critical_value(g, a) for a in (0.001, 0.01, 0.05, 0.2)]
+    crit = [gamma_critical_value(*gamma_approx_params(cc), a) for a in (0.001, 0.01, 0.05, 0.2)]
     assert crit == sorted(crit, reverse=True)
