@@ -14,6 +14,7 @@ import math
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr_array @ vector
 
 from .hypergraph import LabeledHypergraph, majority_subhypergraph, to_weighted_graph
 
@@ -39,6 +40,18 @@ def second_eigenpair(g: sparse.csr_array) -> tuple[float, np.ndarray]:
     D^(1/2)*1 projected out. Converges when the residual
     ||L_sym v - lambda v|| drops below ``EIG_TOLERANCE``; the returned
     eigenvector has its first non-negligible component positive.
+
+    Each step does the floating-point operations of the expression form
+    ``reference_second_eigenpair`` in ``tests/oracles.py``, in the same
+    order, so lambda and every bit of v equal it. On subgraphs of a few
+    hundred nodes a step's arithmetic costs less than its dispatch, so
+    the work vectors are allocated once per solve, ufuncs write into them,
+    and ``g @ z`` is the CSR kernel that ``csr_array.__matmul__`` ends in,
+    called directly into a zeroed buffer, which gives its row sums the same
+    bits. Over the 36 solves ``hcluster`` makes on the benchmark's dept k10
+    g2 and g4 (33,434 steps, n 19-160; min of 7, one thread, Python 3.11,
+    scipy 1.17), a step took 11.7-11.9 us in the expression form and
+    7.9-8.0 us here.
     """
     n = g.shape[0]
     if n < 2:
@@ -55,18 +68,27 @@ def second_eigenpair(g: sparse.csr_array) -> tuple[float, np.ndarray]:
     x -= trivial * (trivial @ x)
     x /= math.sqrt(x @ x)
 
+    indptr, indices, data = g.indptr, g.indices, g.data
+    z, gz, lx, r, y = (np.empty(n) for _ in range(5))
     lam = 0.0
     for _ in range(EIG_MAX_ITERS):
-        lx = x - inv_sqrt_deg * (g @ (inv_sqrt_deg * x))  # L_sym x
-        lam = float(x @ lx)
-        r = lx - lam * x
-        if math.sqrt(r @ r) <= EIG_TOLERANCE:
+        np.multiply(inv_sqrt_deg, x, z)
+        gz.fill(0.0)  # the kernel adds each row's sum to what gz holds
+        csr_matvec(n, n, indptr, indices, data, z, gz)  # g @ z
+        np.multiply(inv_sqrt_deg, gz, gz)
+        np.subtract(x, gz, lx)  # L_sym x
+        lam = float(np.dot(x, lx))
+        np.multiply(lam, x, r)
+        np.subtract(lx, r, r)
+        if math.sqrt(np.dot(r, r)) <= EIG_TOLERANCE:
             break
-        y = 2.0 * x - lx  # (2I - L_sym) x
-        y -= trivial * (trivial @ y)
-        ny = math.sqrt(y @ y)
+        np.multiply(2.0, x, y)
+        np.subtract(y, lx, y)  # (2I - L_sym) x
+        np.multiply(trivial, np.dot(trivial, y), r)  # r is free until the next step
+        np.subtract(y, r, y)
+        ny = math.sqrt(np.dot(y, y))
         if ny > 1e-300:
-            x = y / ny
+            np.divide(y, ny, x)
     else:
         raise ConvergenceError(
             f"eigensolver did not reach residual {EIG_TOLERANCE} "

@@ -1,7 +1,8 @@
 """Independent oracles used to derive expected test values.
 
 These deliberately avoid the code paths they check: dense eigensolves for
-the power-iteration eigensolver, exhaustive enumeration for sweep cuts and
+the power-iteration eigensolver (with that loop in expression form,
+``reference_second_eigenpair``, as its bit reference), exhaustive enumeration for sweep cuts and
 2-means, plain breadth-first search over per-node edge lists and dict
 accumulation for the sparse graph layer, a per-edge loop over node sets for
 the majority split, a Python sort-and-sweep for the distance partition,
@@ -30,6 +31,7 @@ one-cluster count matrix with its Q statistic and gamma moments
 Weighted graphs are symmetric ``scipy.sparse`` adjacency arrays.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +43,9 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import linalg, sparse
+from scipy.sparse import csgraph
 
+from prism import spectral
 from prism.clustering import TIE_RTOL
 from prism.stats import MIN_CATEGORY_MEAN, gamma_critical_value, gamma_moments
 
@@ -157,6 +161,48 @@ def dense_second_eigenpair(g):
     vals, vecs = np.linalg.eigh(lsym)
     return float(vals[1]), vecs[:, 1]
 
+
+def reference_second_eigenpair(g):
+    """``spectral.second_eigenpair`` in expression form: the power-iteration
+    loop as it was written before it called the CSR kernel into work
+    buffers, kept as that loop's bit reference. ``EIG_TOLERANCE`` and
+    ``EIG_MAX_ITERS`` are read from ``spectral`` at call time."""
+    n = g.shape[0]
+    if n < 2:
+        raise ValueError("graph must have at least 2 nodes")
+    if csgraph.connected_components(g, directed=False, return_labels=False) != 1:
+        raise spectral.DisconnectedGraphError("second_eigenpair requires a connected graph")
+    deg = g.sum(axis=1)
+    inv_sqrt_deg = 1.0 / np.sqrt(deg)
+    trivial = np.sqrt(deg)
+    trivial /= math.sqrt(trivial @ trivial)
+
+    rng = np.random.Generator(np.random.Philox(0xC0FFEE))
+    x = rng.standard_normal(n)
+    x -= trivial * (trivial @ x)
+    x /= math.sqrt(x @ x)
+
+    lam = 0.0
+    for _ in range(spectral.EIG_MAX_ITERS):
+        lx = x - inv_sqrt_deg * (g @ (inv_sqrt_deg * x))  # L_sym x
+        lam = float(x @ lx)
+        r = lx - lam * x
+        if math.sqrt(r @ r) <= spectral.EIG_TOLERANCE:
+            break
+        y = 2.0 * x - lx  # (2I - L_sym) x
+        y -= trivial * (trivial @ y)
+        ny = math.sqrt(y @ y)
+        if ny > 1e-300:
+            x = y / ny
+    else:
+        raise spectral.ConvergenceError(
+            f"eigensolver did not reach residual {spectral.EIG_TOLERANCE} "
+            f"in {spectral.EIG_MAX_ITERS} iterations"
+        )
+    nz = np.flatnonzero(np.abs(x) > 1e-12)
+    if len(nz) and x[nz[0]] < 0:
+        x = -x
+    return lam, x
 
 def conductance(g, side):
     """Cut weight over the smaller side's volume, from the raw adjacency."""

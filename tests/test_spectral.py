@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import datasets
@@ -81,6 +83,107 @@ def test_second_eigenpair_rejects_disconnected():
     g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraphError):
         second_eigenpair(g)
+
+
+def _outcome(solver, g):
+    """lambda, v's dtype and v's bytes, or the ConvergenceError message."""
+    try:
+        lam, v = solver(g)
+    except spectral.ConvergenceError as err:
+        return str(err)
+    return lam, v.dtype, v.tobytes()
+
+
+@st.composite
+def eigen_inputs(draw):
+    """A connected weighted graph of 2-150 nodes in one of the CSR forms
+    ``second_eigenpair`` can meet: unit, integer or float weights; int32 or
+    int64 indices; a ``g[ids][:, ids]`` slice as ``get_clusters`` builds
+    it; or rows in shuffled order with some entries split in two."""
+    n = draw(st.integers(2, 150))
+    shape = draw(st.sampled_from(["tree", "star", "bipartite"]))
+    weights = draw(st.sampled_from(["unit", "integer", "float"]))
+    form = draw(st.sampled_from(["int32", "int64", "slice", "unsorted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "bipartite":  # each side is a tied group
+        a = int(rng.integers(1, n))
+        pairs = {(i, j) for i in range(a) for j in range(a, n)}
+    else:  # a random tree or a star, then a few random edges
+        pairs = {(0 if shape == "star" else int(rng.integers(0, i)), i) for i in range(1, n)}
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+            pairs.add((i, j))
+    i, j = np.array(sorted(pairs)).T
+    if weights == "float":
+        w = rng.uniform(0.2, 2.0, len(i))
+    else:
+        w = np.ones(len(i), dtype=np.int64) if weights == "unit" else rng.integers(1, 6, len(i))
+    rows, cols, data = np.r_[i, j], np.r_[j, i], np.r_[w, w]
+    if form == "slice":  # embed among extra nodes, then cut it back out
+        m = n + int(rng.integers(1, 20))
+        at = rng.permutation(m)
+        p, q = rng.integers(0, m, (2, m))
+        keep = (p != q) & (np.isin(p, at[n:]) | np.isin(q, at[n:]))  # an end outside
+        p, q = p[keep], q[keep]
+        ones = np.ones(len(p), dtype=data.dtype)
+        big = sparse.csr_array(
+            (np.r_[data, ones, ones], (np.r_[at[rows], p, q], np.r_[at[cols], q, p])), shape=(m, m)
+        )
+        ids = np.sort(at[:n])
+        return big[ids][:, ids]
+    g = sparse.csr_array((data, (rows, cols)), shape=(n, n))  # int64 indices
+    if form == "int32":
+        return sparse.csr_array(
+            (g.data, g.indices.astype(np.int32), g.indptr.astype(np.int32)), shape=(n, n)
+        )
+    if form == "unsorted":  # split some entries in two, then shuffle each row
+        rows = np.repeat(np.arange(n), np.diff(g.indptr))
+        split = (g.data > 1) & (rng.random(g.nnz) < 0.5)
+        rows = np.r_[rows, rows[split]]
+        cols = np.r_[g.indices, g.indices[split]]
+        data = np.r_[np.where(split, g.data - 1, g.data), np.ones(split.sum(), dtype=g.dtype)]
+        order = np.lexsort((rng.random(len(rows)), rows))
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+        return sparse.csr_array((data[order], cols[order], indptr), shape=(n, n))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(eigen_inputs())
+def test_second_eigenpair_is_bit_equal_to_the_expression_form(g):
+    assert _outcome(second_eigenpair, g) == _outcome(oracles.reference_second_eigenpair, g)
+
+
+@pytest.mark.parametrize("gen_seed", [2, 4])
+def test_hcluster_solves_are_bit_equal_to_the_expression_form(gen_seed, monkeypatch):
+    # every solve hcluster makes on a dept k10 database of the benchmark
+    solved = []
+
+    def spy(g):
+        solved.append(g)
+        return second_eigenpair(g)
+
+    h = datasets.graph(datasets.bench_db("dept", 10, gen_seed))
+    monkeypatch.setattr(spectral, "second_eigenpair", spy)
+    hcluster(h)
+    assert len(solved) >= 10
+    for g in solved:
+        assert _outcome(second_eigenpair, g) == _outcome(oracles.reference_second_eigenpair, g)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 7, 50])
+def test_second_eigenpair_fails_exactly_when_the_expression_form_fails(max_iters, monkeypatch):
+    # K3 and P2 converge on the first step, K(3,4) on the second, the
+    # barbell on the 27th and the 12-node path on the 246th
+    monkeypatch.setattr(spectral, "EIG_MAX_ITERS", max_iters)
+    k34 = graph_from_edges(7, [(i, j, 1.0) for i in range(3) for j in range(3, 7)])
+    path = graph_from_edges(12, [(i, i + 1, 1.0) for i in range(11)])
+    graphs = [complete_graph(3), graph_from_edges(2, [(0, 1, 1.0)]), k34, barbell(), path]
+    outcomes = [_outcome(second_eigenpair, g) for g in graphs]
+    assert outcomes == [_outcome(oracles.reference_second_eigenpair, g) for g in graphs]
+    failed = [isinstance(o, str) for o in outcomes]
+    assert failed == [False, False, max_iters < 2, max_iters < 27, True]
+    assert f"in {max_iters} iterations" in outcomes[-1]
 
 
 def test_sweep_cut_barbell():
